@@ -7,8 +7,8 @@
 //!
 //! 1. pick the next window `[kL, (k+1)L)` containing the globally earliest
 //!    pending event (`L` = minimum cross-node latency, the lookahead);
-//! 2. run every shard's slice of that window — independently, on worker
-//!    threads when more than one shard is configured;
+//! 2. run every shard's slice of that window independently — shard 0 on the
+//!    calling thread, shards `1..N` on `N − 1` scoped worker threads;
 //! 3. at the boundary, exchange cross-shard messages, merge and replay the
 //!    shards' probe logs, and fold barrier arrivals into the global barrier
 //!    state (releases are scheduled at the boundary cycle).
@@ -17,8 +17,8 @@
 //! stamped with content-derived FIFO keys, and same-cycle events pop in
 //! deterministic [`Event`] key order, the run is **bit-identical for every
 //! shard count** — `--shards 8` produces the same `RunReport` bytes as a
-//! serial run. The serial path *is* the 1-shard instance of the same
-//! engine, inlined without threads.
+//! serial run. The serial path *is* the 1-shard instance of the same loop:
+//! no worker is spawned and the rendezvous never blocks.
 //!
 //! Locks are executed as test-and-test-and-set loops over their shared
 //! block, with the lock value carried by the block's write-token parity
@@ -293,10 +293,7 @@ impl ProbeSink {
     }
 
     /// Consumes one window's per-shard logs at a boundary.
-    fn window<S: std::ops::DerefMut<Target = Shard>>(
-        &mut self,
-        shards: &mut [S],
-    ) -> Result<(), ObserverDead> {
+    fn window(&mut self, shards: &mut [MutexGuard<'_, Shard>]) -> Result<(), ObserverDead> {
         match self {
             ProbeSink::Sync {
                 probes,
@@ -369,10 +366,10 @@ pub struct Machine {
     cfg: SystemConfig,
     part: Partition,
     clock: WindowClock,
-    /// The machine slices. Workers lock their own shard for the duration of
-    /// a window; the coordinator locks all of them (uncontended — workers
-    /// are parked at the rendezvous barrier) for boundary work. In the
-    /// serial path the mutexes are used via `get_mut` and never contended.
+    /// The machine slices. During a run each shard's thread locks it for
+    /// the duration of a window, and the calling thread locks all of them
+    /// (uncontended — workers are parked at the rendezvous barrier) for
+    /// boundary work. Between runs they are reached through `get_mut`.
     shards: Vec<Mutex<Shard>>,
     sync: GlobalSync,
     /// Attached observers, called in attach order on every event of the
@@ -396,9 +393,10 @@ impl Machine {
         Machine::with_shards(cfg, policies, programs, 1)
     }
 
-    /// Assembles a machine partitioned into `shards` worker slices (clamped
-    /// to the node count). Results are bit-identical for every value of
-    /// `shards`; only wall-clock time changes.
+    /// Assembles a machine partitioned into `shards` slices (clamped to the
+    /// node count), each run on its own thread — the calling thread counts
+    /// as one. Results are bit-identical for every value of `shards`; only
+    /// wall-clock time changes.
     ///
     /// # Panics
     ///
@@ -480,15 +478,12 @@ impl Machine {
     }
 
     /// Host nanoseconds each shard has spent executing its windows (barrier
-    /// waits and coordinator boundary work excluded), indexed by shard.
-    /// Exact per-shard work under [`Machine::run_single_threaded`] (windows
-    /// run unpreempted there); under the threaded run it is only meaningful
-    /// when the host has at least one core per shard. The work-partition
-    /// view of a run: `serial busy / max shard busy` is the speedup the
-    /// partition supports once enough cores exist — the `shard_scaling`
-    /// bench's critical-path metric, and the number to look at when a
-    /// sharded run scales worse than expected (imbalance shows up as one
-    /// outlier shard).
+    /// waits and boundary work excluded), indexed by shard. Exact per-shard
+    /// work when the host has at least one core per shard, so no window is
+    /// preempted. The work-partition view of a run: `serial busy / max
+    /// shard busy` is the speedup the partition supports, and the number to
+    /// look at when a sharded run scales worse than expected (imbalance
+    /// shows up as one outlier shard).
     pub fn shard_busy_ns(&self) -> Vec<u64> {
         self.shards.iter().map(|s| lock(s).busy_ns()).collect()
     }
@@ -549,25 +544,14 @@ impl Machine {
     /// events inside the final window but past the horizon are still
     /// handled. This keeps the check shard-count-invariant; the horizon is a
     /// deadlock backstop, not a precision instrument.
+    ///
+    /// The calling thread picks every window, runs shard 0's slice of it,
+    /// and does all boundary work; shards `1..N` run on `N − 1` scoped
+    /// workers that rendezvous with it twice per window on a spin barrier
+    /// sized to `N`. With one shard no worker is spawned and the barrier
+    /// never blocks. A panic in any shard's window or in the boundary fold
+    /// shuts the workers down and is re-raised here.
     pub fn run(&mut self, horizon: Cycle) -> RunSummary {
-        let threadless = self.shards.len() == 1;
-        self.run_with(horizon, threadless)
-    }
-
-    /// Runs the machine exactly like [`Machine::run`], but drives every
-    /// shard from the calling thread — no workers, whatever the shard
-    /// count. Results are bit-identical to the threaded run (the two share
-    /// all window and boundary code); what changes is the host execution:
-    /// each shard's window runs unpreempted, so [`Machine::shard_busy_ns`]
-    /// measures per-shard work exactly. This is how the `shard_scaling`
-    /// bench takes its critical-path measurement, and a useful mode
-    /// wherever worker threads are unwelcome (profilers, constrained
-    /// hosts).
-    pub fn run_single_threaded(&mut self, horizon: Cycle) -> RunSummary {
-        self.run_with(horizon, true)
-    }
-
-    fn run_with(&mut self, horizon: Cycle, threadless: bool) -> RunSummary {
         let log_events = !self.probes.is_empty();
         for s in &mut self.shards {
             lock_mut(s).set_log_events(log_events);
@@ -577,11 +561,85 @@ impl Machine {
         // buffer otherwise (see [`ProbeSink`]) — and come back at the end.
         let mut sink =
             log_events.then(|| ProbeSink::new(std::mem::take(&mut self.probes), self.cfg.nodes()));
-        let stop = if threadless {
-            self.run_threadless(horizon, sink.as_mut())
-        } else {
-            self.run_parallel(horizon, sink.as_mut())
-        };
+        let (clock, part, shards, sync) = (self.clock, self.part, &self.shards, &mut self.sync);
+        let barrier = SpinBarrier::new(shards.len());
+        // Written only by the calling thread while the workers are parked,
+        // and read by them after the rendezvous that follows.
+        let running = AtomicBool::new(true);
+        let win_start = AtomicU64::new(0);
+        let win_end = AtomicU64::new(0);
+        let panics: Panics = Mutex::new(Vec::new());
+        let stop = std::thread::scope(|scope| {
+            for shard in &shards[1..] {
+                let (barrier, running, win_start, win_end, panics) =
+                    (&barrier, &running, &win_start, &win_end, &panics);
+                scope.spawn(move || loop {
+                    barrier.wait();
+                    if !running.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let start = Cycle::new(win_start.load(Ordering::Acquire));
+                    let end = Cycle::new(win_end.load(Ordering::Acquire));
+                    run_window(shard, start, end, panics);
+                    barrier.wait();
+                });
+            }
+            // Releases the parked workers to observe the cleared flag and
+            // exit; the scope joins them.
+            let shut_down = || {
+                running.store(false, Ordering::Release);
+                barrier.wait();
+            };
+            loop {
+                // Boundary phase: workers are parked at the rendezvous, so
+                // every lock below is uncontended.
+                let t_min = shards
+                    .iter()
+                    .filter_map(|s| lock(s).next_event_time())
+                    .min();
+                let (start, end) = match t_min {
+                    None => {
+                        shut_down();
+                        return Ok(StopReason::Drained);
+                    }
+                    Some(t) if t > horizon => {
+                        shut_down();
+                        return Ok(StopReason::HorizonReached);
+                    }
+                    Some(t) => clock.window_of(t),
+                };
+                win_start.store(start.as_u64(), Ordering::Release);
+                win_end.store(end.as_u64(), Ordering::Release);
+                barrier.wait(); // workers start the window
+                run_window(&shards[0], start, end, &panics);
+                barrier.wait(); // every shard finished the window
+                let panicked = lock_raw(&panics).pop();
+                if let Some(payload) = panicked {
+                    shut_down();
+                    panic::resume_unwind(payload);
+                }
+                // The boundary fold can panic (malformed barrier workloads),
+                // so it runs under catch_unwind to shut the workers down
+                // before re-raising.
+                let fold = panic::catch_unwind(AssertUnwindSafe(|| {
+                    let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
+                    boundary(&mut guards, sync, sink.as_mut(), part, end)
+                }));
+                match fold {
+                    Ok(Ok(())) => {}
+                    // The observer thread died (a probe panicked); the
+                    // sink re-raises its panic on finish.
+                    Ok(Err(ObserverDead)) => {
+                        shut_down();
+                        return Err(ObserverDead);
+                    }
+                    Err(payload) => {
+                        shut_down();
+                        panic::resume_unwind(payload);
+                    }
+                }
+            }
+        });
         if let Some(sink) = sink {
             // Re-raises the probe's own panic if the observer died mid-run
             // (`Err(ObserverDead)` below).
@@ -603,133 +661,6 @@ impl Machine {
             events_handled,
             stop,
         }
-    }
-
-    /// The threadless engine: every shard's slice of each window runs on
-    /// the calling thread, in shard order (generic probes, when attached,
-    /// still observe from their own thread). With one shard this is the
-    /// serial path — and the reference the worker-thread path is
-    /// bit-identical to.
-    fn run_threadless(
-        &mut self,
-        horizon: Cycle,
-        mut sink: Option<&mut ProbeSink>,
-    ) -> Result<StopReason, ObserverDead> {
-        let (shards, sync) = (&mut self.shards, &mut self.sync);
-        loop {
-            let mut guards: Vec<&mut Shard> = shards.iter_mut().map(lock_mut).collect();
-            let Some(t) = guards.iter().filter_map(|s| s.next_event_time()).min() else {
-                return Ok(StopReason::Drained);
-            };
-            if t > horizon {
-                return Ok(StopReason::HorizonReached);
-            }
-            let (start, end) = self.clock.window_of(t);
-            for s in &mut guards {
-                s.run_window(start, end);
-            }
-            boundary(&mut guards, sync, sink.as_deref_mut(), self.part, end)?;
-        }
-    }
-
-    /// The multi-shard engine: persistent workers rendezvous with the
-    /// coordinator twice per window on a spin barrier. Worker panics are
-    /// caught, the fleet is shut down cleanly, and the first panic is
-    /// re-raised on the coordinating thread.
-    fn run_parallel(
-        &mut self,
-        horizon: Cycle,
-        mut sink: Option<&mut ProbeSink>,
-    ) -> Result<StopReason, ObserverDead> {
-        let clock = self.clock;
-        let part = self.part;
-        let shards = &self.shards;
-        let sync = &mut self.sync;
-        let barrier = SpinBarrier::new(shards.len() + 1);
-        let running = AtomicBool::new(true);
-        let win_start = AtomicU64::new(0);
-        let win_end = AtomicU64::new(0);
-        let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for shard in shards {
-                let (barrier, running, win_start, win_end, panics) =
-                    (&barrier, &running, &win_start, &win_end, &panics);
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    if !running.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let start = Cycle::new(win_start.load(Ordering::Acquire));
-                    let end = Cycle::new(win_end.load(Ordering::Acquire));
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                        lock(shard).run_window(start, end);
-                    }));
-                    if let Err(payload) = result {
-                        lock_raw(panics).push(payload);
-                        running.store(false, Ordering::Release);
-                    }
-                    barrier.wait();
-                });
-            }
-            loop {
-                // Boundary phase: workers are parked at the rendezvous, so
-                // every lock below is uncontended. Window selection cannot
-                // panic; the boundary fold can (malformed barrier
-                // workloads), so it runs under catch_unwind to shut the
-                // fleet down before re-raising.
-                let decision = {
-                    let t_min = shards
-                        .iter()
-                        .filter_map(|s| lock(s).next_event_time())
-                        .min();
-                    match t_min {
-                        None => Some(StopReason::Drained),
-                        Some(t) if t > horizon => Some(StopReason::HorizonReached),
-                        Some(t) => {
-                            let (start, end) = clock.window_of(t);
-                            win_start.store(start.as_u64(), Ordering::Release);
-                            win_end.store(end.as_u64(), Ordering::Release);
-                            None
-                        }
-                    }
-                };
-                if let Some(stop) = decision {
-                    running.store(false, Ordering::Release);
-                    barrier.wait(); // release workers; they observe the flag and exit
-                    return Ok(stop);
-                }
-                barrier.wait(); // workers start the window
-                barrier.wait(); // workers finished the window
-                if !running.load(Ordering::Acquire) {
-                    // A worker panicked inside its window. The others have
-                    // completed theirs; release them to exit, then re-raise.
-                    barrier.wait();
-                    let payload = lock_raw(&panics).pop().expect("panic payload recorded");
-                    panic::resume_unwind(payload);
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut guards: Vec<MutexGuard<'_, Shard>> =
-                        shards.iter().map(|s| lock(s)).collect();
-                    let end = Cycle::new(win_end.load(Ordering::Acquire));
-                    boundary(&mut guards, sync, sink.as_deref_mut(), part, end)
-                }));
-                let fold = match result {
-                    Ok(fold) => fold,
-                    Err(payload) => {
-                        running.store(false, Ordering::Release);
-                        barrier.wait(); // release workers; they observe the flag and exit
-                        panic::resume_unwind(payload);
-                    }
-                };
-                if fold.is_err() {
-                    // The observer thread died (a probe panicked); shut the
-                    // fleet down and let the caller re-raise on join.
-                    running.store(false, Ordering::Release);
-                    barrier.wait(); // release workers; they observe the flag and exit
-                    return Err(ObserverDead);
-                }
-            }
-        })
     }
 
     // ---- teardown --------------------------------------------------------
@@ -791,8 +722,8 @@ fn lock<'a>(m: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// `get_mut` with the same poison handling (serial path and `&mut`
-/// accessors — no locking at all).
+/// `get_mut` with the same poison handling (`&mut self` accessors between
+/// runs — no locking at all).
 fn lock_mut(m: &mut Mutex<Shard>) -> &mut Shard {
     m.get_mut().unwrap_or_else(|p| p.into_inner())
 }
@@ -802,12 +733,24 @@ fn lock_raw<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Window panics caught on any thread, re-raised by the calling thread.
+type Panics = Mutex<Vec<Box<dyn Any + Send>>>;
+
+/// Runs one shard's slice of a window, recording a panic instead of
+/// unwinding: the thread must still reach the closing rendezvous, or every
+/// other thread would wait for it forever.
+fn run_window(shard: &Mutex<Shard>, start: Cycle, end: Cycle, panics: &Panics) {
+    let result = panic::catch_unwind(AssertUnwindSafe(|| lock(shard).run_window(start, end)));
+    if let Err(payload) = result {
+        lock_raw(panics).push(payload);
+    }
+}
+
 /// One window boundary: cross-shard message exchange, probe-log handoff to
-/// the sink, and the global barrier fold. Shared verbatim by the serial and
-/// parallel paths — `S` is `&mut Shard` or a mutex guard. Returns `Err`
-/// when the sink's observer thread has died (a probe panicked).
-fn boundary<S: std::ops::DerefMut<Target = Shard>>(
-    shards: &mut [S],
+/// the sink, and the global barrier fold. Returns `Err` when the sink's
+/// observer thread has died (a probe panicked).
+fn boundary(
+    shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
     mut sink: Option<&mut ProbeSink>,
     part: Partition,
@@ -1301,13 +1244,34 @@ mod tests {
         assert!(m.misses > 0);
     }
 
+    /// A program that panics the first time its node fetches an op.
+    #[derive(Debug)]
+    struct Explodes(u16);
+
+    impl Program for Explodes {
+        fn next_op(&mut self) -> Option<Op> {
+            panic!("program of node {} exploded", self.0)
+        }
+    }
+
     #[test]
     fn worker_panic_is_reraised_not_deadlocked() {
-        // A 2-shard machine whose shard-1 node skips a barrier: the fold
-        // panics on the coordinator at a boundary. The fleet must shut down
-        // and the panic must surface (not hang the scope).
-        let cfg = small_cfg(2);
-        let programs: Vec<Box<dyn Program>> = vec![
+        // Every case must shut the workers down and surface its own panic
+        // message instead of hanging the scope.
+        let exploding_at = |nodes: u16, bad: u16| -> Vec<Box<dyn Program>> {
+            (0..nodes)
+                .map(|i| -> Box<dyn Program> {
+                    if i == bad {
+                        Box::new(Explodes(i))
+                    } else {
+                        Box::new(LoopedScript::new(vec![Op::Think(500)], vec![], 0))
+                    }
+                })
+                .collect()
+        };
+        // A shard-1 node skips a barrier, so the fold panics at a boundary
+        // on the calling thread.
+        let skipped_barrier: Vec<Box<dyn Program>> = vec![
             Box::new(LoopedScript::new(vec![Op::Barrier(1)], vec![], 0)),
             Box::new(LoopedScript::new(
                 vec![Op::Think(100), Op::Barrier(0)],
@@ -1315,12 +1279,27 @@ mod tests {
                 0,
             )),
         ];
-        let mut machine = Machine::with_shards(cfg, null_policies(2), programs, 2);
-        let err = panic::catch_unwind(AssertUnwindSafe(|| {
-            machine.run(Cycle::new(50_000_000));
-        }))
-        .expect_err("malformed barrier workload must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("distinct barrier"), "unexpected panic: {msg}");
+        let cases: Vec<(u16, usize, Vec<Box<dyn Program>>, &str)> = vec![
+            (2, 2, skipped_barrier, "distinct barrier"),
+            // Shard 0, which runs on the calling thread.
+            (4, 2, exploding_at(4, 0), "program of node 0 exploded"),
+            // The last worker shard.
+            (6, 3, exploding_at(6, 5), "program of node 5 exploded"),
+            // A 1-shard machine, which spawns no worker.
+            (2, 1, exploding_at(2, 1), "program of node 1 exploded"),
+        ];
+        for (nodes, shards, programs, expected) in cases {
+            let mut machine =
+                Machine::with_shards(small_cfg(nodes), null_policies(nodes), programs, shards);
+            let err = panic::catch_unwind(AssertUnwindSafe(|| {
+                machine.run(Cycle::new(50_000_000));
+            }))
+            .expect_err("the run must re-raise the panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains(expected),
+                "{shards}-shard case: unexpected panic: {msg}"
+            );
+        }
     }
 }

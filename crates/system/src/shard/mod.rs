@@ -294,9 +294,8 @@ pub(crate) struct Shard {
     trace_flags: bool,
     /// Host nanoseconds this shard has spent inside windows (monotonic
     /// clock deltas around [`Shard::run_window`]). Exact work when windows
-    /// run unpreempted — single-threaded execution, or workers on a host
-    /// with enough cores. Purely observational: never read on the
-    /// simulation path.
+    /// run unpreempted, i.e. on a host with a core per shard. Purely
+    /// observational: never read on the simulation path.
     busy_ns: u64,
 }
 
