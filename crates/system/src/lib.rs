@@ -51,7 +51,6 @@
 
 pub mod campaign;
 pub mod checker;
-mod compat;
 mod experiment;
 mod machine;
 mod metrics;
@@ -67,8 +66,6 @@ pub use checker::{
     explore, CheckerFactory, CoherenceChecker, ExploreConfig, ExploreOutcome, MachineView,
     Violation,
 };
-#[allow(deprecated)]
-pub use compat::PolicyKind;
 pub use experiment::{ExperimentBuilder, ExperimentSpec};
 pub use machine::{Event, Machine};
 pub use metrics::Metrics;
