@@ -1,24 +1,12 @@
-//! Microbenchmarks of the simulation substrate: event-queue throughput and
-//! a small end-to-end machine run (events per second bound the full-suite
-//! regeneration time).
+//! Microbenchmark of the simulation substrate: a small end-to-end machine
+//! run (events per second bound the full-suite regeneration time).
 
 use ltp_bench::microbench;
-use ltp_sim::{Cycle, EventQueue};
 use ltp_system::ExperimentSpec;
 use ltp_workloads::Benchmark;
 use std::hint::black_box;
 
 fn main() {
-    microbench("event_queue_push_pop_1k", || {
-        let mut q = EventQueue::<u64>::new();
-        for i in 0..1000u64 {
-            q.schedule(Cycle::new((i * 7919) % 1000), i);
-        }
-        while let Some(ev) = q.pop() {
-            black_box(ev);
-        }
-    });
-
     let spec = ExperimentSpec::builder(Benchmark::Em3d)
         .policy_spec("ltp")
         .expect("builtin spec")

@@ -1,132 +1,16 @@
 //! The event queue at the heart of the discrete-event simulator.
 //!
-//! Events are opaque payloads ordered by `(timestamp, insertion sequence)`.
-//! The secondary sequence key makes the ordering a deterministic *total*
-//! order: two events scheduled for the same cycle are delivered in the order
-//! they were scheduled. Determinism is a correctness requirement for this
-//! repository — last-touch predictor training data is an interleaving of
-//! coherence events, and reproducible interleavings are what make the
-//! regenerated experiment tables reproducible.
+//! Events are opaque payloads ordered by `(timestamp, key, insertion
+//! sequence)`. The caller-supplied key and the secondary sequence make the
+//! ordering a deterministic *total* order. Determinism is a correctness
+//! requirement for this repository — last-touch predictor training data is
+//! an interleaving of coherence events, and reproducible interleavings are
+//! what make the regenerated experiment tables reproducible.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::Cycle;
-
-/// A timestamped entry in the queue. Private: callers only see payloads.
-struct Entry<E> {
-    at: Cycle,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest (time, seq) pops
-        // first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A deterministic future-event list.
-///
-/// # Examples
-///
-/// ```
-/// use ltp_sim::{Cycle, EventQueue};
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(Cycle::new(20), "late");
-/// q.schedule(Cycle::new(10), "early");
-/// q.schedule(Cycle::new(10), "early-second");
-///
-/// assert_eq!(q.pop(), Some((Cycle::new(10), "early")));
-/// assert_eq!(q.pop(), Some((Cycle::new(10), "early-second")));
-/// assert_eq!(q.pop(), Some((Cycle::new(20), "late")));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Creates an empty queue with room for `capacity` pending events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// Schedules `payload` for delivery at absolute time `at`.
-    ///
-    /// Events with equal timestamps are delivered in scheduling order.
-    pub fn schedule(&mut self, at: Cycle, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.heap.push(Entry { at, seq, payload });
-    }
-
-    /// Removes and returns the earliest pending event, if any.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
-    }
-
-    /// Returns the timestamp of the earliest pending event without removing
-    /// it.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue (a cheap proxy for
-    /// simulation activity, reported by the engine's run summary).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// An entry in a [`KeyedEventQueue`]. Private: callers only see payloads.
 struct KeyedEntry<K, E> {
@@ -160,13 +44,13 @@ impl<K: Ord, E> Ord for KeyedEntry<K, E> {
 
 /// A future-event list ordered by `(timestamp, key, insertion sequence)`.
 ///
-/// Unlike [`EventQueue`], whose same-cycle tie-break is the global insertion
-/// sequence, this queue breaks timestamp ties by a caller-supplied *content*
-/// key. When keys identify independent actors (and same-`(time, key)`
-/// collisions are either impossible or commutative), the pop order becomes a
-/// property of the simulated system rather than of the scheduling call
-/// order — which is what lets a partitioned simulation replay the exact
-/// serial order regardless of how the actors are distributed across shards.
+/// Timestamp ties break by a caller-supplied *content* key rather than by
+/// the order of the scheduling calls. When keys identify independent actors
+/// (and same-`(time, key)` collisions are either impossible or
+/// commutative), the pop order becomes a property of the simulated system
+/// rather than of the scheduling call order — which is what lets a
+/// partitioned simulation replay the exact serial order regardless of how
+/// the actors are distributed across shards.
 ///
 /// # Examples
 ///
@@ -253,43 +137,34 @@ impl<K: Ord, E> std::fmt::Debug for KeyedEventQueue<K, E> {
     }
 }
 
-impl<E> std::fmt::Debug for EventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("pending", &self.heap.len())
-            .field("scheduled_total", &self.scheduled_total)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(5), 'b');
-        q.schedule(Cycle::new(1), 'a');
-        q.schedule(Cycle::new(9), 'c');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        let mut q = KeyedEventQueue::new();
+        q.schedule(Cycle::new(5), 0u8, 'b');
+        q.schedule(Cycle::new(1), 0u8, 'a');
+        q.schedule(Cycle::new(9), 0u8, 'c');
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, vec!['a', 'b', 'c']);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = KeyedEventQueue::new();
         for i in 0..100 {
-            q.schedule(Cycle::new(7), i);
+            q.schedule(Cycle::new(7), 0u8, i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, p)| p)).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, _, p)| p)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::new(3), ());
+        let mut q = KeyedEventQueue::new();
+        q.schedule(Cycle::new(3), 0u8, ());
         assert_eq!(q.peek_time(), Some(Cycle::new(3)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -297,9 +172,9 @@ mod tests {
 
     #[test]
     fn counts_scheduled_events() {
-        let mut q = EventQueue::new();
-        q.schedule(Cycle::ZERO, ());
-        q.schedule(Cycle::ZERO, ());
+        let mut q = KeyedEventQueue::new();
+        q.schedule(Cycle::ZERO, 0u8, ());
+        q.schedule(Cycle::ZERO, 0u8, ());
         q.pop();
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.len(), 1);
@@ -307,7 +182,7 @@ mod tests {
 
     #[test]
     fn debug_is_nonempty() {
-        let q = EventQueue::<u8>::new();
+        let q = KeyedEventQueue::<u8, u8>::new();
         assert!(!format!("{q:?}").is_empty());
     }
 

@@ -4,8 +4,9 @@
 //! This crate knows nothing about caches or predictors; it provides:
 //!
 //! * [`Cycle`] — simulated time in processor cycles;
-//! * [`EventQueue`] — a future-event list with a deterministic total order;
-//! * [`Simulation`]/[`World`] — the event-dispatch loop;
+//! * [`KeyedEventQueue`] — a future-event list with a deterministic total
+//!   order;
+//! * [`RunSummary`]/[`StopReason`] — what a run reports when it stops;
 //! * [`SimRng`] — seeded randomness so workloads are reproducible;
 //! * [`stats`] — counters, mean accumulators, ratios, histograms used by the
 //!   protocol engines and the experiment harness.
@@ -13,58 +14,51 @@
 //! Determinism is the design center: the paper's predictors learn from the
 //! *order* of coherence events, so reproducing its tables requires that two
 //! runs with the same configuration observe identical event interleavings.
-//! The queue therefore breaks timestamp ties by scheduling sequence, and all
-//! randomness flows through explicitly-seeded [`SimRng`] streams.
+//! The queue therefore breaks timestamp ties by a content key supplied by
+//! the caller, and all randomness flows through explicitly-seeded
+//! [`SimRng`] streams.
 //!
 //! # Examples
 //!
-//! A two-event ping/pong world:
+//! A two-node ping/pong driven straight off the queue, keyed by node:
 //!
 //! ```
-//! use ltp_sim::{Cycle, EventQueue, Simulation, World};
-//!
-//! #[derive(Default)]
-//! struct PingPong {
-//!     pings: u32,
-//! }
+//! use ltp_sim::{Cycle, KeyedEventQueue};
 //!
 //! enum Ev {
 //!     Ping,
 //!     Pong,
 //! }
 //!
-//! impl World for PingPong {
-//!     type Event = Ev;
-//!     fn handle(&mut self, now: Cycle, ev: Ev, q: &mut EventQueue<Ev>) {
-//!         match ev {
-//!             Ev::Ping if self.pings < 3 => {
-//!                 self.pings += 1;
-//!                 q.schedule(now + Cycle::new(80), Ev::Pong);
-//!             }
-//!             Ev::Ping => {}
-//!             Ev::Pong => q.schedule(now + Cycle::new(80), Ev::Ping),
+//! let mut q = KeyedEventQueue::new();
+//! q.schedule(Cycle::ZERO, 0u16, Ev::Ping);
+//! let (mut pings, mut end) = (0, Cycle::ZERO);
+//! while let Some((now, node, ev)) = q.pop() {
+//!     end = now;
+//!     match ev {
+//!         Ev::Ping if pings < 3 => {
+//!             pings += 1;
+//!             q.schedule(now + Cycle::new(80), 1 - node, Ev::Pong);
 //!         }
+//!         Ev::Ping => {}
+//!         Ev::Pong => q.schedule(now + Cycle::new(80), 1 - node, Ev::Ping),
 //!     }
 //! }
-//!
-//! let mut sim = Simulation::new(PingPong::default());
-//! sim.queue_mut().schedule(Cycle::ZERO, Ev::Ping);
-//! let summary = sim.run();
-//! assert_eq!(sim.world().pings, 3);
-//! assert_eq!(summary.end_time, Cycle::new(80 * 6));
+//! assert_eq!(pings, 3);
+//! assert_eq!(end, Cycle::new(80 * 6));
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod engine;
 mod event;
 mod rng;
 pub mod stats;
+mod summary;
 mod time;
 
-pub use engine::{RunSummary, Simulation, StopReason, World};
-pub use event::{EventQueue, KeyedEventQueue};
+pub use event::KeyedEventQueue;
 pub use rng::SimRng;
+pub use summary::{RunSummary, StopReason};
 pub use time::Cycle;
