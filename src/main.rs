@@ -75,10 +75,11 @@ OPTIONS:
                                    | ptr:<I>    (Dir_I_B limited pointers)
                                    | sparse:<E> (bounded entry cache, E entries)
     -j, --jobs <N>            sweep worker threads     [default: all cores; 1 = serial]
-        --shards <N|auto>     worker shards per machine        [default: 1]
-                              splits each simulated machine across N threads;
-                              reports stay bit-identical to --shards 1
-                              (`auto` = all available cores)
+        --shards <N|auto>     threads per machine              [default: 1]
+                              splits each simulated machine across N threads,
+                              the calling thread included; reports stay
+                              bit-identical to --shards 1
+                              (`auto` = one thread per available core)
         --probe <spec>        attach a probe (repeatable; run/sweep/compare/suite/check)
                               e.g. --probe per-node --probe hist:self-inv-lead
                               (grammar: name[:argument]; see list-probes)
@@ -1474,8 +1475,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("run 'ltp help' for usage");
             ExitCode::FAILURE
         }
     }
