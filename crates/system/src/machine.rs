@@ -1279,7 +1279,7 @@ mod tests {
                 0,
             )),
         ];
-        let cases: Vec<(u16, usize, Vec<Box<dyn Program>>, &str)> = vec![
+        let cases = vec![
             (2, 2, skipped_barrier, "distinct barrier"),
             // Shard 0, which runs on the calling thread.
             (4, 2, exploding_at(4, 0), "program of node 0 exploded"),
