@@ -149,11 +149,22 @@ enum ObserverMsg {
 
 /// The observer thread disappeared mid-run — a probe panicked (e.g.
 /// `check:strict` on a violation). The run stops and the panic payload is
-/// re-raised when the sink is finished.
+/// re-raised when the observer is joined.
 struct ObserverDead;
 
-/// The asynchronous half of [`ProbeSink`]: a dedicated thread that owns the
-/// probes for the duration of a run.
+/// Where window probe logs go: a dedicated thread that owns the probes for
+/// the duration of a run.
+///
+/// Generic probes ([`Machine::attach_probe`]) observe the merged cross-shard
+/// event stream in exact serial order — but nothing about that order
+/// requires the *simulation* to wait for them. The machine hands batches of
+/// window logs to the observer thread, which merges, sorts, and dispatches
+/// them while the shards already run the next window: the simulation's
+/// critical path pays only the per-event log append, and the probes' own
+/// work (metrics, histograms, the coherence sanitizer) overlaps execution.
+/// Drained buffers are recycled, so steady-state logging allocates nothing,
+/// and the channel is bounded — a probe slower than the simulation
+/// backpressures it instead of accumulating unbounded logs.
 struct Observer {
     tx: SyncSender<ObserverMsg>,
     /// Emptied log buffers coming back from the observer for reuse.
@@ -206,6 +217,31 @@ impl Observer {
         }
     }
 
+    /// Takes one window's per-shard logs at a boundary, sending the batch
+    /// once it is large enough.
+    fn window(&mut self, shards: &mut [MutexGuard<'_, Shard>]) -> Result<(), ObserverDead> {
+        for s in shards.iter_mut() {
+            let mut log = self.recycle.try_recv().unwrap_or_default();
+            debug_assert!(log.is_empty(), "recycled buffers come back drained");
+            std::mem::swap(s.probe_log_mut(), &mut log);
+            self.pending_entries += log.len();
+            self.pending.push(log);
+        }
+        if self.pending_entries >= OBSERVER_BATCH {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Dispatches one boundary-time event (barrier releases), in order with
+    /// the window entries around it.
+    fn sync_event(&mut self, event: SimEvent, now: Cycle) -> Result<(), ObserverDead> {
+        self.flush()?;
+        self.tx
+            .send(ObserverMsg::Sync { event, now })
+            .map_err(|_| ObserverDead)
+    }
+
     /// Sends the accumulated batch (if any) to the observer thread.
     fn flush(&mut self) -> Result<(), ObserverDead> {
         if self.pending.is_empty() {
@@ -246,109 +282,6 @@ fn replay(entries: &mut [ProbeEntry], probes: &mut [Box<dyn Probe>], nodes: u16)
         let ctx = ProbeCtx { now: e.now, nodes };
         for p in probes.iter_mut() {
             p.on_event(&ctx, &e.event);
-        }
-    }
-}
-
-/// Where window probe logs go: a dedicated observer thread when the host
-/// has cores to spare, the calling thread otherwise.
-///
-/// Generic probes ([`Machine::attach_probe`]) observe the merged cross-shard
-/// event stream in exact serial order — but nothing about that order
-/// requires the *simulation* to wait for them. On multi-core hosts the
-/// machine hands batches of window logs to an observer thread, which
-/// merges, sorts, and dispatches them while the shards already run the next
-/// window: the simulation's critical path pays only the per-event log
-/// append, and the probes' own work (metrics, histograms, the coherence
-/// sanitizer) overlaps execution. Drained buffers are recycled, so
-/// steady-state logging allocates nothing, and the channel is bounded — a
-/// probe slower than the simulation backpressures it instead of
-/// accumulating unbounded logs.
-///
-/// On a single-core host there is nothing to overlap with, so the sink
-/// replays each window synchronously at the boundary (the classic
-/// behavior), avoiding pure context-switch overhead. Both modes dispatch
-/// the identical event sequence, so results are bit-identical.
-enum ProbeSink {
-    Sync {
-        probes: Vec<Box<dyn Probe>>,
-        scratch: Vec<ProbeEntry>,
-        nodes: u16,
-    },
-    Async(Observer),
-}
-
-impl ProbeSink {
-    fn new(probes: Vec<Box<dyn Probe>>, nodes: u16) -> Self {
-        let parallel = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1;
-        if parallel {
-            ProbeSink::Async(Observer::spawn(probes, nodes))
-        } else {
-            ProbeSink::Sync {
-                probes,
-                scratch: Vec::new(),
-                nodes,
-            }
-        }
-    }
-
-    /// Consumes one window's per-shard logs at a boundary.
-    fn window(&mut self, shards: &mut [MutexGuard<'_, Shard>]) -> Result<(), ObserverDead> {
-        match self {
-            ProbeSink::Sync {
-                probes,
-                scratch,
-                nodes,
-            } => {
-                scratch.clear();
-                for s in shards.iter_mut() {
-                    scratch.append(s.probe_log_mut());
-                }
-                replay(scratch, probes, *nodes);
-                Ok(())
-            }
-            ProbeSink::Async(obs) => {
-                for s in shards.iter_mut() {
-                    let mut log = obs.recycle.try_recv().unwrap_or_default();
-                    debug_assert!(log.is_empty(), "recycled buffers come back drained");
-                    std::mem::swap(s.probe_log_mut(), &mut log);
-                    obs.pending_entries += log.len();
-                    obs.pending.push(log);
-                }
-                if obs.pending_entries >= OBSERVER_BATCH {
-                    obs.flush()?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Dispatches one boundary-time event (barrier releases), in order with
-    /// the window entries around it.
-    fn sync_event(&mut self, event: SimEvent, now: Cycle) -> Result<(), ObserverDead> {
-        match self {
-            ProbeSink::Sync { probes, nodes, .. } => {
-                let ctx = ProbeCtx { now, nodes: *nodes };
-                for p in probes.iter_mut() {
-                    p.on_event(&ctx, &event);
-                }
-                Ok(())
-            }
-            ProbeSink::Async(obs) => {
-                obs.flush()?;
-                obs.tx
-                    .send(ObserverMsg::Sync { event, now })
-                    .map_err(|_| ObserverDead)
-            }
-        }
-    }
-
-    /// Recovers the probes, joining the observer thread if one was spawned.
-    /// Re-raises a probe panic from the observer.
-    fn finish(self) -> Vec<Box<dyn Probe>> {
-        match self {
-            ProbeSink::Sync { probes, .. } => probes,
-            ProbeSink::Async(obs) => obs.join(),
         }
     }
 }
@@ -556,11 +489,10 @@ impl Machine {
         for s in &mut self.shards {
             lock_mut(s).set_log_events(log_events);
         }
-        // Generic probes move into a sink for the duration of the run — a
-        // dedicated observer thread on multi-core hosts, an in-place replay
-        // buffer otherwise (see [`ProbeSink`]) — and come back at the end.
-        let mut sink =
-            log_events.then(|| ProbeSink::new(std::mem::take(&mut self.probes), self.cfg.nodes()));
+        // Generic probes move onto the observer thread for the duration of
+        // the run (see [`Observer`]) and come back at the end.
+        let mut observer =
+            log_events.then(|| Observer::spawn(std::mem::take(&mut self.probes), self.cfg.nodes()));
         let (clock, part, shards, sync) = (self.clock, self.part, &self.shards, &mut self.sync);
         let barrier = SpinBarrier::new(shards.len());
         // Written only by the calling thread while the workers are parked,
@@ -623,12 +555,12 @@ impl Machine {
                 // before re-raising.
                 let fold = panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
-                    boundary(&mut guards, sync, sink.as_mut(), part, end)
+                    boundary(&mut guards, sync, observer.as_mut(), part, end)
                 }));
                 match fold {
                     Ok(Ok(())) => {}
-                    // The observer thread died (a probe panicked); the
-                    // sink re-raises its panic on finish.
+                    // The observer thread died (a probe panicked); joining
+                    // it re-raises the panic.
                     Ok(Err(ObserverDead)) => {
                         shut_down();
                         return Err(ObserverDead);
@@ -640,14 +572,14 @@ impl Machine {
                 }
             }
         });
-        if let Some(sink) = sink {
+        if let Some(observer) = observer {
             // Re-raises the probe's own panic if the observer died mid-run
             // (`Err(ObserverDead)` below).
-            self.probes = sink.finish();
+            self.probes = observer.join();
         }
         let stop = match stop {
             Ok(stop) => stop,
-            Err(ObserverDead) => unreachable!("a dead observer re-raises its panic on finish"),
+            Err(ObserverDead) => unreachable!("a dead observer re-raises its panic on join"),
         };
         let mut end_time = Cycle::ZERO;
         let mut events_handled = 0;
@@ -747,12 +679,12 @@ fn run_window(shard: &Mutex<Shard>, start: Cycle, end: Cycle, panics: &Panics) {
 }
 
 /// One window boundary: cross-shard message exchange, probe-log handoff to
-/// the sink, and the global barrier fold. Returns `Err` when the sink's
+/// the observer, and the global barrier fold. Returns `Err` when the
 /// observer thread has died (a probe panicked).
 fn boundary(
     shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
-    mut sink: Option<&mut ProbeSink>,
+    mut observer: Option<&mut Observer>,
     part: Partition,
     end: Cycle,
 ) -> Result<(), ObserverDead> {
@@ -776,11 +708,11 @@ fn boundary(
             }
         }
     }
-    // 2. Hand the shards' event logs (in shard order) to the probe sink —
-    //    replayed in place, or batched to the observer thread so the probes'
-    //    work overlaps the next window (see [`ProbeSink`]).
-    if let Some(sink) = sink.as_deref_mut() {
-        sink.window(shards)?;
+    // 2. Hand the shards' event logs (in shard order) to the observer
+    //    thread, batched so the probes' work overlaps the next window (see
+    //    [`Observer`]).
+    if let Some(observer) = observer.as_deref_mut() {
+        observer.window(shards)?;
     }
     // 3. Fold barrier arrivals and completions (in global `(cycle, node)`
     //    order) and schedule releases at the boundary cycle — a grid point,
@@ -796,8 +728,8 @@ fn boundary(
                 id,
                 waiters: waiters.len() as u16,
             };
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.sync_event(event, end)?;
+            if let Some(observer) = observer.as_deref_mut() {
+                observer.sync_event(event, end)?;
             }
             for w in waiters {
                 let node = NodeId::new(w);
