@@ -482,17 +482,6 @@ impl Trace {
         self.write_to(io::BufWriter::new(file))
     }
 
-    /// Writes the trace to `path` in an explicit format version (1 or 2).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::UnsupportedVersion`] for unknown versions and
-    /// [`TraceError::Io`] for file failures.
-    pub fn save_version<P: AsRef<Path>>(&self, path: P, version: u8) -> Result<(), TraceError> {
-        let file = std::fs::File::create(path)?;
-        self.write_to_version(io::BufWriter::new(file), version)
-    }
-
     /// Reads a trace from `path` (either format version).
     ///
     /// # Errors

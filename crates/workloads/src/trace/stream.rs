@@ -742,7 +742,10 @@ mod tests {
         let trace = Trace::record(Benchmark::Ocean, &params);
         for version in [TRACE_VERSION_V1, TRACE_VERSION] {
             let path = scratch(&format!("both-v{version}"));
-            trace.save_version(&path, version).unwrap();
+            let file = std::fs::File::create(&path).unwrap();
+            trace
+                .write_to_version(std::io::BufWriter::new(file), version)
+                .unwrap();
             let streaming = Arc::new(StreamingTrace::open(&path).unwrap());
             assert_eq!(streaming.version(), version);
             assert_eq!(streaming.name(), "ocean");

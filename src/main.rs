@@ -65,7 +65,6 @@ OPTIONS:
         --stream              replay --trace files incrementally from disk
                               (bounded memory; bit-identical reports)
     -o, --output <FILE>       output trace file (record, gen-trace)
-        --format <1|2>        trace format version to write   [default: 2]
         --ops <N>             ops per node to generate        [default: 65536]
     -n, --nodes <N[,N..]>     machine size(s)          [default: 32]
     -i, --iters <N>           iteration override       [default: per-benchmark]
@@ -116,7 +115,7 @@ folds a campaign store into the paper's figures and tables (markdown +
 JSON) without re-running anything. See docs/manual.md §Campaigns.
 
 Trace files replay at their recorded geometry (-n/-i/-s do not apply).
-Every table and figure of the paper is regenerated by `cargo bench`.
+Every table and figure of the paper is regenerated by `ltp campaign` + `ltp report`.
 Full manual: docs/manual.md";
 
 /// Parsed command-line options.
@@ -127,7 +126,6 @@ struct Options {
     traces: Vec<String>,
     stream: bool,
     output: Option<String>,
-    format: Option<u8>,
     ops: Option<u64>,
     positional: Vec<String>,
     nodes: Vec<u16>,
@@ -174,15 +172,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--stream" => opts.stream = true,
             "-o" | "--output" => opts.output = Some(value("--output")?),
-            "--format" => {
-                let v: u8 = value("--format")?
-                    .parse()
-                    .map_err(|e| format!("--format: {e}"))?;
-                if !(1..=2).contains(&v) {
-                    return Err(format!("--format: version {v} is not 1 or 2"));
-                }
-                opts.format = Some(v);
-            }
             "--ops" => {
                 opts.ops = Some(value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?);
             }
@@ -932,7 +921,7 @@ fn cmd_record(opts: &Options) -> Result<(), String> {
         iterations: opts.iters,
     };
     let trace = Trace::record(benchmark, &params);
-    save_trace(&trace, output, opts)?;
+    save_trace(&trace, output)?;
     if !opts.quiet {
         report_written("recorded", &trace, output);
     }
@@ -955,18 +944,17 @@ fn cmd_gen_trace(opts: &Options) -> Result<(), String> {
         iterations: None,
     };
     let trace = random_trace(&params, opts.ops.unwrap_or(1 << 16));
-    save_trace(&trace, output, opts)?;
+    save_trace(&trace, output)?;
     if !opts.quiet {
         report_written("generated", &trace, output);
     }
     Ok(())
 }
 
-/// Writes a trace honouring `--format` (default: the current version).
-fn save_trace(trace: &Trace, output: &str, opts: &Options) -> Result<(), String> {
-    let version = opts.format.unwrap_or(ltp::workloads::trace::TRACE_VERSION);
+/// Writes a trace in the current format version.
+fn save_trace(trace: &Trace, output: &str) -> Result<(), String> {
     trace
-        .save_version(output, version)
+        .save(output)
         .map_err(|e| format!("--output {output}: {e}"))
 }
 
