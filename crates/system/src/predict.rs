@@ -528,10 +528,7 @@ pub fn render_markdown(rows: &[PredictRow]) -> String {
 /// hash of the tournament's workloads, geometry, and predictor specs — so
 /// a regenerated `reports/predictors.md` is honest about its inputs:
 /// tables whose fingerprints differ were produced from different
-/// trace/spec sets and must not be compared row for row. (The same
-/// honesty rule `BENCH_predict.json` applies to its throughput
-/// acceptance: `pass` is reported from the measured numbers, never
-/// assumed.)
+/// trace/spec sets and must not be compared row for row.
 pub fn render_report(spec: &PredictSpec, rows: &[PredictRow]) -> String {
     let mut out = render_markdown(rows);
     out.push_str(&format!(

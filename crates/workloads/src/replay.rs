@@ -11,8 +11,8 @@
 //! [`ltp_core::VerdictEngine`] reproduces the directory's verification-mask
 //! verdicts, closing the predictor feedback loop. The result is pure table
 //! updates: roughly an order of magnitude faster than even this repo's
-//! lightweight machine (`ltp predict` vs `ltp run`; measured in
-//! `BENCH_predict.json`), and far more against a cycle-accurate
+//! lightweight machine (`ltp predict` vs `ltp run`; the perfbench
+//! `predict` workload measures it), and far more against a cycle-accurate
 //! simulator, whose per-op cost the replay never pays.
 //!
 //! # Scheduling model

@@ -67,7 +67,7 @@
 //! The runnable examples under `examples/` walk through the predictor API
 //! (`quickstart`), the protocol (`protocol_walkthrough`), custom policy
 //! registration (`custom_policy`), and three workload scenarios;
-//! `cargo bench` regenerates every table and figure.
+//! `ltp campaign` + `ltp report` regenerate every table and figure.
 //!
 //! [`ltp::system::SweepSpec`]: crate::system::SweepSpec
 //! [`ltp::system::ReportSink`]: crate::system::ReportSink

@@ -224,6 +224,35 @@ fn over_invalidation_is_measured_when_the_fit_breaks() {
 }
 
 #[test]
+fn sparse_cache_thrashes_while_full_map_stays_exact_at_64_nodes() {
+    // The smallest width of `reports/dir-scaling/suite.jsonl`: under `ltp`
+    // the full map sends no invalidation a sharer did not need, and a
+    // 16-entry sparse cache is small enough to evict, so the eviction path
+    // is exercised rather than assumed.
+    let report = |benchmark, directory| {
+        ExperimentSpec::builder(benchmark)
+            .policy_spec("ltp:bits=13")
+            .unwrap()
+            .nodes(64)
+            .iterations(2)
+            .directory(directory)
+            .build()
+            .run()
+    };
+    for benchmark in [Benchmark::Em3d, Benchmark::Ocean] {
+        let full = report(benchmark, DirectoryKind::Full);
+        assert!(full.metrics.invalidations_sent > 0, "{benchmark}");
+        assert_eq!(full.metrics.extra_invalidations, 0, "{benchmark}");
+        let sparse = report(benchmark, DirectoryKind::Sparse { entries: 16 });
+        assert!(
+            sparse.metrics.dir_evictions > 0,
+            "{benchmark}: sparse:16 must evict at 64 nodes"
+        );
+        assert_eq!(sparse.metrics.extra_invalidations, 0, "{benchmark}");
+    }
+}
+
+#[test]
 fn all_nine_benchmarks_complete_under_every_organization() {
     // The scaled-down suite completes (no deadlock) under coarse and
     // limited-pointer directories with every built-in policy family's most

@@ -22,7 +22,7 @@ use std::hash::{DefaultHasher, Hash, Hasher};
 use ltp::core::{
     BlockId, NodeId, Pc, PolicyRegistry, PredictorConfig, SelfInvalidationPolicy, SharerSet,
 };
-use ltp::dsm::SystemConfig;
+use ltp::dsm::{DirectoryKind, SystemConfig};
 use ltp::sim::{Cycle, SimRng, StopReason};
 use ltp::system::{ExperimentSpec, Machine};
 use ltp::workloads::{Benchmark, LoopedScript, Op, Program, WorkloadParams};
@@ -152,21 +152,29 @@ fn wide_full_map_machines_run_with_exact_invalidation_accounting() {
     // sharers exactly — any lost sharer shows up as a stuck machine or a
     // missing invalidation. (Machine-level asserts check token
     // monotonicity; `extra_invalidations == 0` pins full-map exactness.)
-    for &nodes in &[257u16, 320] {
+    // The 1024-node cases are the smallest width of
+    // `reports/dir-scaling/wide.jsonl`: under `ltp` self-invalidations
+    // cross invalidations, and a sparse entry cache that holds em3d's
+    // per-home footprint must stay just as exact.
+    for (nodes, policy, directory) in [
+        (257u16, "base", DirectoryKind::Full),
+        (320, "base", DirectoryKind::Full),
+        (1024, "ltp:bits=13", DirectoryKind::Full),
+        (1024, "ltp:bits=13", DirectoryKind::Sparse { entries: 64 }),
+    ] {
         let report = ExperimentSpec::builder(Benchmark::Em3d)
-            .policy_spec("base")
+            .policy_spec(policy)
             .expect("builtin spec")
             .workload(WorkloadParams::quick(nodes, 1))
+            .directory(directory)
             .build()
             .run();
         let m = &report.metrics;
-        assert!(m.exec_cycles > 0, "{nodes} nodes: machine ran");
-        assert!(m.invalidations_sent > 0, "{nodes} nodes: sharing happened");
-        assert_eq!(
-            m.extra_invalidations, 0,
-            "{nodes} nodes: a full map never over-invalidates"
-        );
-        assert_eq!(m.dir_evictions, 0, "{nodes} nodes: full maps never evict");
+        let case = format!("{nodes} nodes, {policy}, {directory}");
+        assert!(m.exec_cycles > 0, "{case}: machine ran");
+        assert!(m.invalidations_sent > 0, "{case}: sharing happened");
+        assert_eq!(m.extra_invalidations, 0, "{case}: over-invalidated");
+        assert_eq!(m.dir_evictions, 0, "{case}: nothing is evicted");
     }
 }
 

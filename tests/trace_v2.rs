@@ -150,8 +150,8 @@ fn every_benchmark_streams_bit_identically_with_bounded_memory() {
 #[test]
 fn loop_compression_reaches_its_density_target() {
     // ROADMAP/acceptance target: <= 0.5 B/op on at least 5 of the 9
-    // benchmarks at their scaled default iteration counts (the shape the
-    // BENCH_trace_v2.json baseline records at 32 nodes).
+    // benchmarks at their scaled default iteration counts (`ltp trace-info`
+    // prints the same density for a 32-node recording).
     let params = WorkloadParams {
         nodes: 4,
         seed: 0x15CA_2000,
