@@ -39,8 +39,8 @@ pub fn run_fingerprint(spec: &ExperimentSpec) -> Fingerprint {
             h.update_str("bench");
             h.update_str(benchmark.name());
         }
-        // Both trace kinds replay bit-identically, so they hash alike: a
-        // campaign resumed with `--stream` skips runs done buffered.
+        // A trace replays identically from memory or streamed from its
+        // file, so both kinds hash alike.
         WorkloadSource::Trace(trace) => {
             h.update_str("trace");
             h.update_str(trace.name());

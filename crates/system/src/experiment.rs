@@ -2,21 +2,21 @@
 //!
 //! [`ExperimentSpec`] describes one run: a [`WorkloadSource`] (a synthetic
 //! [`ltp_workloads::Benchmark`], a recorded [`Trace`], or a
-//! [`StreamingTrace`] decoded incrementally from its file), a shared
-//! [`PolicyFactory`] (resolved from a spec string through a
+//! [`ltp_workloads::StreamingTrace`] decoded incrementally from its file),
+//! a shared [`PolicyFactory`] (resolved from a spec string through a
 //! [`PolicyRegistry`] or constructed directly), workload sizing, and
 //! predictor tuning. Construct one through [`ExperimentSpec::builder`] (or
 //! the [`ExperimentSpec::isca00`] / [`ExperimentSpec::quick`] /
-//! [`ExperimentSpec::replay`] / [`ExperimentSpec::replay_streaming`]
-//! shorthands), then [`ExperimentSpec::run`] it — or hand many design
-//! points to [`crate::SweepSpec`] to execute in parallel.
+//! [`ExperimentSpec::replay`] shorthands), then [`ExperimentSpec::run`] it
+//! — or hand many design points to [`crate::SweepSpec`] to execute in
+//! parallel.
 
 use std::sync::Arc;
 
 use ltp_core::{PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig};
 use ltp_dsm::{DirectoryKind, SystemConfig};
 use ltp_sim::{Cycle, StopReason};
-use ltp_workloads::{RunEstimate, StreamingTrace, Trace, WorkloadParams, WorkloadSource};
+use ltp_workloads::{RunEstimate, Trace, WorkloadParams, WorkloadSource};
 
 use crate::machine::Machine;
 use crate::probe::{FnProbeFactory, Probe, ProbeFactory, ProbeRegistry, ProbeSpecError, RunInfo};
@@ -110,39 +110,6 @@ impl ExperimentSpec {
     /// assert_eq!(replayed, direct, "replay is bit-identical");
     /// ```
     pub fn replay(trace: Arc<Trace>) -> ExperimentBuilder {
-        ExperimentSpec::builder(trace)
-    }
-
-    /// Starts a builder replaying a trace *incrementally from its file*
-    /// (bounded per-node decode window, no full-trace materialization) at
-    /// its recorded geometry.
-    ///
-    /// Streamed replay is bit-identical to buffered replay of the same
-    /// file; use it when the trace is too large to hold in memory.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use std::sync::Arc;
-    ///
-    /// use ltp_system::ExperimentSpec;
-    /// use ltp_workloads::{Benchmark, StreamingTrace, Trace, WorkloadParams};
-    ///
-    /// let params = WorkloadParams::quick(4, 3);
-    /// let trace = Arc::new(Trace::record(Benchmark::Em3d, &params));
-    /// let path = std::env::temp_dir()
-    ///     .join(format!("ltp-doc-replay-{}.ltrace", std::process::id()));
-    /// trace.save(&path).unwrap();
-    ///
-    /// let buffered = ExperimentSpec::replay(Arc::clone(&trace))
-    ///     .policy_spec("ltp").unwrap().build().run();
-    /// let streamed = ExperimentSpec::replay_streaming(
-    ///     Arc::new(StreamingTrace::open(&path).unwrap()))
-    ///     .policy_spec("ltp").unwrap().build().run();
-    /// assert_eq!(streamed, buffered, "streaming replay is bit-identical");
-    /// # std::fs::remove_file(&path).unwrap();
-    /// ```
-    pub fn replay_streaming(trace: Arc<StreamingTrace>) -> ExperimentBuilder {
         ExperimentSpec::builder(trace)
     }
 

@@ -391,15 +391,6 @@ impl Machine {
         done == self.cfg.nodes() as usize
     }
 
-    /// Human-readable stuck-state diagnosis for horizon overruns.
-    pub fn stuck_report(&self) -> String {
-        let mut out = String::new();
-        for s in &self.shards {
-            lock(s).stuck_report_into(&mut out);
-        }
-        out
-    }
-
     /// Structured per-node stuck diagnosis (all unfinished nodes, in node
     /// order — shards own contiguous ranges, so concatenation is sorted).
     pub fn stuck_nodes(&self) -> Vec<crate::StuckNode> {
@@ -763,8 +754,8 @@ mod tests {
         assert_ne!(
             summary.stop,
             StopReason::HorizonReached,
-            "machine stuck:\n{}",
-            machine.stuck_report()
+            "machine stuck:\n{:#?}",
+            machine.stuck_nodes()
         );
         let (m, sections) = machine.finish();
         assert!(sections.is_empty(), "no extra probes attached");

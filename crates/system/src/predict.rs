@@ -52,9 +52,7 @@ use ltp_core::{
     PolicySpecError, PredictStats, PredictorConfig, PrematurePenalty, SelfInvalidationPolicy,
     StorageStats,
 };
-use ltp_workloads::{
-    ground_truth, replay, Benchmark, StreamingTrace, Trace, WorkloadParams, WorkloadSource,
-};
+use ltp_workloads::{ground_truth, replay, Benchmark, Trace, WorkloadParams, WorkloadSource};
 
 /// Per-node last-touch ground truth, computed once per workload and
 /// shared (via `Arc`) by every job that replays it.
@@ -197,11 +195,6 @@ impl PredictSpec {
         self.source(trace)
     }
 
-    /// Adds one trace streamed incrementally from its file.
-    pub fn streaming_trace(self, trace: Arc<StreamingTrace>) -> Self {
-        self.source(trace)
-    }
-
     /// Adds one predictor factory.
     pub fn policy(mut self, policy: Arc<dyn PolicyFactory>) -> Self {
         self.policies.push(policy);
@@ -308,8 +301,9 @@ impl PredictSpec {
                     h.update_str("bench");
                     h.update_str(benchmark.name());
                 }
-                // Buffered and streaming replay are bit-identical, so both
-                // trace kinds hash alike (as in the campaign store).
+                // A trace replays identically from memory or streamed from
+                // its file, so both kinds hash alike (as in the campaign
+                // store).
                 WorkloadSource::Trace(trace) => {
                     h.update_str("trace");
                     h.update_str(trace.name());

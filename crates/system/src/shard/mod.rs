@@ -497,16 +497,6 @@ impl Shard {
         self.nodes.len()
     }
 
-    /// Appends this shard's unfinished nodes to a stuck-state report.
-    pub fn stuck_report_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        for n in &self.nodes {
-            if !matches!(n.exec, ExecState::Finished) {
-                let _ = writeln!(out, "{}: {:?}", n.id, n.exec);
-            }
-        }
-    }
-
     /// Appends this shard's unfinished nodes, structured, to a watchdog
     /// diagnosis (see [`crate::StuckReport`]).
     pub fn stuck_nodes_into(&self, out: &mut Vec<crate::StuckNode>) {

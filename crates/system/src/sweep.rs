@@ -37,9 +37,7 @@ use std::thread;
 
 use ltp_core::{PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig};
 use ltp_dsm::DirectoryKind;
-use ltp_workloads::{
-    Benchmark, RunEstimate, StreamingTrace, Trace, WorkloadParams, WorkloadSource,
-};
+use ltp_workloads::{Benchmark, RunEstimate, Trace, WorkloadParams, WorkloadSource};
 
 use crate::experiment::ExperimentSpec;
 use crate::probe::{ProbeFactory, ProbeRegistry, ProbeSpecError};
@@ -117,19 +115,6 @@ impl SweepSpec {
     /// [`SweepSpec::geometry`] list — with several geometries, the trace's
     /// design points repeat identically (sinks still see every run).
     pub fn trace(self, trace: Arc<Trace>) -> Self {
-        self.source(trace)
-    }
-
-    /// Adds one trace replayed incrementally from its file (bounded
-    /// per-node decode window — for traces too large to materialize).
-    ///
-    /// Streamed runs report bit-identically to buffered replays of the
-    /// same file; geometry pins exactly like [`SweepSpec::trace`]. Each
-    /// run's per-node programs reopen the file, so it must remain readable
-    /// for the duration of the sweep — a file that vanishes mid-sweep
-    /// panics the affected run with a message naming the trace (the
-    /// drivers treat workloads as infallible once validated).
-    pub fn streaming_trace(self, trace: Arc<StreamingTrace>) -> Self {
         self.source(trace)
     }
 
@@ -544,19 +529,19 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("ltp-sweep-stream-{}.ltrace", std::process::id()));
         trace.save(&path).unwrap();
-        let streaming = Arc::new(StreamingTrace::open(&path).unwrap());
+        let streaming = Arc::new(ltp_workloads::StreamingTrace::open(&path).unwrap());
         let registry = PolicyRegistry::with_builtins();
         let reports = SweepSpec::new()
             .trace(Arc::clone(&trace))
-            .streaming_trace(streaming)
+            .source(streaming)
             .policy_specs(&registry, &["base", "ltp"])
             .unwrap()
             .geometry(params)
             .collect();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(reports.len(), 4);
-        assert_eq!(reports[0], reports[2], "base: streamed == buffered");
-        assert_eq!(reports[1], reports[3], "ltp: streamed == buffered");
+        assert_eq!(reports[0], reports[2], "base: streamed == recorded");
+        assert_eq!(reports[1], reports[3], "ltp: streamed == recorded");
     }
 
     #[test]

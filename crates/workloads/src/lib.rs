@@ -15,9 +15,10 @@
 //! Beyond the synthetic kernels, the [`trace`] module captures any
 //! benchmark's per-node op streams into a compact versioned `.ltrace` file
 //! ([`TraceWriter`], [`Trace`]) — loop-compressed in format v2 via a
-//! per-stream repeat detector — and replays them either fully decoded
-//! ([`TraceProgram`]) or incrementally from the file with a bounded
-//! per-node window ([`StreamingTrace`], [`StreamingTraceProgram`]); a
+//! per-stream repeat detector. One decoder reads every file: it validates
+//! the whole file on open and replays it incrementally with a bounded
+//! per-node window ([`StreamingTrace`], [`StreamingTraceProgram`]);
+//! in-memory recordings replay through [`TraceProgram`]. A
 //! [`WorkloadSource`] names any kind of workload — synthetic, recorded, or
 //! streamed — so traces are first-class inputs to experiments and sweeps.
 //! [`random_trace`] generates valid random workloads for fuzzing and

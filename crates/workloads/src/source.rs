@@ -113,9 +113,9 @@ pub enum WorkloadSource {
     /// never copies the streams.
     Trace(Arc<Trace>),
     /// A recorded trace replayed *incrementally from its file* with a
-    /// bounded per-node decode window — the only way to run traces too
-    /// large to materialize. Bit-identical to [`WorkloadSource::Trace`]
-    /// replay of the same file.
+    /// bounded per-node decode window — how every `.ltrace` file replays.
+    /// Bit-identical to [`WorkloadSource::Trace`] replay of the same
+    /// recording.
     StreamingTrace(Arc<StreamingTrace>),
 }
 
@@ -320,7 +320,7 @@ mod tests {
         for (node, program) in streamed.iter_mut().enumerate() {
             assert_eq!(collect_ops(program.as_mut()), trace.streams()[node]);
         }
-        // Mismatched geometry is the same clean error as buffered traces.
+        // Mismatched geometry is the same clean error as in-memory traces.
         let err = source.programs(&WorkloadParams::quick(4, 2)).unwrap_err();
         assert!(matches!(err, SourceError::GeometryMismatch { .. }), "{err}");
         // A vanished file is a clean SourceError, not a panic.

@@ -1,11 +1,10 @@
 //! Shared byte-level primitives of the `.ltrace` codecs.
 //!
-//! Both format versions and both decoders (the buffered [`super::Trace`]
-//! reader and the incremental [`super::stream`] reader) are built from the
-//! pieces here: LEB128 varints, ZigZag mapping, the per-stream delta state,
-//! the opcode table, and a [`TraceInput`] abstraction that lets the same
-//! decode functions run over an in-memory slice or an incremental
-//! [`std::io::Read`] source.
+//! The writer and the one reader ([`super::stream`]) of both format
+//! versions are built from the pieces here: LEB128 varints, ZigZag mapping,
+//! the per-stream delta state, the opcode table, and a [`TraceInput`]
+//! abstraction that lets the same decode functions run over the validation
+//! pass's hashing reader and each replay cursor's read-ahead buffer.
 
 use std::io::{self, Read};
 
@@ -33,16 +32,17 @@ pub(crate) const OP_REPEAT: u8 = 0x0A;
 
 // ---- input abstraction ----------------------------------------------------
 
-/// A byte source the decoders read from.
+/// A byte source the decoder reads from.
 ///
-/// Implemented by [`SliceInput`] (the buffered whole-file path) and
-/// [`IoInput`] (the incremental streaming path). All decode errors are
+/// Implemented by [`IoInput`] (the validation pass) and the per-node
+/// read-ahead buffer of streaming replay. All decode errors are
 /// [`TraceError`]s naming what was being read when the source ran dry.
 pub(crate) trait TraceInput {
     /// Reads one byte, or reports truncation naming `what`.
     fn byte(&mut self, what: &str) -> Result<u8, TraceError>;
 
-    /// Reads `len` bytes (small lengths only: names and fixed trailers).
+    /// Reads `len` bytes (the header's name). A declared length beyond the
+    /// source fails as truncation once the source runs dry.
     fn take(&mut self, len: usize, what: &str) -> Result<Vec<u8>, TraceError> {
         let mut out = Vec::with_capacity(len.min(1 << 16));
         for _ in 0..len {
@@ -52,49 +52,17 @@ pub(crate) trait TraceInput {
     }
 }
 
-/// Cursor over an in-memory body slice.
-pub(crate) struct SliceInput<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl<'a> SliceInput<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        SliceInput { buf, pos: 0 }
-    }
-}
-
-impl TraceInput for SliceInput<'_> {
+impl<I: TraceInput + ?Sized> TraceInput for &mut I {
     fn byte(&mut self, what: &str) -> Result<u8, TraceError> {
-        let Some(&b) = self.buf.get(self.pos) else {
-            return Err(TraceError::Corrupt(format!(
-                "truncated while reading {what}"
-            )));
-        };
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, len: usize, what: &str) -> Result<Vec<u8>, TraceError> {
-        let Some(bytes) = self
-            .pos
-            .checked_add(len)
-            .and_then(|end| self.buf.get(self.pos..end))
-        else {
-            return Err(TraceError::Corrupt(format!(
-                "truncated while reading {what}"
-            )));
-        };
-        self.pos += len;
-        Ok(bytes.to_vec())
+        (**self).byte(what)
     }
 }
 
 /// Incremental source over any [`Read`], counting consumed bytes.
 ///
-/// The streaming decoder and the [`super::stream::StreamingTrace::open`]
-/// validation scan both read through this; `consumed` is what turns a
-/// sequential scan into the per-stream byte offsets of the file index.
+/// The [`super::stream::StreamingTrace::open`] validation scan reads
+/// through this; `consumed` is what turns a sequential scan into the
+/// per-stream byte offsets of the file index.
 #[derive(Debug)]
 pub(crate) struct IoInput<R: Read> {
     inner: R,

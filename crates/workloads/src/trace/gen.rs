@@ -47,10 +47,11 @@ const FLAG_BLOCK_BASE: u64 = 1 << 21;
 /// assert_eq!(trace.nodes(), 4);
 /// assert!(trace.total_ops() >= 4 * 400);
 ///
-/// // Bit-exact round trip through the current format.
-/// let mut bytes = Vec::new();
-/// trace.write_to(&mut bytes).unwrap();
-/// assert_eq!(Trace::read_from(&bytes[..]).unwrap(), trace);
+/// // Bit-exact round trip through a file in the current format.
+/// let path = std::env::temp_dir().join(format!("ltp-doc-gen-{}.ltrace", std::process::id()));
+/// trace.save(&path).unwrap();
+/// assert_eq!(Trace::load(&path).unwrap(), trace);
+/// # std::fs::remove_file(&path).unwrap();
 /// ```
 ///
 /// # Panics
@@ -206,7 +207,7 @@ mod tests {
                 let mut bytes = Vec::new();
                 trace.write_to_version(&mut bytes, version).unwrap();
                 assert_eq!(
-                    Trace::read_from(&bytes[..]).unwrap(),
+                    super::super::load_bytes(&bytes).unwrap(),
                     trace,
                     "seed {seed} v{version}"
                 );

@@ -33,6 +33,9 @@
 //!   incrementally with a bounded per-node window instead of materializing
 //!   every op in memory.
 //!
+//! [`StreamingTrace`] is the one reader of both versions; [`Trace::load`]
+//! opens a file through it and drains every stream into memory.
+//!
 //! Byte-level layout sketch (see the manual for the full spec):
 //!
 //! ```text
@@ -55,7 +58,7 @@
 //!
 //! # Examples
 //!
-//! Record a benchmark, round-trip it through bytes, and replay:
+//! Record a benchmark, round-trip it through a file, and replay:
 //!
 //! ```
 //! use ltp_workloads::{collect_ops, Benchmark, Trace, WorkloadParams};
@@ -65,10 +68,11 @@
 //! assert_eq!(trace.name(), "em3d");
 //! assert_eq!(trace.nodes(), 4);
 //!
-//! let mut bytes = Vec::new();
-//! trace.write_to(&mut bytes).unwrap();
-//! let back = Trace::read_from(&bytes[..]).unwrap();
+//! let path = std::env::temp_dir().join(format!("ltp-doc-mod-{}.ltrace", std::process::id()));
+//! trace.save(&path).unwrap();
+//! let back = Trace::load(&path).unwrap();
 //! assert_eq!(back, trace);
+//! # std::fs::remove_file(&path).unwrap();
 //!
 //! // Replay programs emit exactly the recorded streams.
 //! let mut programs = back.into_programs();
@@ -77,7 +81,7 @@
 //! ```
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -94,8 +98,7 @@ pub use repeat::{detect_repeats, Segment, MAX_REPEAT_BODY};
 pub use stream::{StreamingTrace, StreamingTraceProgram, TraceScanStats};
 
 use codec::{
-    decode_op, encode_op, fnv1a, note_op, read_varint, write_varint, DeltaState, SliceInput,
-    TraceInput, OP_REPEAT,
+    encode_op, fnv1a, note_op, read_varint, write_varint, DeltaState, TraceInput, OP_REPEAT,
 };
 
 /// The 7-byte file magic opening every `.ltrace` file.
@@ -113,15 +116,15 @@ pub const TRACE_VERSION_V1: u8 = 1;
 /// in-tree writer stays far below this (see [`MAX_REPEAT_BODY`]).
 pub const MAX_STREAM_WINDOW: u64 = 1 << 16;
 
-/// Most ops per stream the *buffered* decoder ([`Trace::read_from`]) will
-/// materialize.
+/// Most ops per stream [`Trace::load`] will materialize.
 ///
 /// Repeat blocks make v2 a real decompressor: a few file bytes can declare
 /// trillions of ops, and fully decoding such a file is an OOM, not a
-/// workload. Streams above this cap (2³¹ ops ≈ 80 GB of decoded `Op`s,
-/// beyond any sensible buffered replay) are a clean error pointing at
-/// [`StreamingTrace`], whose open/validate/replay costs stay bounded
-/// regardless of the declared op count.
+/// workload. `load` checks the header op counts against this cap (2³¹ ops
+/// ≈ 80 GB of decoded `Op`s) before allocating anything; a stream above it
+/// is a clean error pointing at [`StreamingTrace`], whose
+/// open/validate/replay costs stay bounded regardless of the declared op
+/// count.
 pub const MAX_BUFFERED_OPS: u64 = 1 << 31;
 
 /// Error produced while reading or writing a trace file.
@@ -169,8 +172,7 @@ impl From<io::Error> for TraceError {
     }
 }
 
-/// The recorded workload identity every trace header carries, shared by the
-/// buffered and streaming readers.
+/// The recorded workload identity every trace header carries.
 #[derive(Debug, Clone)]
 pub(crate) struct Header {
     pub(crate) name: String,
@@ -282,8 +284,8 @@ impl StreamMeta {
 /// [`WorkloadParams`] as the run it was recorded from.
 ///
 /// `Trace` materializes every op in memory; for traces too large for that,
-/// replay through [`StreamingTrace`] instead, which decodes each node's
-/// stream incrementally from the file with a bounded window.
+/// replay the file through [`StreamingTrace`] instead, which decodes each
+/// node's stream incrementally with a bounded window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     name: String,
@@ -420,57 +422,6 @@ impl Trace {
         body
     }
 
-    /// Deserializes a trace from any reader, dispatching on the file's
-    /// version byte — v1 and v2 files load identically.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] naming the first problem found: wrong
-    /// magic, unsupported version, I/O failure, or corruption (truncation,
-    /// checksum mismatch, unknown opcode, malformed varint, invalid repeat
-    /// block, …).
-    pub fn read_from<R: Read>(mut input: R) -> Result<Trace, TraceError> {
-        let mut bytes = Vec::new();
-        input.read_to_end(&mut bytes)?;
-        if bytes.len() < TRACE_MAGIC.len() + 1 || bytes[..TRACE_MAGIC.len()] != TRACE_MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let version = bytes[TRACE_MAGIC.len()];
-        if !(TRACE_VERSION_V1..=TRACE_VERSION).contains(&version) {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let payload = &bytes[TRACE_MAGIC.len() + 1..];
-        if payload.len() < 8 {
-            return Err(TraceError::Corrupt("missing checksum trailer".to_string()));
-        }
-        let (body, trailer) = payload.split_at(payload.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte split"));
-        let computed = fnv1a(body);
-        if stored != computed {
-            return Err(TraceError::Corrupt(format!(
-                "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
-            )));
-        }
-
-        let mut input = SliceInput::new(body);
-        let header = Header::parse(&mut input)?;
-        let streams = match version {
-            TRACE_VERSION_V1 => decode_streams_v1(&mut input, header.workload.nodes)?,
-            _ => decode_streams_v2(&mut input, header.workload.nodes)?,
-        };
-        if input.pos != input.buf.len() {
-            return Err(TraceError::Corrupt(format!(
-                "{} trailing bytes after the last stream",
-                input.buf.len() - input.pos
-            )));
-        }
-        Ok(Trace {
-            name: header.name,
-            workload: header.workload,
-            streams,
-        })
-    }
-
     /// Writes the trace to `path` (conventionally `*.ltrace`) in the
     /// current format version.
     ///
@@ -482,13 +433,45 @@ impl Trace {
         self.write_to(io::BufWriter::new(file))
     }
 
-    /// Reads a trace from `path` (either format version).
+    /// Reads a trace from `path` (either format version): the file is
+    /// validated by [`StreamingTrace::open`], then every stream is drained
+    /// into memory.
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceError`] for I/O failures or malformed content.
+    /// Returns a [`TraceError`] for I/O failures or malformed content, for
+    /// a stream declaring more than [`MAX_BUFFERED_OPS`] ops, and for a
+    /// file that changes on disk while it is drained.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Trace, TraceError> {
-        Trace::read_from(std::fs::File::open(path)?)
+        Trace::drain(&Arc::new(StreamingTrace::open(path)?))
+    }
+
+    /// Decodes every stream of an opened file into memory.
+    fn drain(file: &Arc<StreamingTrace>) -> Result<Trace, TraceError> {
+        for node in 0..file.nodes() {
+            let ops = file.stream_ops(node);
+            if ops > MAX_BUFFERED_OPS {
+                return Err(TraceError::Corrupt(format!(
+                    "node {node} declares {ops} ops, beyond Trace::load's cap of \
+                     {MAX_BUFFERED_OPS} (replay this file through StreamingTrace instead)"
+                )));
+            }
+        }
+        let streams = (0..file.nodes())
+            .map(|node| {
+                let mut program = StreamingTraceProgram::new(Arc::clone(file), node)?;
+                let mut stream = Vec::with_capacity((file.stream_ops(node) as usize).min(1 << 24));
+                while let Some(op) = program.try_next_op()? {
+                    stream.push(op);
+                }
+                Ok(stream)
+            })
+            .collect::<Result<_, TraceError>>()?;
+        Ok(Trace {
+            name: file.name().to_string(),
+            workload: file.workload(),
+            streams,
+        })
     }
 
     /// Counts operations by kind across every node, in the fixed order
@@ -576,134 +559,6 @@ fn encode_stream_v2(ops: &[Op]) -> (StreamMeta, Vec<u8>) {
     )
 }
 
-fn decode_streams_v1(input: &mut SliceInput<'_>, nodes: u16) -> Result<Vec<Vec<Op>>, TraceError> {
-    let mut streams = Vec::with_capacity(usize::from(nodes));
-    for node in 0..nodes {
-        let count = read_varint(input, "op count")? as usize;
-        let mut stream = Vec::with_capacity(count.min(1 << 24));
-        let mut state = DeltaState::new();
-        for _ in 0..count {
-            let opcode = input.byte("opcode")?;
-            stream.push(decode_op(input, &mut state, opcode, node)?);
-        }
-        streams.push(stream);
-    }
-    Ok(streams)
-}
-
-fn decode_streams_v2(input: &mut SliceInput<'_>, nodes: u16) -> Result<Vec<Vec<Op>>, TraceError> {
-    let mut metas = Vec::with_capacity(usize::from(nodes));
-    for node in 0..nodes {
-        metas.push(StreamMeta::parse(input, node)?);
-    }
-    let mut streams = Vec::with_capacity(usize::from(nodes));
-    for (node, meta) in metas.iter().enumerate() {
-        let node = node as u16;
-        if meta.ops > MAX_BUFFERED_OPS {
-            return Err(TraceError::Corrupt(format!(
-                "node {node} declares {} ops, beyond the buffered decoder's \
-                 cap of {MAX_BUFFERED_OPS} (replay this file with the \
-                 streaming reader instead)",
-                meta.ops
-            )));
-        }
-        let start = input.pos;
-        let mut stream: Vec<Op> = Vec::with_capacity((meta.ops as usize).min(1 << 24));
-        let mut state = DeltaState::new();
-        let mut repeats_seen = 0u64;
-        while (stream.len() as u64) < meta.ops {
-            let opcode = input.byte("opcode")?;
-            if opcode == OP_REPEAT {
-                let (body, covered) =
-                    validate_repeat(input, node, stream.len() as u64, meta, &mut repeats_seen)?;
-                for _ in 0..covered {
-                    let op = stream[stream.len() - body as usize];
-                    note_op(&mut state, op);
-                    stream.push(op);
-                }
-            } else {
-                stream.push(decode_op(input, &mut state, opcode, node)?);
-            }
-        }
-        let consumed = (input.pos - start) as u64;
-        check_stream_end(node, meta, consumed, repeats_seen)?;
-        streams.push(stream);
-    }
-    Ok(streams)
-}
-
-/// Reads and validates one repeat block against the stream's declared
-/// metadata and the ops produced so far; returns `(body, covered)` where
-/// `covered = body × reps` is overflow-checked. Shared by the buffered
-/// decoder, the streaming validation scan, and the streaming replay.
-pub(crate) fn validate_repeat<I: TraceInput + ?Sized>(
-    input: &mut I,
-    node: u16,
-    produced: u64,
-    meta: &StreamMeta,
-    repeats_seen: &mut u64,
-) -> Result<(u64, u64), TraceError> {
-    let body = read_varint(input, "repeat body")?;
-    let reps = read_varint(input, "repeat count")?;
-    if body == 0 || reps == 0 {
-        return Err(TraceError::Corrupt(format!(
-            "node {node}: repeat block with zero body or count"
-        )));
-    }
-    if body > meta.window {
-        return Err(TraceError::Corrupt(format!(
-            "node {node}: repeat body {body} exceeds the stream's declared \
-             window {}",
-            meta.window
-        )));
-    }
-    if body > produced {
-        return Err(TraceError::Corrupt(format!(
-            "node {node}: repeat body {body} reaches before the stream's \
-             first op ({produced} decoded so far)"
-        )));
-    }
-    let covered = body
-        .checked_mul(reps)
-        .filter(|covered| {
-            produced
-                .checked_add(*covered)
-                .is_some_and(|t| t <= meta.ops)
-        })
-        .ok_or_else(|| {
-            TraceError::Corrupt(format!(
-                "node {node}: repeat block overruns the declared op count \
-                 ({produced} + {body}×{reps} > {})",
-                meta.ops
-            ))
-        })?;
-    *repeats_seen += 1;
-    Ok((body, covered))
-}
-
-/// Verifies a fully-decoded v2 stream against its declared metadata.
-pub(crate) fn check_stream_end(
-    node: u16,
-    meta: &StreamMeta,
-    consumed: u64,
-    repeats_seen: u64,
-) -> Result<(), TraceError> {
-    if consumed != meta.bytes {
-        return Err(TraceError::Corrupt(format!(
-            "node {node}: stream used {consumed} bytes but declared {}",
-            meta.bytes
-        )));
-    }
-    if repeats_seen != meta.repeats {
-        return Err(TraceError::Corrupt(format!(
-            "node {node}: stream holds {repeats_seen} repeat blocks but \
-             declared {}",
-            meta.repeats
-        )));
-    }
-    Ok(())
-}
-
 /// Records per-node [`Op`] streams into a [`Trace`].
 ///
 /// Use this to capture op streams from any producer — an in-tree benchmark
@@ -724,9 +579,10 @@ pub(crate) fn check_stream_end(
 /// let trace = writer.finish();
 /// assert_eq!(trace.total_ops(), 2);
 ///
-/// let mut bytes = Vec::new();
-/// trace.write_to(&mut bytes).unwrap();
-/// assert_eq!(Trace::read_from(&bytes[..]).unwrap(), trace);
+/// let path = std::env::temp_dir().join(format!("ltp-doc-writer-{}.ltrace", std::process::id()));
+/// trace.save(&path).unwrap();
+/// assert_eq!(Trace::load(&path).unwrap(), trace);
+/// # std::fs::remove_file(&path).unwrap();
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceWriter {
@@ -743,7 +599,7 @@ impl TraceWriter {
     ///
     /// Panics if `workload.nodes < 2` — the same floor every workload
     /// enforces, checked here so a writer can never produce a file that
-    /// [`Trace::read_from`] would reject.
+    /// [`Trace::load`] would reject.
     pub fn new(name: &str, workload: WorkloadParams) -> TraceWriter {
         assert!(workload.nodes >= 2, "traces need at least 2 nodes");
         TraceWriter {
@@ -829,6 +685,23 @@ impl Program for TraceProgram {
     }
 }
 
+/// Writes `bytes` to a fresh temporary file and loads it back through
+/// [`Trace::load`] — how tests feed crafted bytes to the one reader.
+#[cfg(test)]
+pub(crate) fn load_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "ltp-bytes-{}-{}.ltrace",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let loaded = Trace::load(&path);
+    std::fs::remove_file(&path).unwrap();
+    loaded
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -896,13 +769,13 @@ mod tests {
 
     #[test]
     fn varint_and_zigzag_round_trip() {
-        use codec::{read_varint, unzigzag, write_varint, zigzag};
+        use codec::{read_varint, unzigzag, write_varint, zigzag, IoInput};
         for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
-            let mut input = SliceInput::new(&buf);
+            let mut input = IoInput::new(&buf[..]);
             assert_eq!(read_varint(&mut input, "v").unwrap(), v);
-            assert_eq!(input.pos, buf.len());
+            assert_eq!(input.consumed(), buf.len() as u64);
         }
         for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
@@ -913,7 +786,7 @@ mod tests {
     fn every_op_kind_round_trips_in_both_versions() {
         let trace = sample_trace();
         for version in [TRACE_VERSION_V1, TRACE_VERSION] {
-            let back = Trace::read_from(&to_bytes_version(&trace, version)[..]).unwrap();
+            let back = load_bytes(&to_bytes_version(&trace, version)).unwrap();
             assert_eq!(back, trace, "version {version}");
             assert_eq!(back.streams()[0], sample_ops(), "version {version}");
         }
@@ -929,7 +802,7 @@ mod tests {
             };
             let trace = TraceWriter::new("meta", workload).finish();
             for version in [TRACE_VERSION_V1, TRACE_VERSION] {
-                let back = Trace::read_from(&to_bytes_version(&trace, version)[..]).unwrap();
+                let back = load_bytes(&to_bytes_version(&trace, version)).unwrap();
                 assert_eq!(back.workload(), workload);
                 assert_eq!(back.name(), "meta");
                 assert_eq!(back.streams().len(), 3);
@@ -988,7 +861,7 @@ mod tests {
         );
         let per_op = v2.len() as f64 / trace.total_ops() as f64;
         assert!(per_op < 0.5, "loop-shaped stream at {per_op:.3} B/op");
-        assert_eq!(Trace::read_from(&v2[..]).unwrap(), trace);
+        assert_eq!(load_bytes(&v2).unwrap(), trace);
     }
 
     #[test]
@@ -1033,28 +906,22 @@ mod tests {
     #[test]
     fn bad_magic_is_rejected() {
         assert!(matches!(
-            Trace::read_from(&b"NOTRACE\x01rest"[..]),
+            load_bytes(b"NOTRACE\x01rest"),
             Err(TraceError::BadMagic)
         ));
-        assert!(matches!(
-            Trace::read_from(&b"LT"[..]),
-            Err(TraceError::BadMagic)
-        ));
+        assert!(matches!(load_bytes(b"LT"), Err(TraceError::BadMagic)));
     }
 
     #[test]
     fn unsupported_version_is_rejected() {
         let mut bytes = to_bytes(&sample_trace());
-        bytes[7] = 9;
-        assert!(matches!(
-            Trace::read_from(&bytes[..]),
-            Err(TraceError::UnsupportedVersion(9))
-        ));
-        bytes[7] = 0;
-        assert!(matches!(
-            Trace::read_from(&bytes[..]),
-            Err(TraceError::UnsupportedVersion(0))
-        ));
+        for bad in [0u8, 3, 9, 255] {
+            bytes[7] = bad;
+            assert!(matches!(
+                load_bytes(&bytes),
+                Err(TraceError::UnsupportedVersion(v)) if v == bad
+            ));
+        }
     }
 
     #[test]
@@ -1063,7 +930,7 @@ mod tests {
             let mut bytes = to_bytes_version(&sample_trace(), version);
             let mid = bytes.len() / 2;
             bytes[mid] ^= 0x40;
-            let err = Trace::read_from(&bytes[..]).unwrap_err();
+            let err = load_bytes(&bytes).unwrap_err();
             assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
             assert!(err.to_string().contains("checksum"), "{err}");
         }
@@ -1073,7 +940,7 @@ mod tests {
     fn truncation_is_detected() {
         for version in [TRACE_VERSION_V1, TRACE_VERSION] {
             let bytes = to_bytes_version(&sample_trace(), version);
-            let err = Trace::read_from(&bytes[..bytes.len() - 9]).unwrap_err();
+            let err = load_bytes(&bytes[..bytes.len() - 9]).unwrap_err();
             assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
         }
     }
@@ -1081,15 +948,13 @@ mod tests {
     #[test]
     fn trailing_garbage_is_detected() {
         // Append bytes *inside* the checksummed region by re-checksumming.
-        let trace = sample_trace();
-        let mut body = Vec::new();
-        trace.write_to(&mut body).unwrap();
+        let body = to_bytes(&sample_trace());
         let payload_end = body.len() - 8;
         let mut tampered = body[..payload_end].to_vec();
         tampered.push(0xee);
         let digest = fnv1a(&tampered[8..]);
         tampered.extend_from_slice(&digest.to_le_bytes());
-        let err = Trace::read_from(&tampered[..]).unwrap_err();
+        let err = load_bytes(&tampered).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
@@ -1111,7 +976,7 @@ mod tests {
         for version in [TRACE_VERSION_V1, TRACE_VERSION] {
             let mut body = Vec::new();
             write_varint(&mut body, u64::MAX);
-            let err = Trace::read_from(&frame(version, &body)[..]).unwrap_err();
+            let err = load_bytes(&frame(version, &body)).unwrap_err();
             assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
             assert!(err.to_string().contains("name"), "{err}");
         }
@@ -1127,7 +992,7 @@ mod tests {
                 write_varint(&mut body, nodes);
                 write_varint(&mut body, 0); // seed
                 body.push(0); // iters_flag
-                let err = Trace::read_from(&frame(version, &body)[..]).unwrap_err();
+                let err = load_bytes(&frame(version, &body)).unwrap_err();
                 assert!(
                     err.to_string().contains("at least 2"),
                     "v{version} nodes={nodes}: {err}"
@@ -1165,14 +1030,14 @@ mod tests {
             repeats,
         };
         let empty = meta(0, 0, 0, 0);
+        let load = |metas: &[StreamMeta], s: &[u8]| load_bytes(&frame_v2(metas, s)).unwrap_err();
 
         // Repeat reaching before the first op.
         let mut s = Vec::new();
         s.push(OP_REPEAT);
         write_varint(&mut s, 1);
         write_varint(&mut s, 4);
-        let err = Trace::read_from(&frame_v2(&[meta(4, s.len() as u64, 1, 1), empty], &s)[..])
-            .unwrap_err();
+        let err = load(&[meta(4, s.len() as u64, 1, 1), empty], &s);
         assert!(err.to_string().contains("before the stream"), "{err}");
 
         // Repeat body exceeding the declared window.
@@ -1182,8 +1047,7 @@ mod tests {
         s.push(OP_REPEAT);
         write_varint(&mut s, 2);
         write_varint(&mut s, 2);
-        let err = Trace::read_from(&frame_v2(&[meta(6, s.len() as u64, 1, 1), empty], &s)[..])
-            .unwrap_err();
+        let err = load(&[meta(6, s.len() as u64, 1, 1), empty], &s);
         assert!(err.to_string().contains("window"), "{err}");
 
         // Repeat overrunning the declared op count.
@@ -1192,8 +1056,7 @@ mod tests {
         s.push(OP_REPEAT);
         write_varint(&mut s, 1);
         write_varint(&mut s, 100);
-        let err = Trace::read_from(&frame_v2(&[meta(5, s.len() as u64, 1, 1), empty], &s)[..])
-            .unwrap_err();
+        let err = load(&[meta(5, s.len() as u64, 1, 1), empty], &s);
         assert!(err.to_string().contains("overruns"), "{err}");
 
         // Repeat-count overflow (body × reps wraps u64) is caught, not UB.
@@ -1202,34 +1065,30 @@ mod tests {
         s.push(OP_REPEAT);
         write_varint(&mut s, 1);
         write_varint(&mut s, u64::MAX);
-        let err = Trace::read_from(&frame_v2(&[meta(5, s.len() as u64, 1, 1), empty], &s)[..])
-            .unwrap_err();
+        let err = load(&[meta(5, s.len() as u64, 1, 1), empty], &s);
         assert!(err.to_string().contains("overruns"), "{err}");
 
         // Declared byte length that disagrees with the stream.
         let mut s = Vec::new();
         think(&mut s);
-        let err = Trace::read_from(&frame_v2(&[meta(1, 99, 0, 0), empty], &s)[..]).unwrap_err();
+        let err = load(&[meta(1, 99, 0, 0), empty], &s);
         assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
 
         // Declared repeat count that disagrees with the stream.
         let mut s = Vec::new();
         think(&mut s);
-        let err = Trace::read_from(&frame_v2(&[meta(1, s.len() as u64, 0, 3), empty], &s)[..])
-            .unwrap_err();
+        let err = load(&[meta(1, s.len() as u64, 0, 3), empty], &s);
         assert!(err.to_string().contains("repeat blocks"), "{err}");
 
         // A window beyond the format maximum is rejected at the header.
-        let err =
-            Trace::read_from(&frame_v2(&[meta(0, 0, MAX_STREAM_WINDOW + 1, 0), empty], &[])[..])
-                .unwrap_err();
+        let err = load(&[meta(0, 0, MAX_STREAM_WINDOW + 1, 0), empty], &[]);
         assert!(err.to_string().contains("window"), "{err}");
     }
 
     #[test]
     fn decompression_bombs_are_rejected_by_the_buffered_decoder() {
         // A few file bytes declaring billions of ops must be a clean error
-        // (pointing at streaming replay), not an OOM.
+        // from `Trace::load` (pointing at streaming replay), not an OOM.
         let declared = MAX_BUFFERED_OPS + 1;
         let mut s = Vec::new();
         s.push(codec::OP_THINK);
@@ -1254,16 +1113,31 @@ mod tests {
             ],
             &s,
         );
-        let err = Trace::read_from(&file[..]).unwrap_err();
-        assert!(err.to_string().contains("buffered decoder"), "{err}");
-        assert!(err.to_string().contains("streaming"), "{err}");
+        let err = load_bytes(&file).unwrap_err();
+        assert!(err.to_string().contains("cap"), "{err}");
+        assert!(err.to_string().contains("StreamingTrace"), "{err}");
         // The streaming opener, whose costs are bounded by file size (the
         // repeat expands virtually), validates the same file happily.
         let path = std::env::temp_dir().join(format!("ltp-bomb-{}.ltrace", std::process::id()));
         std::fs::write(&path, &file).unwrap();
-        let opened = stream::StreamingTrace::open(&path).expect("bombs stream fine");
+        let opened = StreamingTrace::open(&path).expect("bombs stream fine");
         assert_eq!(opened.total_ops(), declared);
         assert_eq!(opened.repeat_blocks(), 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_file_changed_after_open_is_an_error_not_a_panic() {
+        let trace = Trace::record(Benchmark::Em3d, &WorkloadParams::quick(3, 2));
+        let path = std::env::temp_dir().join(format!("ltp-changed-{}.ltrace", std::process::id()));
+        trace.save(&path).unwrap();
+        let opened = Arc::new(StreamingTrace::open(&path).unwrap());
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let err = Trace::drain(&opened).unwrap_err();
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
+        let err = StreamingTrace::scan_stats(&opened).unwrap_err();
+        assert!(matches!(err, TraceError::Corrupt(_)), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1272,8 +1146,8 @@ mod tests {
         let params = WorkloadParams::quick(3, 3);
         for benchmark in [Benchmark::Em3d, Benchmark::Barnes, Benchmark::Appbt] {
             let trace = Trace::record(benchmark, &params);
-            let v1 = Trace::read_from(&to_bytes_version(&trace, TRACE_VERSION_V1)[..]).unwrap();
-            let v2 = Trace::read_from(&to_bytes_version(&trace, TRACE_VERSION)[..]).unwrap();
+            let v1 = load_bytes(&to_bytes_version(&trace, TRACE_VERSION_V1)).unwrap();
+            let v2 = load_bytes(&to_bytes_version(&trace, TRACE_VERSION)).unwrap();
             assert_eq!(v1, trace, "{benchmark} v1");
             assert_eq!(v2, trace, "{benchmark} v2");
         }

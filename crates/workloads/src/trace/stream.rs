@@ -1,24 +1,21 @@
-//! Streaming trace replay: run `.ltrace` workloads without materializing
-//! them.
+//! The `.ltrace` reader: validate a file once, then replay it without
+//! materializing it.
 //!
-//! [`super::Trace`] decodes a whole file into memory — fine for the
-//! synthetic suite, a hard cap for the 10⁸+-op traces long evaluations
-//! want. [`StreamingTrace`] takes the other path: [`StreamingTrace::open`]
-//! makes **one sequential pass** over the file that verifies the checksum,
-//! validates every stream's structure, and builds a per-node index (byte
-//! offset, op count, repeat window); [`StreamingTraceProgram`] then decodes
-//! each node's self-delimiting stream **incrementally** from its own file
-//! handle, through a byte-level read-ahead layer that pulls the stream in
-//! 64 KiB chunks. Peak memory per node is bounded by the stream's declared
-//! repeat window (plus the fixed read-ahead chunk) no matter how many ops
-//! the trace holds — replay memory is O(nodes × window), not O(ops).
+//! [`StreamingTrace::open`] makes **one sequential pass** over the file that
+//! verifies the checksum, validates every stream's structure, and builds a
+//! per-node index (byte offset, op count, repeat window);
+//! [`StreamingTraceProgram`] then decodes each node's self-delimiting stream
+//! **incrementally** from its own file handle, through a byte-level
+//! read-ahead layer that pulls the stream in 64 KiB chunks. Peak memory per
+//! node is bounded by the stream's declared repeat window (plus the fixed
+//! read-ahead chunk) no matter how many ops the trace holds — replay memory
+//! is O(nodes × window), not O(ops). [`super::Trace::load`] is this reader
+//! plus a drain into memory.
 //!
-//! Both format versions stream: v2 windows come from the header, v1
-//! streams have no repeat blocks and need no window at all.
-//!
-//! Streamed replay emits exactly the ops a buffered replay emits, so run
-//! reports are bit-identical between the two paths (asserted in the
-//! `trace_v2` integration tests).
+//! Validation and replay run the same per-stream decode loop
+//! (`StreamDecoder`): validation expands repeat blocks virtually, replay
+//! re-emits them. A v1 stream is that loop with window 0 and no repeat
+//! blocks.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -33,10 +30,7 @@ use super::codec::{
     decode_op, fnv1a_step, note_op, read_varint, DeltaState, IoInput, TraceInput, FNV_OFFSET,
     OP_REPEAT,
 };
-use super::{
-    check_stream_end, validate_repeat, Header, StreamMeta, TraceError, TRACE_MAGIC, TRACE_VERSION,
-    TRACE_VERSION_V1,
-};
+use super::{Header, StreamMeta, TraceError, TRACE_MAGIC, TRACE_VERSION, TRACE_VERSION_V1};
 
 /// Pushes into a bounded ring (the repeat window); a zero capacity keeps
 /// nothing.
@@ -50,53 +44,196 @@ fn push_ring(window: &mut VecDeque<Op>, cap: usize, op: Op) {
     window.push_back(op);
 }
 
-/// Value-level validation scan of one v2 stream: decodes every literal op
-/// (running the delta chains and their range checks, so replay can never
-/// fail on a file `open` accepted), maintains the repeat window, and
-/// expands repeat blocks *virtually* — a `body × reps` repetition costs
-/// O(window + body) scan work however large `reps` is, because the
-/// expansion is periodic: only its final `window` ops (and the delta-chain
-/// values after them) can influence what follows, and walking a stretch of
-/// length `k ≡ covered (mod body)`, `k ≥ window`, reproduces both exactly.
-/// Returns the number of repeat blocks seen.
-fn scan_stream_v2<I: TraceInput>(
-    input: &mut I,
+/// One stream's decode loop — the only `.ltrace` decoder.
+///
+/// It decodes literal ops (running the delta chains and their range
+/// checks), keeps the last `window` ops in a ring, and checks each repeat
+/// block against the stream's metadata. [`StreamingTrace::open`] runs it to
+/// the end with [`Self::validate`]; [`StreamingTraceProgram`] pulls ops one
+/// by one with [`Self::next_op`]. Both fold repeat expansions into the ring
+/// and delta state through [`Self::fold`], so a file `open` accepts decodes
+/// identically in replay.
+#[derive(Debug)]
+struct StreamDecoder<I> {
+    input: I,
     node: u16,
-    meta: &StreamMeta,
-) -> Result<u64, TraceError> {
-    let cap = meta.window as usize;
-    let mut window: VecDeque<Op> = VecDeque::with_capacity(cap);
-    let mut state = DeltaState::new();
-    let mut produced = 0u64;
-    let mut repeats_seen = 0u64;
-    while produced < meta.ops {
-        let opcode = input.byte("opcode")?;
-        if opcode == OP_REPEAT {
-            let (body, covered) = validate_repeat(input, node, produced, meta, &mut repeats_seen)?;
-            let snapshot: Vec<Op> = window
-                .iter()
-                .skip(window.len() - body as usize)
-                .copied()
-                .collect();
-            let full = cap as u64 + body;
-            let walk = if covered <= full + body {
-                covered
-            } else {
-                full + (covered - full) % body
-            };
-            for i in 0..walk {
-                let op = snapshot[(i % body) as usize];
-                note_op(&mut state, op);
-                push_ring(&mut window, cap, op);
-            }
-            produced += covered;
-        } else {
-            let op = decode_op(input, &mut state, opcode, node)?;
-            push_ring(&mut window, cap, op);
-            produced += 1;
+    meta: StreamMeta,
+    state: DeltaState,
+    /// Ops covered by the items decoded so far (a repeat block counts its
+    /// whole expansion).
+    decoded: u64,
+    /// Repeat blocks decoded so far (checked against the declared count).
+    repeats_seen: u64,
+    /// The last `meta.window` ops, as of the last fold.
+    window: VecDeque<Op>,
+    /// The body of the latest repeat block.
+    body: Vec<Op>,
+    /// Ops of the latest expansion not yet folded into `window`/`state`.
+    unfolded: u64,
+    /// Replay only: ops of the current expansion still to emit, and the
+    /// body position of the next one.
+    pending: u64,
+    body_pos: usize,
+    peak_buffered: usize,
+}
+
+impl<I: TraceInput> StreamDecoder<I> {
+    fn new(input: I, node: u16, meta: StreamMeta) -> Self {
+        StreamDecoder {
+            input,
+            node,
+            meta,
+            state: DeltaState::new(),
+            decoded: 0,
+            repeats_seen: 0,
+            window: VecDeque::with_capacity(meta.window as usize),
+            body: Vec::new(),
+            unfolded: 0,
+            pending: 0,
+            body_pos: 0,
+            peak_buffered: 0,
         }
     }
-    Ok(repeats_seen)
+
+    /// Decodes one item: a literal op (returned) or a repeat block, which
+    /// returns `None` and leaves its `unfolded` expansion in `body`.
+    fn step(&mut self) -> Result<Option<Op>, TraceError> {
+        let opcode = self.input.byte("opcode")?;
+        if opcode == OP_REPEAT {
+            let (body, covered) = self.read_repeat()?;
+            self.body.clear();
+            self.body
+                .extend(self.window.iter().skip(self.window.len() - body as usize));
+            self.unfolded = covered;
+            self.decoded += covered;
+            self.peak_buffered = self.peak_buffered.max(self.window.len() + self.body.len());
+            return Ok(None);
+        }
+        let op = decode_op(&mut self.input, &mut self.state, opcode, self.node)?;
+        push_ring(&mut self.window, self.meta.window as usize, op);
+        self.decoded += 1;
+        self.peak_buffered = self.peak_buffered.max(self.window.len());
+        Ok(Some(op))
+    }
+
+    /// Reads one repeat block's operands and validates them against the
+    /// declared metadata and the ops decoded so far; returns `(body,
+    /// covered)` where `covered = body × reps` is overflow-checked. A
+    /// window-0 stream (every v1 stream) admits no repeat block.
+    fn read_repeat(&mut self) -> Result<(u64, u64), TraceError> {
+        let (node, decoded, meta) = (self.node, self.decoded, self.meta);
+        let body = read_varint(&mut self.input, "repeat body")?;
+        let reps = read_varint(&mut self.input, "repeat count")?;
+        if body == 0 || reps == 0 {
+            return Err(TraceError::Corrupt(format!(
+                "node {node}: repeat block with zero body or count"
+            )));
+        }
+        if body > meta.window {
+            return Err(TraceError::Corrupt(format!(
+                "node {node}: repeat body {body} exceeds the stream's declared \
+                 window {}",
+                meta.window
+            )));
+        }
+        if body > decoded {
+            return Err(TraceError::Corrupt(format!(
+                "node {node}: repeat body {body} reaches before the stream's \
+                 first op ({decoded} decoded so far)"
+            )));
+        }
+        let covered = body
+            .checked_mul(reps)
+            .filter(|covered| decoded.checked_add(*covered).is_some_and(|t| t <= meta.ops))
+            .ok_or_else(|| {
+                TraceError::Corrupt(format!(
+                    "node {node}: repeat block overruns the declared op count \
+                     ({decoded} + {body}×{reps} > {})",
+                    meta.ops
+                ))
+            })?;
+        self.repeats_seen += 1;
+        Ok((body, covered))
+    }
+
+    /// Folds the latest repeat expansion into the window and delta state.
+    ///
+    /// The expansion is periodic, so only its final `window` ops (and the
+    /// delta-chain values after them) can influence what decodes next.
+    /// Walking a stretch of length `k ≡ covered (mod body)`, `k ≥ window`,
+    /// reproduces both exactly: O(window + body) work per repeat block
+    /// however many ops it covers — which keeps `open` bounded by file size
+    /// even when the declared op count is astronomical.
+    fn fold(&mut self) {
+        if self.unfolded == 0 {
+            return;
+        }
+        let cap = self.meta.window;
+        let body = self.body.len() as u64;
+        let covered = self.unfolded;
+        let full = cap + body;
+        let walk = if covered <= full + body {
+            covered
+        } else {
+            full + (covered - full) % body
+        };
+        for i in 0..walk {
+            let op = self.body[(i % body) as usize];
+            note_op(&mut self.state, op);
+            push_ring(&mut self.window, cap as usize, op);
+        }
+        self.unfolded = 0;
+    }
+
+    /// Decodes the whole stream without emitting it (repeat blocks expand
+    /// virtually), leaving `input` just past the stream's last byte.
+    fn validate(&mut self) -> Result<(), TraceError> {
+        while self.decoded < self.meta.ops {
+            self.fold();
+            self.step()?;
+        }
+        Ok(())
+    }
+
+    /// The stream's next op (re-emitting repeat expansions), or `None` at
+    /// its end.
+    #[inline]
+    fn next_op(&mut self) -> Result<Option<Op>, TraceError> {
+        if self.pending == 0 {
+            return self.next_item();
+        }
+        Ok(Some(self.emit()))
+    }
+
+    /// Decodes the next item once the current expansion is spent: a
+    /// literal op, or the first op of a new repeat expansion. Kept out of
+    /// line so [`Self::next_op`]'s per-op emission path stays small enough
+    /// to inline into the replay loop.
+    #[inline(never)]
+    fn next_item(&mut self) -> Result<Option<Op>, TraceError> {
+        self.fold();
+        if self.decoded == self.meta.ops {
+            return Ok(None);
+        }
+        if let Some(op) = self.step()? {
+            return Ok(Some(op));
+        }
+        self.pending = self.unfolded;
+        self.body_pos = 0;
+        Ok(Some(self.emit()))
+    }
+
+    /// The next op of the current repeat expansion.
+    #[inline]
+    fn emit(&mut self) -> Op {
+        let op = self.body[self.body_pos];
+        self.body_pos += 1;
+        if self.body_pos == self.body.len() {
+            self.body_pos = 0;
+        }
+        self.pending -= 1;
+        op
+    }
 }
 
 /// Size of each per-node read-ahead chunk, in bytes. At 1–4 encoded
@@ -235,9 +372,9 @@ impl StreamingTrace {
     /// validity of every stream: framing, opcodes, repeat-block bounds,
     /// declared byte/op/repeat counts, **and** operand values (the delta
     /// chains run during the scan, so out-of-range PCs and barrier ids are
-    /// rejected here, exactly as [`super::Trace::read_from`] rejects
-    /// them). A file `open` accepts cannot fail replay unless it changes
-    /// on disk afterwards.
+    /// rejected here). A file `open` accepts cannot fail replay unless it
+    /// changes on disk afterwards. When the checksum does not match, that
+    /// is the error reported, whatever structural damage it caused.
     ///
     /// Memory stays O(nodes + window) and no ops are materialized; repeat
     /// blocks are expanded *virtually* (O(window + body) scan work each,
@@ -246,9 +383,10 @@ impl StreamingTrace {
     ///
     /// # Errors
     ///
-    /// Returns a [`TraceError`] exactly as [`super::Trace::read_from`]
-    /// would: bad magic, unsupported version, I/O failure, or a precise
-    /// corruption diagnosis.
+    /// Returns a [`TraceError`] naming the first problem found: bad magic,
+    /// unsupported version, I/O failure, or a precise corruption diagnosis
+    /// (truncation, checksum mismatch, unknown opcode, malformed varint,
+    /// invalid repeat block, …).
     pub fn open<P: AsRef<Path>>(path: P) -> Result<StreamingTrace, TraceError> {
         let path = path.as_ref().to_path_buf();
         let file = File::open(&path)?;
@@ -277,57 +415,15 @@ impl StreamingTrace {
         // Everything between the version byte and the trailer is hashed as
         // it is consumed; `IoInput::consumed` gives offsets within the body.
         let mut input = IoInput::new(HashingReader::new(reader.by_ref().take(body_len)));
-        let header = Header::parse(&mut input)?;
-        let nodes = header.workload.nodes;
-
-        let mut streams = Vec::with_capacity(usize::from(nodes));
-        match version {
-            TRACE_VERSION_V1 => {
-                for node in 0..nodes {
-                    let ops = read_varint(&mut input, "op count")?;
-                    let offset = 8 + input.consumed();
-                    let start = input.consumed();
-                    let mut state = DeltaState::new();
-                    for _ in 0..ops {
-                        let opcode = input.byte("opcode")?;
-                        // Full value-level decode (discarded): the delta
-                        // chains and range checks run here so replay can
-                        // never fail on a file `open` accepted.
-                        decode_op(&mut input, &mut state, opcode, node)?;
-                    }
-                    streams.push(StreamIndex {
-                        meta: StreamMeta {
-                            ops,
-                            bytes: input.consumed() - start,
-                            window: 0,
-                            repeats: 0,
-                        },
-                        offset,
-                    });
-                }
-            }
-            _ => {
-                let mut metas = Vec::with_capacity(usize::from(nodes));
-                for node in 0..nodes {
-                    metas.push(StreamMeta::parse(&mut input, node)?);
-                }
-                for (node, meta) in metas.into_iter().enumerate() {
-                    let node = node as u16;
-                    let offset = 8 + input.consumed();
-                    let start = input.consumed();
-                    let repeats_seen = scan_stream_v2(&mut input, node, &meta)?;
-                    check_stream_end(node, &meta, input.consumed() - start, repeats_seen)?;
-                    streams.push(StreamIndex { meta, offset });
-                }
-            }
-        }
-        if input.consumed() != body_len {
-            return Err(TraceError::Corrupt(format!(
-                "{} trailing bytes after the last stream",
-                body_len - input.consumed()
-            )));
-        }
-        let computed = input.into_inner().finish();
+        let scanned = match scan_body(&mut input, version, body_len) {
+            Err(TraceError::Io(e)) => return Err(TraceError::Io(e)),
+            scanned => scanned,
+        };
+        // Hash whatever a failed scan left unread: a damaged file reports
+        // its checksum mismatch, not the structural symptom it caused.
+        let mut rest = input.into_inner();
+        io::copy(&mut rest, &mut io::sink())?;
+        let computed = rest.finish();
 
         let mut trailer = [0u8; 8];
         reader.read_exact(&mut trailer).map_err(|e| {
@@ -343,6 +439,7 @@ impl StreamingTrace {
                 "checksum mismatch (stored {stored:#018x}, computed {computed:#018x})"
             )));
         }
+        let (header, streams) = scanned?;
 
         Ok(StreamingTrace {
             path,
@@ -435,11 +532,8 @@ impl StreamingTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Io`] if the file can no longer be opened.
-    ///
-    /// # Panics
-    ///
-    /// Panics (like replay itself) if the file changes on disk mid-scan.
+    /// Returns a [`TraceError`] if the file can no longer be opened or has
+    /// changed on disk since it was opened.
     pub fn scan_stats(trace: &Arc<StreamingTrace>) -> Result<TraceScanStats, TraceError> {
         let mut counts = [0u64; 8];
         // v1 frame: magic + version + header + per-stream (count + ops) +
@@ -457,7 +551,7 @@ impl StreamingTrace {
             v1_bytes += scratch.len() as u64;
             let mut state = DeltaState::new();
             let mut program = StreamingTraceProgram::new(Arc::clone(trace), node)?;
-            while let Some(op) = program.next_op() {
+            while let Some(op) = program.try_next_op()? {
                 counts[super::op_kind_slot(&op)] += 1;
                 scratch.clear();
                 super::codec::encode_op(&mut scratch, &mut state, op);
@@ -469,6 +563,71 @@ impl StreamingTrace {
             v1_bytes,
         })
     }
+}
+
+/// The validation pass of [`StreamingTrace::open`] over the checksummed
+/// body: header, per-stream metadata, then every stream through its
+/// decoder. Returns the header and the per-node index.
+fn scan_body<R: Read>(
+    input: &mut IoInput<R>,
+    version: u8,
+    body_len: u64,
+) -> Result<(Header, Vec<StreamIndex>), TraceError> {
+    let header = Header::parse(input)?;
+    let nodes = header.workload.nodes;
+    // v2 declares every stream's metadata up front; v1 prefixes each stream
+    // with its op count and has neither repeat blocks nor a window.
+    let declared: Vec<Option<StreamMeta>> = if version == TRACE_VERSION_V1 {
+        vec![None; usize::from(nodes)]
+    } else {
+        (0..nodes)
+            .map(|node| StreamMeta::parse(input, node).map(Some))
+            .collect::<Result<_, _>>()?
+    };
+    let mut streams = Vec::with_capacity(usize::from(nodes));
+    for (node, declared) in (0..nodes).zip(declared) {
+        let mut meta = match declared {
+            Some(meta) => meta,
+            None => StreamMeta {
+                ops: read_varint(input, "op count")?,
+                bytes: 0,
+                window: 0,
+                repeats: 0,
+            },
+        };
+        let start = input.consumed();
+        let mut decoder = StreamDecoder::new(&mut *input, node, meta);
+        decoder.validate()?;
+        let repeats_seen = decoder.repeats_seen;
+        let consumed = input.consumed() - start;
+        if declared.is_none() {
+            meta.bytes = consumed;
+        }
+        if consumed != meta.bytes {
+            return Err(TraceError::Corrupt(format!(
+                "node {node}: stream used {consumed} bytes but declared {}",
+                meta.bytes
+            )));
+        }
+        if repeats_seen != meta.repeats {
+            return Err(TraceError::Corrupt(format!(
+                "node {node}: stream holds {repeats_seen} repeat blocks but \
+                 declared {}",
+                meta.repeats
+            )));
+        }
+        streams.push(StreamIndex {
+            meta,
+            offset: 8 + start,
+        });
+    }
+    if input.consumed() != body_len {
+        return Err(TraceError::Corrupt(format!(
+            "{} trailing bytes after the last stream",
+            body_len - input.consumed()
+        )));
+    }
+    Ok((header, streams))
 }
 
 /// What [`StreamingTrace::scan_stats`] computes in one bounded-memory pass.
@@ -515,28 +674,7 @@ pub struct TraceScanStats {
 #[derive(Debug)]
 pub struct StreamingTraceProgram {
     trace: Arc<StreamingTrace>,
-    node: u16,
-    input: ReadAheadInput,
-    state: DeltaState,
-    /// Logical ops not yet emitted.
-    remaining: u64,
-    /// Repeat blocks decoded so far (validated against the header count).
-    repeats_seen: u64,
-    /// Sliding window of the last `window_ops` decoded ops. During a
-    /// repeat expansion the window is *not* maintained per op — the
-    /// expansion is periodic, so [`Self::fold_replay`] reconstructs the
-    /// window (and delta state) from the body in O(window + body) when the
-    /// next literal decode needs them.
-    window: VecDeque<Op>,
-    /// The body being (or last) re-emitted by a repeat block; kept until
-    /// the finished expansion is folded into `window` and `state`.
-    replay: Vec<Op>,
-    replay_pos: usize,
-    replay_left: u64,
-    /// Ops the current/last repeat block covers — what `fold_replay` owes
-    /// the window and delta state (0 once folded).
-    replay_covered: u64,
-    peak_buffered: usize,
+    decoder: StreamDecoder<ReadAheadInput>,
 }
 
 impl StreamingTraceProgram {
@@ -562,112 +700,32 @@ impl StreamingTraceProgram {
         let input = ReadAheadInput::new(file, index.offset, index.meta.bytes)?;
         Ok(StreamingTraceProgram {
             trace,
-            node,
-            input,
-            state: DeltaState::new(),
-            remaining: index.meta.ops,
-            repeats_seen: 0,
-            window: VecDeque::with_capacity(index.meta.window as usize),
-            replay: Vec::new(),
-            replay_pos: 0,
-            replay_left: 0,
-            replay_covered: 0,
-            peak_buffered: 0,
+            decoder: StreamDecoder::new(input, node, index.meta),
         })
     }
 
     /// The stream's declared repeat window in ops (0 for v1 streams): the
     /// bound on what this program buffers.
     pub fn window_ops(&self) -> usize {
-        self.meta().window as usize
+        self.decoder.meta.window as usize
     }
 
     /// High-water mark of ops buffered so far (window plus any in-flight
     /// repeat body) — what the memory-bound tests assert on.
     pub fn peak_buffered_ops(&self) -> usize {
-        self.peak_buffered
+        self.decoder.peak_buffered
     }
 
-    fn meta(&self) -> &StreamMeta {
-        &self.trace.streams[usize::from(self.node)].meta
-    }
-
-    /// Folds a finished repeat expansion into the window and delta state.
-    ///
-    /// Re-emitting a `body × reps` expansion does neither per op — the
-    /// expansion is periodic, so only its final `window` ops (and the
-    /// delta-chain values after them) can influence what decodes next.
-    /// Walking a suffix of length `k ≡ covered (mod body)`, `k ≥ window`,
-    /// reproduces both exactly: O(window + body) work per repeat block
-    /// however many ops it covered, the same virtual expansion
-    /// [`scan_stream_v2`] uses.
-    fn fold_replay(&mut self) {
-        if self.replay_covered == 0 {
-            return;
-        }
-        let cap = self.meta().window as usize;
-        let body = self.replay.len() as u64;
-        let covered = self.replay_covered;
-        let full = cap as u64 + body;
-        let walk = if covered <= full + body {
-            covered
-        } else {
-            full + (covered - full) % body
-        };
-        for i in 0..walk {
-            let op = self.replay[(i % body) as usize];
-            note_op(&mut self.state, op);
-            push_ring(&mut self.window, cap, op);
-        }
-        self.replay.clear();
-        self.replay_pos = 0;
-        self.replay_covered = 0;
-    }
-
-    fn decode_next(&mut self) -> Result<Op, TraceError> {
-        if self.replay_left > 0 {
-            let op = self.replay[self.replay_pos];
-            self.replay_pos += 1;
-            if self.replay_pos == self.replay.len() {
-                self.replay_pos = 0;
-            }
-            self.replay_left -= 1;
-            return Ok(op);
-        }
-        self.fold_replay();
-        let meta = *self.meta();
-        let produced = meta.ops - self.remaining;
-        let opcode = self.input.byte("opcode")?;
-        if opcode == OP_REPEAT {
-            let (body, covered) = validate_repeat(
-                &mut self.input,
-                self.node,
-                produced,
-                &meta,
-                &mut self.repeats_seen,
-            )?;
-            debug_assert!(body as usize <= self.window.len());
-            self.replay.clear();
-            self.replay
-                .extend(self.window.iter().skip(self.window.len() - body as usize));
-            self.replay_pos = 0;
-            self.replay_left = covered;
-            self.replay_covered = covered;
-            self.peak_buffered = self
-                .peak_buffered
-                .max(self.window.len() + self.replay.len());
-            return self.decode_next();
-        }
-        let op = decode_op(&mut self.input, &mut self.state, opcode, self.node)?;
-        push_ring(&mut self.window, meta.window as usize, op);
-        self.peak_buffered = self.peak_buffered.max(self.window.len());
-        Ok(op)
+    /// The next recorded op, or a [`TraceError`] if the file changed on
+    /// disk since [`StreamingTrace::open`] validated it.
+    pub(crate) fn try_next_op(&mut self) -> Result<Option<Op>, TraceError> {
+        self.decoder.next_op()
     }
 }
 
 impl Program for StreamingTraceProgram {
     fn len_hint(&self) -> Option<u64> {
-        Some(self.meta().ops)
+        Some(self.decoder.meta.ops)
     }
 
     /// Emits the next recorded op, decoding from the file as needed.
@@ -678,18 +736,13 @@ impl Program for StreamingTraceProgram {
     /// validated the whole file, so this means the file was truncated,
     /// rewritten, or made unreadable after it was opened.
     fn next_op(&mut self) -> Option<Op> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let op = self.decode_next().unwrap_or_else(|e| {
+        self.try_next_op().unwrap_or_else(|e| {
             panic!(
                 "trace `{}` failed mid-stream on node {} (file changed since open?): {e}",
                 self.trace.name(),
-                self.node
+                self.decoder.node
             )
-        });
-        self.remaining -= 1;
-        Some(op)
+        })
     }
 }
 
@@ -730,7 +783,7 @@ mod tests {
     use super::*;
     use crate::program::collect_ops;
     use crate::suite::Benchmark;
-    use crate::trace::Trace;
+    use crate::trace::{load_bytes, Trace, TraceWriter};
 
     fn scratch(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("ltp-stream-{}-{tag}.ltrace", std::process::id()))
@@ -767,7 +820,7 @@ mod tests {
     fn peak_memory_is_bounded_by_the_window() {
         // A long loop must replay within ~2 windows (ring + in-flight
         // body), not O(ops).
-        let mut writer = super::super::TraceWriter::new("loop", WorkloadParams::quick(2, 1));
+        let mut writer = TraceWriter::new("loop", WorkloadParams::quick(2, 1));
         for _ in 0..10_000 {
             writer.push(0, Op::Think(3));
             writer.push(
@@ -799,57 +852,10 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_what_read_from_rejects() {
-        let params = WorkloadParams::quick(2, 1);
-        let trace = Trace::record(Benchmark::Em3d, &params);
-        let path = scratch("reject");
-        let mut bytes = Vec::new();
-        trace.write_to(&mut bytes).unwrap();
-
-        // Bit flip in the body: checksum mismatch.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x20;
-        std::fs::write(&path, &flipped).unwrap();
-        let err = StreamingTrace::open(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("checksum") || err.to_string().contains("corrupt"),
-            "{err}"
-        );
-
-        // Truncation.
-        std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
-        assert!(matches!(
-            StreamingTrace::open(&path).unwrap_err(),
-            TraceError::Corrupt(_)
-        ));
-
-        // Wrong magic.
-        let mut wrong = bytes.clone();
-        wrong[0] = b'X';
-        std::fs::write(&path, &wrong).unwrap();
-        assert!(matches!(
-            StreamingTrace::open(&path).unwrap_err(),
-            TraceError::BadMagic
-        ));
-
-        // Future version.
-        let mut future = bytes;
-        future[7] = 9;
-        std::fs::write(&path, &future).unwrap();
-        assert!(matches!(
-            StreamingTrace::open(&path).unwrap_err(),
-            TraceError::UnsupportedVersion(9)
-        ));
-
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn out_of_range_operand_values_are_rejected_at_open() {
         // A structurally valid, correctly-checksummed v1 file whose delta
-        // chains reconstruct a PC beyond u32 must fail at open — exactly
-        // where Trace::read_from fails — never mid-replay.
+        // chains reconstruct a PC beyond u32 must fail at open, never
+        // mid-replay.
         use super::super::codec::{fnv1a, write_varint, zigzag, OP_READ};
         let mut body = Vec::new();
         write_varint(&mut body, 1);
@@ -868,14 +874,8 @@ mod tests {
         file.extend_from_slice(&body);
         file.extend_from_slice(&fnv1a(&body).to_le_bytes());
 
-        let buffered = Trace::read_from(&file[..]).unwrap_err();
-        assert!(buffered.to_string().contains("exceeds u32"), "{buffered}");
-
-        let path = scratch("pc-range");
-        std::fs::write(&path, &file).unwrap();
-        let streamed = StreamingTrace::open(&path).unwrap_err();
-        assert!(streamed.to_string().contains("exceeds u32"), "{streamed}");
-        std::fs::remove_file(&path).unwrap();
+        let err = load_bytes(&file).unwrap_err();
+        assert!(err.to_string().contains("exceeds u32"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Record & replay walkthrough: capture a benchmark's op streams into a
-//! `.ltrace` file, inspect it, replay it under several policies — buffered
-//! and streamed from disk — and prove every replay bit-identical to the
-//! synthetic run.
+//! `.ltrace` file, inspect it, replay it streamed from disk under several
+//! policies, and prove the replay bit-identical to the synthetic run.
 //!
 //! ```sh
 //! cargo run --example record_replay
@@ -32,57 +31,47 @@ fn main() {
         on_disk as f64 / trace.total_ops().max(1) as f64
     );
 
-    // 2. Inspect: the header carries the recorded geometry; the histogram
-    //    summarizes the op mix (what `ltp trace-info` prints).
-    let loaded = Arc::new(Trace::load(&path).expect("trace loads"));
-    for (kind, count) in loaded.op_histogram() {
+    // 2. Inspect: opening validates the whole file; the header carries the
+    //    recorded geometry, and one bounded-memory pass summarizes the op
+    //    mix (what `ltp trace-info` prints).
+    let streaming = Arc::new(StreamingTrace::open(&path).expect("trace validates"));
+    let stats = StreamingTrace::scan_stats(&streaming).expect("trace scans");
+    for (kind, count) in stats.histogram {
         if count > 0 {
             println!("  {kind:<10} {count}");
         }
     }
 
-    // 3. Replay under one policy and verify fidelity against the
-    //    synthetic original.
+    // 3. Replay under one policy, decoding each node's stream from disk
+    //    with a bounded window, and verify fidelity against the synthetic
+    //    original.
     let direct = ExperimentSpec::builder(Benchmark::Unstructured)
         .policy_spec("ltp")
         .expect("builtin spec")
         .workload(params)
         .build()
         .run();
-    let replayed = ExperimentSpec::replay(Arc::clone(&loaded))
+    let replayed = ExperimentSpec::builder(Arc::clone(&streaming))
         .policy_spec("ltp")
         .expect("builtin spec")
         .build()
         .run();
     assert_eq!(replayed, direct, "replay must be bit-identical");
     println!(
-        "replay == synthetic: {} cycles, {:.1}% predicted",
+        "replay == synthetic: {} cycles, {:.1}% predicted (format v{}, {} repeat blocks, \
+         window {} ops)",
         replayed.metrics.exec_cycles,
-        replayed.metrics.predicted_pct()
-    );
-
-    // 4. Stream the same file: decode incrementally with a bounded
-    //    per-node window (no full-trace materialization) — the path for
-    //    traces too large to hold in memory. Same report, bit for bit.
-    let streaming = Arc::new(StreamingTrace::open(&path).expect("trace validates"));
-    let streamed = ExperimentSpec::replay_streaming(Arc::clone(&streaming))
-        .policy_spec("ltp")
-        .expect("builtin spec")
-        .build()
-        .run();
-    assert_eq!(streamed, direct, "streamed replay must be bit-identical");
-    println!(
-        "streamed == buffered (format v{}, {} repeat blocks, window {} ops)",
+        replayed.metrics.predicted_pct(),
         streaming.version(),
         streaming.repeat_blocks(),
         streaming.max_window()
     );
 
-    // 5. Sweep the trace like any benchmark: one recorded scenario under
+    // 4. Sweep the trace like any benchmark: one recorded scenario under
     //    every policy of the paper's evaluation, in parallel.
     let registry = PolicyRegistry::with_builtins();
     let reports = SweepSpec::new()
-        .trace(Arc::clone(&loaded))
+        .source(streaming)
         .policy_specs(&registry, &["base", "dsi", "last-pc", "ltp"])
         .expect("builtin specs")
         .collect();

@@ -10,7 +10,6 @@
 //! ltp suite -p dsi                          # one policy across the suite
 //! ltp record -b em3d -o em3d.ltrace         # capture a trace file
 //! ltp run --trace em3d.ltrace -p ltp        # replay it as a workload
-//! ltp run --trace big.ltrace --stream -p ltp # replay without materializing
 //! ltp gen-trace -o fuzz.ltrace --ops 50000  # random valid workload
 //! ltp trace-info em3d.ltrace                # inspect/validate a trace file
 //! ltp predict -b all                        # offline predictor tournament
@@ -60,10 +59,8 @@ OPTIONS:
     -b, --benchmarks <names>  comma-separated benchmarks, or `all`
     -p, --policies <specs>    comma-separated policy spec strings
                               (grammar: name[:key=value,..]; see list-policies)
-    -t, --trace <FILE[,..]>   trace file(s) to replay as workloads
-                              (run/sweep/compare; mixable with -b)
-        --stream              replay --trace files incrementally from disk
-                              (bounded memory; bit-identical reports)
+    -t, --trace <FILE[,..]>   trace file(s) to replay as workloads, streamed
+                              from disk (run/sweep/compare; mixable with -b)
     -o, --output <FILE>       output trace file (record, gen-trace)
         --ops <N>             ops per node to generate        [default: 65536]
     -n, --nodes <N[,N..]>     machine size(s)          [default: 32]
@@ -124,7 +121,6 @@ struct Options {
     benchmarks: Option<String>,
     policies: Option<String>,
     traces: Vec<String>,
-    stream: bool,
     output: Option<String>,
     ops: Option<u64>,
     positional: Vec<String>,
@@ -170,7 +166,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     }
                 }
             }
-            "--stream" => opts.stream = true,
             "-o" | "--output" => opts.output = Some(value("--output")?),
             "--ops" => {
                 opts.ops = Some(value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?);
@@ -261,16 +256,10 @@ fn parse_sources(opts: &Options) -> Result<Vec<WorkloadSource>, String> {
         );
     }
     for path in &opts.traces {
-        // --stream swaps the fully-decoded loader for the incremental one;
-        // reports are bit-identical, only replay memory changes.
-        let source = if opts.stream {
-            WorkloadSource::from(Arc::new(
-                StreamingTrace::open(path).map_err(|e| format!("--trace {path}: {e}"))?,
-            ))
-        } else {
-            WorkloadSource::from(Trace::load(path).map_err(|e| format!("--trace {path}: {e}"))?)
-        };
-        sources.push(source);
+        // Open validates the whole file; replay then streams it node by
+        // node with a bounded window, never materializing it.
+        let trace = StreamingTrace::open(path).map_err(|e| format!("--trace {path}: {e}"))?;
+        sources.push(WorkloadSource::from(trace));
     }
     if sources.is_empty() {
         return Err("no workloads: give --benchmarks and/or --trace".to_string());
@@ -513,14 +502,15 @@ fn cmd_list_probes(probes: &ProbeRegistry) {
     println!("ProbeRegistry (see examples/custom_probe.rs).");
 }
 
-/// Builds and executes the sweep shared by `run`, `sweep`, `compare`, and
-/// `suite`; returns the reports in run order.
-fn execute(
+/// Builds the sweep behind `run`, `sweep`, `compare`, `suite`, `check`, and
+/// `campaign`, refusing a trace recording that would not tee exactly one
+/// run before anything executes or is written.
+fn build_sweep(
     sources: Vec<WorkloadSource>,
     policies: Vec<Arc<dyn PolicyFactory>>,
     probes: &ProbeRegistry,
     opts: &Options,
-) -> Result<Vec<RunReport>, String> {
+) -> Result<SweepSpec, String> {
     let mut sweep = SweepSpec::new();
     for source in sources {
         sweep = sweep.source(source);
@@ -584,6 +574,18 @@ fn execute(
     if let Some(shards) = opts.shards {
         sweep = sweep.shards(shards);
     }
+    Ok(sweep)
+}
+
+/// Builds and executes the sweep shared by `run`, `sweep`, `compare`,
+/// `suite`, and `check`; returns the reports in run order.
+fn execute(
+    sources: Vec<WorkloadSource>,
+    policies: Vec<Arc<dyn PolicyFactory>>,
+    probes: &ProbeRegistry,
+    opts: &Options,
+) -> Result<Vec<RunReport>, String> {
+    let sweep = build_sweep(sources, policies, probes, opts)?;
     if opts.debug {
         if opts.jobs == Some(1) {
             eprintln!("# -j 1: serial execution, runs proceed in cross-product order");
@@ -912,9 +914,6 @@ fn cmd_record(opts: &Options) -> Result<(), String> {
     if opts.nodes.len() > 1 {
         return Err("record takes a single --nodes value".to_string());
     }
-    if opts.nodes.first().is_some_and(|&n| n < 2) {
-        return Err("record needs --nodes of at least 2".to_string());
-    }
     let params = WorkloadParams {
         nodes: opts.nodes.first().copied().unwrap_or(32),
         seed: opts.seed.unwrap_or(0x15CA_2000),
@@ -1170,29 +1169,7 @@ fn cmd_campaign(
     };
     let sources = parse_sources(&opts)?;
     let policies = parse_policies(registry, &opts)?;
-    let mut sweep = SweepSpec::new();
-    for source in sources {
-        sweep = sweep.source(source);
-    }
-    for policy in policies {
-        sweep = sweep.policy(policy);
-    }
-    for g in geometries(&opts) {
-        sweep = sweep.geometry(g);
-    }
-    for &d in &opts.dirs {
-        sweep = sweep.directory(d);
-    }
-    for spec in &opts.probes {
-        sweep = sweep.probe_spec(probes, spec).map_err(|e| e.to_string())?;
-    }
-    if let Some(jobs) = opts.jobs {
-        sweep = sweep.threads(jobs);
-    }
-    if let Some(shards) = opts.shards {
-        sweep = sweep.shards(shards);
-    }
-
+    let sweep = build_sweep(sources, policies, probes, &opts)?;
     let campaign = Campaign::new(sweep, &dir);
     let status = campaign.status().map_err(|e| e.to_string())?;
     if opts.dry_run {
@@ -1421,9 +1398,9 @@ fn main() -> ExitCode {
                 "run" | "sweep" | "compare" | "suite" | "check"
             )
         {
-            return Err(format!(
-                "--check applies to run/sweep/compare/suite (`{command}` runs no simulation)"
-            ));
+            return Err("--check applies to run/sweep/compare/suite/check only \
+                 (a campaign attaches the sanitizer with `--probe check`)"
+                .to_string());
         }
         if opts.exhaustive && command != "check" {
             return Err("--exhaustive applies to `check` only".to_string());

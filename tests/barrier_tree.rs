@@ -103,9 +103,9 @@ fn barrier_storm(nodes: u16, fanin: u16, rounds: u32, rng: &mut SimRng, skip: Op
     let summary = machine.run(Cycle::new(50_000_000));
     assert!(
         machine.all_finished(),
-        "barrier storm stuck ({:?}):\n{}",
+        "barrier storm stuck ({:?}):\n{:#?}",
         summary.stop,
-        machine.stuck_report()
+        machine.stuck_nodes()
     );
 }
 

@@ -92,8 +92,8 @@ fn run(
     assert_ne!(
         summary.stop,
         StopReason::HorizonReached,
-        "deadlock under {directory} / {policy_spec}:\n{}",
-        machine.stuck_report()
+        "deadlock under {directory} / {policy_spec}:\n{:#?}",
+        machine.stuck_nodes()
     );
     assert!(machine.all_finished());
     let (metrics, _) = machine.finish();

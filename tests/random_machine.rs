@@ -97,8 +97,8 @@ fn run(policy_spec: &str, per_node: &[Vec<GenOp>], iters: u32) -> ltp::system::M
     assert_ne!(
         summary.stop,
         StopReason::HorizonReached,
-        "protocol deadlock under {policy_spec}:\n{}",
-        machine.stuck_report()
+        "protocol deadlock under {policy_spec}:\n{:#?}",
+        machine.stuck_nodes()
     );
     assert!(machine.all_finished());
     let (metrics, _) = machine.finish();

@@ -159,7 +159,7 @@ fn streamed_replay_shards_identically() {
     let path = std::env::temp_dir().join(format!("ltp-shard-stream-{}.ltrace", std::process::id()));
     trace.save(&path).unwrap();
     let streaming = Arc::new(StreamingTrace::open(&path).unwrap());
-    let base = ExperimentSpec::replay_streaming(Arc::clone(&streaming))
+    let base = ExperimentSpec::builder(Arc::clone(&streaming))
         .policy_spec("ltp")
         .unwrap()
         .build();

@@ -216,8 +216,8 @@ fn a_single_entry_tracks_more_sharers_than_the_old_ceiling() {
     assert_ne!(
         summary.stop,
         StopReason::HorizonReached,
-        "wide invalidation deadlocked:\n{}",
-        machine.stuck_report()
+        "wide invalidation deadlocked:\n{:#?}",
+        machine.stuck_nodes()
     );
     let (metrics, _) = machine.finish();
     let m = metrics.expect("core metrics attached");

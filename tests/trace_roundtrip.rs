@@ -1,13 +1,15 @@
 //! Trace record/replay fidelity: for every benchmark of the suite,
-//! `record` → save → load → replay produces a `RunReport` bit-identical to
-//! the direct synthetic run, through the file format and through the sweep
-//! driver alike.
+//! `record` → save → streamed replay produces a `RunReport` bit-identical
+//! to the direct synthetic run, through the file format and through the
+//! sweep driver alike.
 
 use std::sync::Arc;
 
 use ltp::core::PolicyRegistry;
 use ltp::system::{ExperimentSpec, SweepSpec};
-use ltp::workloads::{collect_ops, Benchmark, Trace, TraceError, WorkloadParams, WorkloadSource};
+use ltp::workloads::{
+    collect_ops, Benchmark, StreamingTrace, Trace, TraceError, WorkloadParams, WorkloadSource,
+};
 
 /// A scratch path under the OS temp dir, unique per test process and tag.
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -31,14 +33,13 @@ fn every_benchmark_replays_bit_identically_through_a_file() {
         Trace::record(benchmark, &params)
             .save(&path)
             .expect("trace saves");
-        let loaded = Arc::new(Trace::load(&path).expect("trace loads"));
-        std::fs::remove_file(&path).ok();
-
-        let replayed = ExperimentSpec::replay(loaded)
+        let streamed = StreamingTrace::open(&path).expect("trace opens");
+        let replayed = ExperimentSpec::builder(streamed)
             .policy_spec("ltp")
             .expect("builtin spec")
             .build()
             .run();
+        std::fs::remove_file(&path).ok();
         assert_eq!(
             replayed, direct,
             "{benchmark}: replay must be bit-identical"
@@ -51,9 +52,10 @@ fn recorded_streams_survive_serialization_exactly() {
     let params = WorkloadParams::quick(3, 2);
     for benchmark in [Benchmark::Barnes, Benchmark::Appbt, Benchmark::Raytrace] {
         let trace = Trace::record(benchmark, &params);
-        let mut bytes = Vec::new();
-        trace.write_to(&mut bytes).expect("encodes");
-        let back = Trace::read_from(&bytes[..]).expect("decodes");
+        let path = scratch(&format!("survive-{benchmark}"));
+        trace.save(&path).expect("encodes");
+        let back = Trace::load(&path).expect("decodes");
+        std::fs::remove_file(&path).ok();
         assert_eq!(back, trace, "{benchmark}");
         // And the replay programs emit exactly the recorded ops.
         let mut programs = back.into_programs();
@@ -137,20 +139,22 @@ fn malformed_files_are_rejected_with_precise_errors() {
     let trace = Trace::record(Benchmark::Ocean, &params);
     let mut bytes = Vec::new();
     trace.write_to(&mut bytes).expect("encodes");
+    let path = scratch("malformed");
+    let load = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        Trace::load(&path)
+    };
 
     // Wrong magic.
     let mut wrong = bytes.clone();
     wrong[0] = b'X';
-    assert!(matches!(
-        Trace::read_from(&wrong[..]),
-        Err(TraceError::BadMagic)
-    ));
+    assert!(matches!(load(&wrong), Err(TraceError::BadMagic)));
 
     // Future version.
     let mut future = bytes.clone();
     future[7] = 42;
     assert!(matches!(
-        Trace::read_from(&future[..]),
+        load(&future),
         Err(TraceError::UnsupportedVersion(42))
     ));
 
@@ -158,16 +162,14 @@ fn malformed_files_are_rejected_with_precise_errors() {
     let mut flipped = bytes.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 1;
-    assert!(matches!(
-        Trace::read_from(&flipped[..]),
-        Err(TraceError::Corrupt(_))
-    ));
+    assert!(matches!(load(&flipped), Err(TraceError::Corrupt(_))));
 
     // Truncation is corruption too.
     assert!(matches!(
-        Trace::read_from(&bytes[..bytes.len() / 2]),
+        load(&bytes[..bytes.len() / 2]),
         Err(TraceError::Corrupt(_))
     ));
+    std::fs::remove_file(&path).ok();
 
     // A missing file surfaces as I/O.
     assert!(matches!(

@@ -1,7 +1,7 @@
 //! Format v2 + streaming replay acceptance: loop compression reaches its
-//! target density, streamed replay is bit-identical to buffered replay and
-//! to the synthetic run with bounded decoder memory, random valid traces
-//! round-trip both decode paths exactly, malformed v2 inputs are rejected
+//! target density, streamed replay reproduces the recording and the
+//! synthetic run with bounded decoder memory, random valid traces
+//! round-trip through a file exactly, malformed v2 inputs are rejected
 //! precisely, and the committed v1 golden file keeps loading forever.
 
 use std::path::PathBuf;
@@ -29,49 +29,43 @@ fn golden_v1_path() -> PathBuf {
 fn golden_v1_file_still_loads_replays_and_validates() {
     let path = golden_v1_path();
 
-    // The buffered loader reads it...
+    // It loads, and its content is exactly what recording produces today...
     let golden = Trace::load(&path).expect("golden v1 file loads");
     assert_eq!(golden.name(), "em3d");
     let params = WorkloadParams::quick(4, 3);
     assert_eq!(golden.workload(), params);
-
-    // ...its content is exactly what recording produces today...
     assert_eq!(golden, Trace::record(Benchmark::Em3d, &params));
 
-    // ...the streaming opener validates and indexes it (this is what
-    // `trace-info` runs)...
+    // ...the opener validates and indexes it (this is what `trace-info`
+    // and `--trace` run)...
     let streaming = Arc::new(StreamingTrace::open(&path).expect("golden v1 validates"));
     assert_eq!(streaming.version(), TRACE_VERSION_V1);
     assert_eq!(streaming.total_ops(), golden.total_ops());
     assert_eq!(streaming.repeat_blocks(), 0, "v1 has no repeat blocks");
 
-    // ...and both replay paths reproduce the synthetic run bit-exactly.
+    // ...and its streamed replay reproduces the synthetic run bit-exactly.
     let direct = ExperimentSpec::builder(Benchmark::Em3d)
         .policy_spec("ltp")
         .expect("builtin spec")
         .workload(params)
         .build()
         .run();
-    let buffered = ExperimentSpec::replay(Arc::new(golden))
+    let streamed = ExperimentSpec::builder(streaming)
         .policy_spec("ltp")
         .expect("builtin spec")
         .build()
         .run();
-    let streamed = ExperimentSpec::replay_streaming(streaming)
-        .policy_spec("ltp")
-        .expect("builtin spec")
-        .build()
-        .run();
-    assert_eq!(buffered, direct, "v1 buffered replay == synthetic");
     assert_eq!(streamed, direct, "v1 streamed replay == synthetic");
 }
 
 #[test]
 fn v1_to_v2_conversion_is_lossless() {
     let golden = Trace::load(golden_v1_path()).expect("golden v1 file loads");
-    let mut v2 = Vec::new();
-    golden.write_to(&mut v2).expect("re-encodes as v2");
-    let back = Trace::read_from(&v2[..]).expect("v2 decodes");
+    let path = scratch("v1-to-v2");
+    golden.save(&path).expect("re-encodes as v2");
+    let v2_bytes = std::fs::metadata(&path).expect("saved").len();
+    let back = Trace::load(&path).expect("v2 decodes");
+    std::fs::remove_file(&path).ok();
     assert_eq!(back, golden, "v1 -> v2 -> ops is the identity");
     let mut v1 = Vec::new();
     golden
@@ -80,49 +74,25 @@ fn v1_to_v2_conversion_is_lossless() {
     // The golden recording has only 3 iterations, so the ceiling is ~3x
     // (prologue + one body + repeat block vs three bodies).
     assert!(
-        v2.len() < v1.len() / 2,
-        "v2 must be far denser on em3d: v1 {} bytes, v2 {} bytes",
-        v1.len(),
-        v2.len()
+        v2_bytes < v1.len() as u64 / 2,
+        "v2 must be far denser on em3d: v1 {} bytes, v2 {v2_bytes} bytes",
+        v1.len()
     );
 }
 
 #[test]
 fn every_benchmark_streams_bit_identically_with_bounded_memory() {
-    // The acceptance criterion of the streaming engine, for all nine
-    // kernels: synthetic run == buffered file replay == streamed file
-    // replay, with per-node decoder memory bounded by the declared window.
+    // For all nine kernels: every node's streamed ops are exactly the
+    // recorded ops, with decoder memory bounded by the declared window
+    // (ring + one in-flight repeat body => at most 2x the window;
+    // windowless streams buffer nothing). `trace_roundtrip` checks the
+    // streamed *runs* against the synthetic ones.
     let params = WorkloadParams::quick(4, 2);
     for benchmark in Benchmark::ALL {
-        let direct = ExperimentSpec::builder(benchmark)
-            .policy_spec("ltp")
-            .expect("builtin spec")
-            .workload(params)
-            .build()
-            .run();
-
         let path = scratch(benchmark.name());
         let trace = Trace::record(benchmark, &params);
         trace.save(&path).expect("trace saves");
-
-        let buffered = ExperimentSpec::replay(Arc::new(Trace::load(&path).expect("loads")))
-            .policy_spec("ltp")
-            .expect("builtin spec")
-            .build()
-            .run();
         let streaming = Arc::new(StreamingTrace::open(&path).expect("opens"));
-        let streamed = ExperimentSpec::replay_streaming(Arc::clone(&streaming))
-            .policy_spec("ltp")
-            .expect("builtin spec")
-            .build()
-            .run();
-        assert_eq!(buffered, direct, "{benchmark}: buffered replay differs");
-        assert_eq!(streamed, direct, "{benchmark}: streamed replay differs");
-
-        // Memory bound: drain each node's program directly and check the
-        // high-water mark against the declared window (ring + one
-        // in-flight repeat body => at most 2x the window; windowless
-        // streams buffer nothing).
         for node in 0..streaming.nodes() {
             let mut program =
                 StreamingTraceProgram::new(Arc::clone(&streaming), node).expect("program opens");
@@ -175,9 +145,9 @@ fn loop_compression_reaches_its_density_target() {
 }
 
 #[test]
-fn random_traces_round_trip_every_decode_path() {
-    // Fuzz-style: generate -> encode v2 -> decode buffered and streaming ->
-    // bit-identical ops, across seeds and geometries.
+fn random_traces_round_trip_through_a_file() {
+    // Fuzz-style: generate -> save v2 -> load -> bit-identical ops, across
+    // seeds and geometries.
     for seed in 0..6u64 {
         let params = WorkloadParams {
             nodes: 2 + (seed % 4) as u16,
@@ -187,28 +157,17 @@ fn random_traces_round_trip_every_decode_path() {
         let trace = random_trace(&params, 700);
         let path = scratch(&format!("fuzz-{seed}"));
         trace.save(&path).expect("saves");
-
-        let buffered = Trace::load(&path).expect("buffered decode");
-        assert_eq!(buffered, trace, "seed {seed}: buffered ops differ");
-
-        let streaming = Arc::new(StreamingTrace::open(&path).expect("streaming open"));
-        assert_eq!(streaming.total_ops(), trace.total_ops());
-        let mut programs = StreamingTrace::programs(&streaming).expect("programs open");
-        for (node, program) in programs.iter_mut().enumerate() {
-            assert_eq!(
-                collect_ops(program.as_mut()),
-                trace.streams()[node],
-                "seed {seed} node {node}: streamed ops differ"
-            );
-        }
+        let loaded = Trace::load(&path).expect("loads");
         std::fs::remove_file(&path).ok();
+        assert_eq!(loaded, trace, "seed {seed}: loaded ops differ");
     }
 }
 
 #[test]
 fn random_traces_simulate_and_stream_identically() {
-    // Generated workloads are not just encodable — they run. Buffered and
-    // streamed replay of the same generated file report identically.
+    // Generated workloads are not just encodable — they run. The streamed
+    // replay of a generated file reports exactly as the in-memory
+    // recording does.
     let params = WorkloadParams {
         nodes: 4,
         seed: 0xBEEF,
@@ -217,85 +176,52 @@ fn random_traces_simulate_and_stream_identically() {
     let trace = random_trace(&params, 400);
     let path = scratch("fuzz-sim");
     trace.save(&path).expect("saves");
-    let buffered = ExperimentSpec::replay(Arc::new(trace))
+    let recorded = ExperimentSpec::replay(Arc::new(trace))
         .policy_spec("ltp")
         .expect("builtin spec")
         .build()
         .run();
-    let streamed =
-        ExperimentSpec::replay_streaming(Arc::new(StreamingTrace::open(&path).expect("opens")))
-            .policy_spec("ltp")
-            .expect("builtin spec")
-            .build()
-            .run();
+    let streamed = ExperimentSpec::builder(StreamingTrace::open(&path).expect("opens"))
+        .policy_spec("ltp")
+        .expect("builtin spec")
+        .build()
+        .run();
     std::fs::remove_file(&path).ok();
-    assert_eq!(buffered.benchmark, "random");
-    assert_eq!(streamed, buffered, "streamed random replay differs");
+    assert_eq!(recorded.benchmark, "random");
+    assert_eq!(streamed, recorded, "streamed random replay differs");
 }
 
 #[test]
-fn corrupt_and_truncated_v2_files_are_rejected_by_both_readers() {
+fn corrupt_and_truncated_v2_files_are_rejected() {
     let trace = random_trace(&WorkloadParams::quick(3, 1), 300);
     let mut bytes = Vec::new();
     trace.write_to(&mut bytes).expect("encodes");
     assert_eq!(bytes[7], TRACE_VERSION, "fixture is a v2 file");
     let path = scratch("corrupt");
+    let open = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        StreamingTrace::open(&path).unwrap_err()
+    };
 
-    // Every single-byte truncation point either still fails cleanly —
-    // never panics — and full-prefix truncations at interesting boundaries
-    // are all Corrupt. (Sampling strides keeps the test fast.)
+    // Every sampled truncation point fails cleanly as corruption — never
+    // a panic. (Sampling strides keeps the test fast.)
     for cut in (9..bytes.len()).step_by(41).chain([bytes.len() - 1]) {
-        let err = Trace::read_from(&bytes[..cut]).unwrap_err();
+        let err = open(&bytes[..cut]);
         assert!(
             matches!(err, TraceError::Corrupt(_)),
             "cut at {cut}: unexpected {err}"
         );
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        let err = StreamingTrace::open(&path).unwrap_err();
-        assert!(
-            matches!(err, TraceError::Corrupt(_)),
-            "streaming cut at {cut}: unexpected {err}"
-        );
     }
 
-    // Every sampled bit flip in the body is caught by the checksum (or a
-    // structural check) in both readers.
+    // Every sampled bit flip in the body is caught by the checksum.
     for at in (8..bytes.len() - 8).step_by(97) {
         let mut flipped = bytes.clone();
         flipped[at] ^= 0x10;
-        let err = Trace::read_from(&flipped[..]).unwrap_err();
+        let err = open(&flipped);
         assert!(
-            matches!(err, TraceError::Corrupt(_)),
+            err.to_string().contains("checksum"),
             "flip at {at}: unexpected {err}"
         );
-        std::fs::write(&path, &flipped).unwrap();
-        let err = StreamingTrace::open(&path).unwrap_err();
-        assert!(
-            matches!(err, TraceError::Corrupt(_)),
-            "streaming flip at {at}: unexpected {err}"
-        );
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn version_byte_gates_both_readers() {
-    let trace = random_trace(&WorkloadParams::quick(2, 1), 100);
-    let mut bytes = Vec::new();
-    trace.write_to(&mut bytes).expect("encodes");
-    let path = scratch("version-gate");
-    for bad in [0u8, 3, 9, 255] {
-        let mut tampered = bytes.clone();
-        tampered[7] = bad;
-        assert!(matches!(
-            Trace::read_from(&tampered[..]),
-            Err(TraceError::UnsupportedVersion(v)) if v == bad
-        ));
-        std::fs::write(&path, &tampered).unwrap();
-        assert!(matches!(
-            StreamingTrace::open(&path),
-            Err(TraceError::UnsupportedVersion(v)) if v == bad
-        ));
     }
     std::fs::remove_file(&path).ok();
 }
