@@ -9,6 +9,13 @@
 //! **byte-identical** to an uninterrupted execution, because both are
 //! composed from the stored documents in canonical cross-product order.
 //!
+//! Runs execute on the crate's one job runner, dispatched by the rule
+//! sweeps use (longest-first with more than one worker, cross-product
+//! order with one). Every checkpoint is written on the calling thread, in
+//! completion order. A run that panics stops dispatch: the runs already
+//! finished are still checkpointed, then its own panic is re-raised, so a
+//! rerun resumes.
+//!
 //! Runs that hit the cycle horizon (the known seeded-kernel lock livelock
 //! at wide pinned geometries) are recorded as `stuck` with a structured
 //! per-node diagnosis ([`crate::StuckReport`]) instead of killing the
@@ -51,9 +58,6 @@ mod store;
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
 
 use ltp_core::Fingerprint;
 
@@ -153,8 +157,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Fails on store trouble; simulation panics propagate (completed runs
-    /// stay checkpointed, so a rerun resumes).
+    /// Fails on store trouble; a simulation panic is re-raised with its
+    /// own payload (completed runs stay checkpointed, so a rerun resumes).
     pub fn run(&self) -> Result<CampaignSummary, StoreError> {
         self.run_with(&mut |_| {})
     }
@@ -185,7 +189,34 @@ impl Campaign {
             .collect();
         let skipped = runs.len() - pending.len();
 
-        self.execute_pending(&runs, &fingerprints, &pending, &store, progress)?;
+        // Checkpoints happen here, on the calling thread, in completion
+        // order — each one fsync'd before the next run's result is taken,
+        // so a kill at any point loses at most the in-flight runs.
+        let mut finished = 0;
+        self.sweep
+            .dispatch(&runs, &pending, ExperimentSpec::try_run, |seq, outcome| {
+                let hash = fingerprints[seq];
+                let spec = run_descriptor(&runs[seq]);
+                let status = match &outcome {
+                    RunOutcome::Completed(report) => {
+                        store.record_done(hash, &spec, report)?;
+                        RunStatus::Done
+                    }
+                    RunOutcome::Stuck(stuck) => {
+                        store.record_stuck(hash, &spec, stuck)?;
+                        RunStatus::Stuck
+                    }
+                };
+                finished += 1;
+                progress(RunFinished {
+                    seq,
+                    hash,
+                    status,
+                    finished,
+                    to_execute: pending.len(),
+                });
+                Ok(())
+            })?;
 
         store.finalize(&fingerprints)?;
         let final_statuses = store.completed()?;
@@ -199,99 +230,6 @@ impl Campaign {
             skipped,
             stuck,
         })
-    }
-
-    /// Executes the pending runs (longest-estimated-first across workers),
-    /// checkpointing each into the store as it completes.
-    fn execute_pending(
-        &self,
-        runs: &[ExperimentSpec],
-        fingerprints: &[Fingerprint],
-        pending: &[usize],
-        store: &CampaignStore,
-        progress: &mut dyn FnMut(RunFinished),
-    ) -> Result<(), StoreError> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        let pending_set: BTreeSet<usize> = pending.iter().copied().collect();
-        let order: Vec<usize> = SweepSpec::schedule_for(runs)
-            .into_iter()
-            .map(|(seq, _)| seq)
-            .filter(|seq| pending_set.contains(seq))
-            .collect();
-        let workers = self
-            .sweep
-            .threads_cap()
-            .unwrap_or_else(|| {
-                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-            .clamp(1, order.len());
-
-        let mut record = |seq: usize, outcome: RunOutcome, finished: usize| {
-            let hash = fingerprints[seq];
-            let spec = run_descriptor(&runs[seq]);
-            let status = match &outcome {
-                RunOutcome::Completed(report) => {
-                    store.record_done(hash, &spec, report)?;
-                    RunStatus::Done
-                }
-                RunOutcome::Stuck(stuck) => {
-                    store.record_stuck(hash, &spec, stuck)?;
-                    RunStatus::Stuck
-                }
-            };
-            progress(RunFinished {
-                seq,
-                hash,
-                status,
-                finished,
-                to_execute: order.len(),
-            });
-            Ok::<(), StoreError>(())
-        };
-
-        if workers <= 1 {
-            // Serial: cross-product order (no tail to cut), checkpointing
-            // as each run finishes.
-            for (finished, &seq) in pending.iter().enumerate() {
-                record(seq, runs[seq].try_run(), finished + 1)?;
-            }
-            return Ok(());
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, RunOutcome)>();
-        let mut result = Ok(());
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let order = &order;
-                scope.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seq) = order.get(slot) else { break };
-                    let outcome = runs[seq].try_run();
-                    if tx.send((seq, outcome)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            // Checkpoints happen here, on the coordinating thread, in
-            // completion order — each one fsync'd before the next run's
-            // result is taken, so a kill at any point loses at most the
-            // in-flight runs.
-            let mut finished = 0usize;
-            for (seq, outcome) in rx {
-                finished += 1;
-                if let Err(e) = record(seq, outcome, finished) {
-                    result = Err(e);
-                    break;
-                }
-            }
-        });
-        result
     }
 }
 
@@ -411,38 +349,51 @@ mod tests {
         }
     }
 
-    fn bombed_sweep(armed: &Arc<AtomicBool>) -> SweepSpec {
+    fn bombed_sweep(armed: &Arc<AtomicBool>, workers: usize) -> SweepSpec {
         small_sweep()
-            .serial()
+            .threads(workers)
             .probe(Arc::new(Bomb(Arc::clone(armed))))
     }
 
-    #[test]
-    fn aborted_campaign_resumes_to_a_byte_identical_store() {
+    /// Aborts a campaign on `workers` threads, resumes it, and requires the
+    /// store a never-interrupted campaign writes.
+    fn abort_and_resume(workers: usize) {
         let armed = Arc::new(AtomicBool::new(true));
-        let dir = tmp_dir("abort");
+        let dir = tmp_dir(&format!("abort-{workers}"));
 
-        // First attempt dies on the third run (serial order: em3d×base,
-        // em3d×ltp, moldyn×base 💥).
+        // The first attempt dies on a moldyn run; the bomb's own message
+        // reaches the caller.
         let aborted = catch_unwind(AssertUnwindSafe(|| {
-            Campaign::new(bombed_sweep(&armed), &dir).run()
+            Campaign::new(bombed_sweep(&armed, workers), &dir).run()
         }));
-        assert!(aborted.is_err(), "the bomb must abort the campaign");
+        let payload = aborted.expect_err("the bomb must abort the campaign");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"simulated mid-campaign abort")
+        );
 
-        // The two completed runs were checkpointed before the abort.
-        let status = Campaign::new(bombed_sweep(&armed), &dir).status().unwrap();
-        assert_eq!(status.done, 2);
-        assert_eq!(status.pending, 2);
+        let status = Campaign::new(bombed_sweep(&armed, workers), &dir)
+            .status()
+            .unwrap();
+        assert_eq!(status.done + status.pending, status.total);
+        if workers == 1 {
+            // Cross-product order: em3d×base and em3d×ltp were checkpointed
+            // before moldyn×base 💥, and nothing started after it.
+            assert_eq!(status.done, 2);
+            assert_eq!(status.pending, 2);
+        }
 
         // Resume executes only the remainder.
         armed.store(false, Ordering::SeqCst);
-        let summary = Campaign::new(bombed_sweep(&armed), &dir).run().unwrap();
-        assert_eq!(summary.executed, 2);
-        assert_eq!(summary.skipped, 2);
+        let summary = Campaign::new(bombed_sweep(&armed, workers), &dir)
+            .run()
+            .unwrap();
+        assert_eq!(summary.executed, status.pending);
+        assert_eq!(summary.skipped, status.done);
 
         // Byte-identical to a never-interrupted campaign.
-        let clean_dir = tmp_dir("abort-clean");
-        Campaign::new(bombed_sweep(&armed), &clean_dir)
+        let clean_dir = tmp_dir(&format!("abort-clean-{workers}"));
+        Campaign::new(bombed_sweep(&armed, workers), &clean_dir)
             .run()
             .unwrap();
         for file in ["manifest.jsonl", "campaign.jsonl"] {
@@ -452,6 +403,12 @@ mod tests {
         }
         fs::remove_dir_all(&dir).unwrap();
         fs::remove_dir_all(&clean_dir).unwrap();
+    }
+
+    #[test]
+    fn aborted_campaign_resumes_to_a_byte_identical_store() {
+        abort_and_resume(1);
+        abort_and_resume(2);
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod checker;
 mod experiment;
 mod machine;
 mod metrics;
+mod pool;
 pub mod predict;
 pub mod probe;
 pub mod probes;

@@ -346,11 +346,6 @@ impl Machine {
         assert_eq!(programs.len(), n, "one program per node");
         let part = Partition::new(cfg.nodes(), shards);
         let clock = WindowClock::new(cfg.min_cross_node_latency());
-        let trace_block = std::env::var("LTP_TRACE_BLOCK")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .map(BlockId::new);
-        let trace_flags = std::env::var_os("LTP_TRACE_FLAGS").is_some();
         let mut policies = policies.into_iter();
         let mut programs = programs.into_iter();
         let shards = (0..part.shards())
@@ -363,8 +358,6 @@ impl Machine {
                     s,
                     policies.by_ref().take(count).collect(),
                     programs.by_ref().take(count).collect(),
-                    trace_block,
-                    trace_flags,
                 ))
             })
             .collect();

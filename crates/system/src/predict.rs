@@ -6,11 +6,11 @@
 //! replay ([`ltp_workloads::replay`]) — identical touches, fills,
 //! invalidations, and verification verdicts, no cycles — and tallies each
 //! predictor's accuracy, coverage, and timeliness
-//! ([`ltp_core::PredictStats`]). One job per (workload × predictor),
-//! fanned out over worker threads; results are returned in row-major
-//! order (predictor varies fastest) regardless of which worker finishes
-//! first, so a parallel tournament renders bit-identically to a serial
-//! one.
+//! ([`ltp_core::PredictStats`]). One job per (workload × predictor), run
+//! on the crate's one job runner (the same one behind sweeps and
+//! campaigns); each row lands in its row-major slot (predictor varies
+//! fastest) whichever worker finishes first, so a tournament renders
+//! bit-identically on any number of threads.
 //!
 //! Specs that report [`wants_ground_truth`] (the `oracle`) trigger one
 //! extra baseline replay per workload; the extracted per-node last-touch
@@ -42,9 +42,8 @@
 //! assert!(table.contains("| em3d |"));
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::convert::Infallible;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ltp_core::{
@@ -53,6 +52,8 @@ use ltp_core::{
     StorageStats,
 };
 use ltp_workloads::{ground_truth, replay, Benchmark, Trace, WorkloadParams, WorkloadSource};
+
+use crate::pool;
 
 /// Per-node last-touch ground truth, computed once per workload and
 /// shared (via `Arc`) by every job that replays it.
@@ -264,7 +265,7 @@ impl PredictSpec {
         self
     }
 
-    /// Forces serial execution.
+    /// Runs on one worker thread (equivalent to `threads(1)`).
     pub fn serial(self) -> Self {
         self.threads(1)
     }
@@ -394,7 +395,8 @@ impl PredictSpec {
     /// # Panics
     ///
     /// Panics if a workload fails to build its programs or a replay
-    /// deadlocks, mirroring [`crate::SweepSpec::execute`].
+    /// deadlocks, re-raising the job's own panic like
+    /// [`crate::SweepSpec::execute`].
     pub fn execute(&self) -> Vec<PredictRow> {
         // One baseline replay per source, only when some predictor in the
         // field asks for ground truth; shared by every job on that source.
@@ -416,50 +418,25 @@ impl PredictSpec {
             })
             .collect();
 
-        let jobs: Vec<(usize, usize)> = (0..self.sources.len())
-            .flat_map(|s| (0..self.policies.len()).map(move |p| (s, p)))
-            .collect();
-        let workers = self
-            .threads
-            .unwrap_or_else(|| {
-                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-            .clamp(1, jobs.len().max(1));
-
-        if workers <= 1 {
-            return jobs
-                .iter()
-                .map(|&(s, p)| {
-                    self.run_job(&self.sources[s], &self.policies[p], truths[s].as_ref())
-                })
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, PredictRow)>();
-        let mut rows: Vec<Option<PredictRow>> = jobs.iter().map(|_| None).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let jobs = &jobs;
-                let truths = &truths;
-                scope.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, p)) = jobs.get(slot) else { break };
-                    let row = self.run_job(&self.sources[s], &self.policies[p], truths[s].as_ref());
-                    if tx.send((slot, row)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (slot, row) in rx {
-                rows[slot] = Some(row);
-            }
-        });
+        // Job `j` is source `j / policies` × predictor `j % policies`, the
+        // row-major slot its row fills.
+        let jobs = self.len();
+        let mut rows: Vec<Option<PredictRow>> = vec![None; jobs];
+        let Ok(()) = pool::run(
+            jobs,
+            self.threads,
+            |_| (0..jobs).collect(),
+            |job| {
+                let (s, p) = (job / self.policies.len(), job % self.policies.len());
+                self.run_job(&self.sources[s], &self.policies[p], truths[s].as_ref())
+            },
+            |job, row| {
+                rows[job] = Some(row);
+                Ok::<(), Infallible>(())
+            },
+        );
         rows.into_iter()
-            .map(|r| r.expect("scope joined every worker"))
+            .map(|r| r.expect("the runner consumed every job"))
             .collect()
     }
 }

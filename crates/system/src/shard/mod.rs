@@ -287,11 +287,6 @@ pub(crate) struct Shard {
     last_event_time: Cycle,
     finished_local: usize,
     last_finish_local: Cycle,
-    /// Block whose protocol messages are traced to stderr
-    /// (`LTP_TRACE_BLOCK=<id>`, read once at machine construction).
-    trace_block: Option<BlockId>,
-    /// Whether flag-wait progress is traced (`LTP_TRACE_FLAGS=1`).
-    trace_flags: bool,
     /// Host nanoseconds this shard has spent inside windows (monotonic
     /// clock deltas around [`Shard::run_window`]). Exact work when windows
     /// run unpreempted, i.e. on a host with a core per shard. Purely
@@ -302,15 +297,12 @@ pub(crate) struct Shard {
 impl Shard {
     /// Builds shard `index` of `part`, owning `[lo, lo + policies.len())`,
     /// with its initial `CpuStep`s primed at time zero.
-    #[allow(clippy::too_many_arguments)] // assembled once, by `Machine::with_shards`
     pub fn new(
         cfg: SystemConfig,
         part: Partition,
         index: usize,
         policies: Vec<Box<dyn SelfInvalidationPolicy>>,
         programs: Vec<Box<dyn Program>>,
-        trace_block: Option<BlockId>,
-        trace_flags: bool,
     ) -> Self {
         let (lo, hi) = part.range(index);
         let count = usize::from(hi - lo);
@@ -373,8 +365,6 @@ impl Shard {
             last_event_time: Cycle::ZERO,
             finished_local: 0,
             last_finish_local: Cycle::ZERO,
-            trace_block,
-            trace_flags,
             busy_ns: 0,
         }
     }
@@ -1001,13 +991,6 @@ impl Shard {
                 // Observe the generation from the (possibly stale) cached
                 // copy — exactly what real spin code would see.
                 let observed = self.nodes[i].cache.line(block).map_or(0, |l| l.token);
-                if self.trace_flags {
-                    eprintln!(
-                        "[{resume_at}] {p} flagwait {block}: observed={observed} waited={:?} line={:?}",
-                        self.flag_waited.get(&(p.index() as u16, block)),
-                        self.nodes[i].cache.line(block)
-                    );
-                }
                 let waited = self
                     .flag_waited
                     .entry((p.index() as u16, block))
@@ -1087,9 +1070,6 @@ impl Shard {
 
     fn arrive(&mut self, now: Cycle, msg: Message) {
         self.emit(now, SimEvent::MessageDelivered { msg });
-        if self.trace_block == Some(msg.block) {
-            eprintln!("[{now}] arrive {} -> {}: {:?}", msg.src, msg.dst, msg.kind);
-        }
         if Self::is_directory_bound(msg.kind) {
             let h = self.li(msg.dst);
             if self.engines[h].enqueue(now, msg) {

@@ -2,13 +2,15 @@
 //! machine geometries, executed in parallel.
 //!
 //! [`SweepSpec`] is how figures, tables, and ablations are produced: declare
-//! the design points once, then [`SweepSpec::execute`] fans the independent
-//! runs out over worker threads (every [`crate::Machine`] is self-contained,
-//! so runs never share mutable state) and streams the per-run
-//! [`RunReport`]s through a [`ReportSink`] *in run order*. Because each
-//! simulation is deterministic, a parallel sweep produces reports
-//! bit-identical to a serial one — parallelism changes wall-clock time and
-//! nothing else.
+//! the design points once, then [`SweepSpec::execute`] hands the independent
+//! runs to the crate's one job runner — the same one behind campaigns and
+//! predictor tournaments — whose worker threads pull runs from one shared
+//! queue (every [`crate::Machine`] is self-contained, so runs never share
+//! mutable state). A reorder buffer on the calling thread streams the
+//! per-run [`RunReport`]s through a [`ReportSink`] *in run order*. Because
+//! each simulation is deterministic, a sweep on any number of workers
+//! produces bit-identical reports — the worker count changes wall-clock
+//! time and nothing else.
 //!
 //! # Examples
 //!
@@ -30,16 +32,15 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::convert::Infallible;
 use std::sync::Arc;
-use std::thread;
 
 use ltp_core::{PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig};
 use ltp_dsm::DirectoryKind;
 use ltp_workloads::{Benchmark, RunEstimate, Trace, WorkloadParams, WorkloadSource};
 
 use crate::experiment::ExperimentSpec;
+use crate::pool;
 use crate::probe::{ProbeFactory, ProbeRegistry, ProbeSpecError};
 use crate::report::{MemorySink, ReportSink, RunReport};
 
@@ -218,7 +219,8 @@ impl SweepSpec {
         self
     }
 
-    /// Forces serial execution (equivalent to `threads(1)`).
+    /// Runs on one worker thread, in cross-product order (equivalent to
+    /// `threads(1)`).
     pub fn serial(self) -> Self {
         self.threads(1)
     }
@@ -228,12 +230,6 @@ impl SweepSpec {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = if threads == 0 { None } else { Some(threads) };
         self
-    }
-
-    /// The configured worker-thread cap (`None` = automatic sizing); the
-    /// campaign driver reuses the sweep's setting for its own dispatch.
-    pub(crate) fn threads_cap(&self) -> Option<usize> {
-        self.threads
     }
 
     /// Number of runs in the cross product.
@@ -298,11 +294,10 @@ impl SweepSpec {
     ///
     /// Scheduling changes execution order only: sinks and the returned
     /// report vector always observe cross-product order, and every report
-    /// is bit-identical to a serial sweep's. Serial execution
-    /// ([`SweepSpec::serial`] / one worker) does not consult the schedule
-    /// at all — with a single worker there is no tail to cut, and running
-    /// in cross-product order lets reports stream without a reorder
-    /// buffer.
+    /// is bit-identical to a serial sweep's. One worker
+    /// ([`SweepSpec::serial`]) does not consult the schedule at all — it
+    /// has no tail to cut, and running in cross-product order lets every
+    /// report reach the sink the moment it finishes.
     pub fn schedule(&self) -> Vec<(usize, Option<RunEstimate>)> {
         Self::schedule_for(&self.runs())
     }
@@ -324,35 +319,32 @@ impl SweepSpec {
     /// Executes every run, streaming reports through `sink` in run order,
     /// and returns the reports (also in run order).
     ///
-    /// With more than one worker thread, runs are dispatched in
-    /// [`SweepSpec::schedule`] order (longest first) and execute
-    /// concurrently; a reorder buffer restores run order before the sink
+    /// Runs execute on the job runner's worker threads: longest-first
+    /// ([`SweepSpec::schedule`]) with more than one worker, in run order
+    /// with one. A reorder buffer restores run order before the sink
     /// observes anything, and the reports are bit-identical to serial
     /// execution.
     ///
     /// # Panics
     ///
-    /// Panics if any run panics (e.g. a machine deadlock).
+    /// Re-raises the panic of any run that panics (e.g. a machine
+    /// deadlock), after the runs that finished before it in run order have
+    /// reached the sink.
     pub fn execute(&self, sink: &mut dyn ReportSink) -> Vec<RunReport> {
         let runs = self.runs();
-        let workers = self
-            .threads
-            .unwrap_or_else(|| {
-                thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })
-            .clamp(1, runs.len().max(1));
-
-        let reports = if workers <= 1 {
-            let mut reports = Vec::with_capacity(runs.len());
-            for (seq, run) in runs.iter().enumerate() {
-                let report = run.run();
-                sink.record(seq, &report);
+        let all: Vec<usize> = (0..runs.len()).collect();
+        let mut reports = Vec::with_capacity(runs.len());
+        // Reorder buffer: the sink sees run order whichever worker
+        // finishes first.
+        let mut early: BTreeMap<usize, RunReport> = BTreeMap::new();
+        let Ok(()) = self.dispatch(&runs, &all, ExperimentSpec::run, |seq, report| {
+            early.insert(seq, report);
+            while let Some(report) = early.remove(&reports.len()) {
+                sink.record(reports.len(), &report);
                 reports.push(report);
             }
-            reports
-        } else {
-            self.execute_parallel(&runs, workers, sink)
-        };
+            Ok::<(), Infallible>(())
+        });
         sink.finish();
         reports
     }
@@ -362,53 +354,40 @@ impl SweepSpec {
         self.execute(&mut MemorySink::new())
     }
 
-    fn execute_parallel(
+    /// Runs `job` on each `pending` run (indices into `runs`, ascending)
+    /// through the job runner, handing `(seq, result)` to `consume` on the
+    /// calling thread in completion order. The dispatch rule sweeps and
+    /// campaigns share: with more than one worker, runs go out
+    /// longest-first ([`SweepSpec::schedule_for`]); with one, in
+    /// cross-product order, so a streaming sink never waits.
+    pub(crate) fn dispatch<T: Send, E>(
         &self,
         runs: &[ExperimentSpec],
-        workers: usize,
-        sink: &mut dyn ReportSink,
-    ) -> Vec<RunReport> {
-        // Dispatch longest-first (see `schedule`); the reorder buffer below
-        // restores cross-product order for the sink regardless.
-        let order: Vec<usize> = Self::schedule_for(runs)
-            .into_iter()
-            .map(|(seq, _)| seq)
-            .collect();
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, RunReport)>();
-        let mut reports: Vec<Option<RunReport>> = runs.iter().map(|_| None).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let order = &order;
-                scope.spawn(move || loop {
-                    let slot = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&seq) = order.get(slot) else { break };
-                    let report = runs[seq].run();
-                    if tx.send((seq, report)).is_err() {
-                        break;
-                    }
-                });
+        pending: &[usize],
+        job: impl Fn(&ExperimentSpec) -> T + Sync,
+        consume: impl FnMut(usize, T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let order = |workers: usize| {
+            if workers == 1 {
+                return pending.to_vec();
             }
-            drop(tx);
-            // Reorder buffer: deliver to the sink in run order no matter
-            // which worker finishes first.
-            let mut pending: BTreeMap<usize, RunReport> = BTreeMap::new();
-            let mut next_emit = 0usize;
-            for (seq, report) in rx {
-                pending.insert(seq, report);
-                while let Some(report) = pending.remove(&next_emit) {
-                    sink.record(next_emit, &report);
-                    reports[next_emit] = Some(report);
-                    next_emit += 1;
-                }
+            let mut wanted = vec![false; runs.len()];
+            for &seq in pending {
+                wanted[seq] = true;
             }
-        });
-        reports
-            .into_iter()
-            .map(|r| r.expect("scope joined every worker"))
-            .collect()
+            Self::schedule_for(runs)
+                .into_iter()
+                .map(|(seq, _)| seq)
+                .filter(|&seq| wanted[seq])
+                .collect()
+        };
+        pool::run(
+            pending.len(),
+            self.threads,
+            order,
+            |seq| job(&runs[seq]),
+            consume,
+        )
     }
 }
 

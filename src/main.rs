@@ -60,8 +60,9 @@ OPTIONS:
     -p, --policies <specs>    comma-separated policy spec strings
                               (grammar: name[:key=value,..]; see list-policies)
     -t, --trace <FILE[,..]>   trace file(s) to replay as workloads, streamed
-                              from disk (run/sweep/compare; mixable with -b)
-    -o, --output <FILE>       output trace file (record, gen-trace)
+                              from disk (mixable with -b)
+    -o, --output <FILE>       output trace file (record, gen-trace), store
+                              directory (campaign), artifact directory (report)
         --ops <N>             ops per node to generate        [default: 65536]
     -n, --nodes <N[,N..]>     machine size(s)          [default: 32]
     -i, --iters <N>           iteration override       [default: per-benchmark]
@@ -70,13 +71,14 @@ OPTIONS:
                               full | coarse:<K> (1 bit per K-node cluster)
                                    | ptr:<I>    (Dir_I_B limited pointers)
                                    | sparse:<E> (bounded entry cache, E entries)
-    -j, --jobs <N>            sweep worker threads     [default: all cores; 1 = serial]
+    -j, --jobs <N>            worker threads for runs or predict jobs
+                                                       [default: all cores]
         --shards <N|auto>     threads per machine              [default: 1]
                               splits each simulated machine across N threads,
                               the calling thread included; reports stay
                               bit-identical to --shards 1
                               (`auto` = one thread per available core)
-        --probe <spec>        attach a probe (repeatable; run/sweep/compare/suite/check)
+        --probe <spec>        attach a probe to every run (repeatable)
                               e.g. --probe per-node --probe hist:self-inv-lead
                               (grammar: name[:argument]; see list-probes)
         --check               attach the coherence sanitizer to every run
@@ -111,13 +113,105 @@ final aggregate is byte-identical to an uninterrupted run. `report`
 folds a campaign store into the paper's figures and tables (markdown +
 JSON) without re-running anything. See docs/manual.md §Campaigns.
 
-Trace files replay at their recorded geometry (-n/-i/-s do not apply).
+Each option applies only to the commands listed in docs/manual.md §3; any
+other command rejects it. Trace files replay at their recorded geometry
+(-n/-i/-s do not apply).
 Every table and figure of the paper is regenerated by `ltp campaign` + `ltp report`.
 Full manual: docs/manual.md";
+
+/// Every command, including the help spellings.
+const COMMANDS: &[&str] = &[
+    "list",
+    "list-policies",
+    "list-probes",
+    "run",
+    "check",
+    "sweep",
+    "compare",
+    "suite",
+    "record",
+    "gen-trace",
+    "trace-info",
+    "predict",
+    "campaign",
+    "report",
+    "help",
+    "--help",
+    "-h",
+];
+
+/// One option: its spellings (space-separated, the canonical long name
+/// first), whether it takes a value, and the comma-separated commands it
+/// applies to. `check --exhaustive` counts as a command of its own. Every
+/// other command rejects the option.
+#[derive(Debug)]
+struct OptionSpec {
+    names: &'static str,
+    takes_value: bool,
+    commands: &'static str,
+}
+
+const fn opt(names: &'static str, takes_value: bool, commands: &'static str) -> OptionSpec {
+    OptionSpec {
+        names,
+        takes_value,
+        commands,
+    }
+}
+
+impl OptionSpec {
+    /// The canonical long name.
+    fn name(&self) -> &'static str {
+        self.names.split(' ').next().unwrap_or(self.names)
+    }
+
+    fn applies_to(&self, command: &str) -> bool {
+        self.commands.split(',').any(|c| c == command)
+    }
+}
+
+/// The option table (manual §3 mirrors it).
+#[rustfmt::skip]
+const OPTIONS: &[OptionSpec] = &[
+    opt("--benchmarks -b --benchmark", true, "run,check,sweep,compare,record,predict,campaign"),
+    opt("--policies -p --policy", true, "run,check,sweep,suite,predict,campaign"),
+    opt("--trace -t --traces", true, "run,check,sweep,compare,trace-info,predict,campaign"),
+    opt("--output -o", true, "record,gen-trace,campaign,report"),
+    opt("--ops", true, "gen-trace,check --exhaustive"),
+    opt("--nodes -n", true,
+        "run,check,check --exhaustive,sweep,compare,suite,record,gen-trace,predict,campaign"),
+    opt("--iters -i", true, "run,check,sweep,compare,suite,record,predict,campaign"),
+    opt("--seed -s", true, "run,check,sweep,compare,suite,record,gen-trace,predict,campaign"),
+    opt("--dir -d --dirs", true, "run,check,check --exhaustive,sweep,compare,suite,campaign"),
+    opt("--jobs -j", true, "run,check,sweep,compare,suite,predict,campaign"),
+    opt("--shards", true, "run,check,sweep,compare,suite,campaign"),
+    opt("--probe --probes", true, "run,check,sweep,compare,suite,campaign"),
+    opt("--check", false, "run,check,sweep,compare,suite"),
+    opt("--exhaustive", false, "check --exhaustive"),
+    opt("--record", true, "run"),
+    opt("--report", true, "predict"),
+    opt("--resume", false, "campaign"),
+    opt("--dry-run", false, "campaign"),
+    opt("--fig --figs", true, "report"),
+    opt("--json", false, "run,check,sweep,compare,suite,predict"),
+    opt("--json-lines", true, "run,check,sweep,compare,suite"),
+    opt("--debug", false, "run,check,sweep,compare,suite"),
+    opt("--quiet", false,
+        "run,check,check --exhaustive,sweep,compare,suite,record,gen-trace,predict,campaign,report"),
+];
+
+/// The [`OPTIONS`] entry spelled `name`.
+fn option_spec(name: &str) -> Option<&'static OptionSpec> {
+    OPTIONS
+        .iter()
+        .find(|o| o.names.split(' ').any(|n| n == name))
+}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, Default)]
 struct Options {
+    /// The options given, in order.
+    given: Vec<&'static OptionSpec>,
     benchmarks: Option<String>,
     policies: Option<String>,
     traces: Vec<String>,
@@ -144,104 +238,133 @@ struct Options {
     quiet: bool,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "-b" | "--benchmark" | "--benchmarks" => {
-                opts.benchmarks = Some(value("--benchmarks")?);
-            }
-            "-p" | "--policy" | "--policies" => opts.policies = Some(value("--policies")?),
-            "-t" | "--trace" | "--traces" => {
-                for path in value("--trace")?.split(',') {
-                    let path = path.trim();
-                    if !path.is_empty() {
-                        opts.traces.push(path.to_string());
-                    }
-                }
-            }
-            "-o" | "--output" => opts.output = Some(value("--output")?),
-            "--ops" => {
-                opts.ops = Some(value("--ops")?.parse().map_err(|e| format!("--ops: {e}"))?);
-            }
-            "-n" | "--nodes" => {
-                for n in value("--nodes")?.split(',') {
+impl Options {
+    /// Parses and stores one option (`value` is empty for a switch). The
+    /// command line and campaign spec files both come through here.
+    fn set(&mut self, spec: &'static OptionSpec, value: &str) -> Result<(), String> {
+        let name = spec.name();
+        self.given.push(spec);
+        fn number<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String>
+        where
+            T::Err: std::fmt::Display,
+        {
+            value.trim().parse().map_err(|e| format!("{name}: {e}"))
+        }
+        match name {
+            "--benchmarks" => self.benchmarks = Some(value.to_string()),
+            "--policies" => self.policies = Some(value.to_string()),
+            "--trace" => self.traces.extend(
+                value
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|p| !p.is_empty())
+                    .map(str::to_string),
+            ),
+            "--output" => self.output = Some(value.to_string()),
+            "--ops" => self.ops = Some(number(name, value)?),
+            "--nodes" => {
+                for n in value.split(',') {
                     let n: u16 = n.trim().parse().map_err(|e| format!("--nodes: {e}"))?;
                     if n < 2 {
                         return Err(format!(
                             "--nodes: {n} is out of range (machines have at least 2 nodes)"
                         ));
                     }
-                    opts.nodes.push(n);
+                    self.nodes.push(n);
                 }
             }
-            "-d" | "--dir" | "--dirs" => {
-                for d in value("--dir")?.split(',') {
-                    let d = d.trim();
-                    if d.is_empty() {
-                        continue;
-                    }
-                    opts.dirs
+            "--dir" => {
+                for d in value.split(',').map(str::trim).filter(|d| !d.is_empty()) {
+                    self.dirs
                         .push(d.parse().map_err(|e| format!("--dir: {e}"))?);
                 }
             }
-            "-i" | "--iters" => {
-                opts.iters = Some(
-                    value("--iters")?
-                        .parse()
-                        .map_err(|e| format!("--iters: {e}"))?,
-                );
-            }
-            "-s" | "--seed" => {
-                let raw = value("--seed")?;
+            "--iters" => self.iters = Some(number(name, value)?),
+            "--seed" => {
+                let raw = value.trim();
                 let parsed = raw
                     .strip_prefix("0x")
                     .map_or_else(|| raw.parse(), |hex| u64::from_str_radix(hex, 16));
-                opts.seed = Some(parsed.map_err(|e| format!("--seed: {e}"))?);
+                self.seed = Some(parsed.map_err(|e| format!("--seed: {e}"))?);
             }
-            "-j" | "--jobs" => {
-                opts.jobs = Some(
-                    value("--jobs")?
-                        .parse()
-                        .map_err(|e| format!("--jobs: {e}"))?,
-                );
-            }
+            "--jobs" => self.jobs = Some(number(name, value)?),
             "--shards" => {
-                let raw = value("--shards")?;
-                let shards = if raw == "auto" {
+                self.shards = Some(if value.trim() == "auto" {
                     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
                 } else {
-                    let n: usize = raw.parse().map_err(|e| format!("--shards: {e}"))?;
-                    if n == 0 {
-                        return Err("--shards: need at least 1 shard (or `auto`)".to_string());
+                    match number(name, value)? {
+                        0 => return Err("--shards: need at least 1 shard (or `auto`)".to_string()),
+                        n => n,
                     }
-                    n
-                };
-                opts.shards = Some(shards);
+                });
             }
-            "--probe" | "--probes" => opts.probes.push(value("--probe")?),
-            "--check" => opts.check = true,
-            "--exhaustive" => opts.exhaustive = true,
-            "--record" => opts.record = Some(value("--record")?),
-            "--report" => opts.report = Some(value("--report")?),
-            "--resume" => opts.resume = true,
-            "--dry-run" => opts.dry_run = true,
-            "--fig" | "--figs" => opts.figs = Some(value("--fig")?),
-            "--json" => opts.json = true,
-            "--json-lines" => opts.json_lines = Some(value("--json-lines")?),
-            "--debug" => opts.debug = true,
-            "--quiet" => opts.quiet = true,
-            other if !other.starts_with('-') => opts.positional.push(other.to_string()),
-            other => return Err(format!("unknown option `{other}`")),
+            "--probe" => self.probes.push(value.to_string()),
+            "--check" => self.check = true,
+            "--exhaustive" => self.exhaustive = true,
+            "--record" => self.record = Some(value.to_string()),
+            "--report" => self.report = Some(value.to_string()),
+            "--resume" => self.resume = true,
+            "--dry-run" => self.dry_run = true,
+            "--fig" => self.figs = Some(value.to_string()),
+            "--json" => self.json = true,
+            "--json-lines" => self.json_lines = Some(value.to_string()),
+            "--debug" => self.debug = true,
+            "--quiet" => self.quiet = true,
+            _ => unreachable!("every OPTIONS entry is parsed"),
         }
+        Ok(())
+    }
+}
+
+fn parse_options(args: &[String]) -> Result<Options, String> {
+    let mut opts = Options::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with('-') {
+            opts.positional.push(arg.clone());
+            continue;
+        }
+        let spec = option_spec(arg).ok_or_else(|| format!("unknown option `{arg}`"))?;
+        let value = if spec.takes_value {
+            it.next()
+                .ok_or_else(|| format!("{} needs a value", spec.name()))?
+        } else {
+            ""
+        };
+        opts.set(spec, value)?;
     }
     Ok(opts)
+}
+
+/// Rejects an unknown command, a stray positional argument, and every
+/// option the command does not take (see [`OPTIONS`]).
+fn check_applies(command: &str, opts: &Options) -> Result<(), String> {
+    if !COMMANDS.contains(&command) {
+        return Err(format!("unknown command `{command}`"));
+    }
+    // Only trace-info (files), campaign (spec file), and report (store dir)
+    // take positional arguments; everywhere else a bare word is a mistake
+    // (e.g. a trace path missing its --trace).
+    if !matches!(command, "trace-info" | "campaign" | "report") {
+        if let Some(stray) = opts.positional.first() {
+            return Err(format!("unexpected argument `{stray}`"));
+        }
+    }
+    let mode = if command == "check" && opts.exhaustive {
+        "check --exhaustive"
+    } else {
+        command
+    };
+    for spec in &opts.given {
+        if !spec.applies_to(mode) {
+            return Err(format!(
+                "{} does not apply to `{mode}` (it applies to: {})",
+                spec.name(),
+                spec.commands.replace(',', ", ")
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Resolves `-b` benchmarks plus `--trace` files into workload sources,
@@ -588,7 +711,7 @@ fn execute(
     let sweep = build_sweep(sources, policies, probes, opts)?;
     if opts.debug {
         if opts.jobs == Some(1) {
-            eprintln!("# -j 1: serial execution, runs proceed in cross-product order");
+            eprintln!("# -j 1: one worker, runs proceed in cross-product order");
         } else {
             let runs = sweep.runs();
             for (pos, (seq, estimate)) in SweepSpec::schedule_for(&runs).into_iter().enumerate() {
@@ -867,12 +990,12 @@ fn cmd_compare(
         .map(|s| registry.parse(s).map_err(|e| e.to_string()))
         .collect::<Result<_, _>>()?;
     let reports = execute(sources, policies, probes, opts)?;
+    if opts.json || opts.quiet {
+        emit_all(&reports, opts);
+        return Ok(());
+    }
     let base: Vec<&RunReport> = reports.iter().filter(|r| r.policy == "base").collect();
     for report in &reports {
-        if opts.json {
-            println!("{}", report.to_json());
-            continue;
-        }
         print_report(report);
         if let Some(b) = base
             .iter()
@@ -931,9 +1054,6 @@ fn cmd_gen_trace(opts: &Options) -> Result<(), String> {
     let Some(output) = opts.output.as_deref() else {
         return Err("gen-trace needs --output <FILE.ltrace>".to_string());
     };
-    if opts.benchmarks.is_some() {
-        return Err("gen-trace generates a random workload; drop --benchmarks".to_string());
-    }
     if opts.nodes.len() > 1 {
         return Err("gen-trace takes a single --nodes value".to_string());
     }
@@ -1025,7 +1145,9 @@ fn cmd_predict(registry: &PolicyRegistry, opts: &Options) -> Result<(), String> 
 
 /// Merges a campaign spec file into `opts`. Flags given on the command
 /// line win; the file fills in whatever they left unset. The grammar is
-/// the flag surface as JSON:
+/// the flag surface as JSON: each key goes through its flag's own parsing
+/// and validation, and takes a scalar or an array (joined with commas, or
+/// one `--probe` per entry):
 ///
 /// ```json
 /// {
@@ -1046,104 +1168,40 @@ fn apply_campaign_spec(path: &str, opts: &mut Options) -> Result<(), String> {
     let Some(fields) = doc.as_object() else {
         return Err(format!("{path}: campaign spec must be a JSON object"));
     };
-    let strings = |value: &JsonValue, key: &str| -> Result<Vec<String>, String> {
-        match value {
-            JsonValue::Str(s) => Ok(vec![s.clone()]),
-            JsonValue::Array(items) => items
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("{path}: `{key}` entries must be strings"))
-                })
-                .collect(),
-            _ => Err(format!(
-                "{path}: `{key}` must be a string or array of strings"
-            )),
-        }
-    };
+    let from_cli = opts.given.clone();
     for (key, value) in fields {
-        match key.as_str() {
-            "benchmarks" => {
-                if opts.benchmarks.is_none() {
-                    opts.benchmarks = Some(strings(value, key)?.join(","));
-                }
-            }
-            "policies" => {
-                if opts.policies.is_none() {
-                    opts.policies = Some(strings(value, key)?.join(","));
-                }
-            }
-            "traces" => {
-                if opts.traces.is_empty() {
-                    opts.traces = strings(value, key)?;
-                }
-            }
-            "nodes" => {
-                if opts.nodes.is_empty() {
-                    for v in value.as_array().into_iter().flatten() {
-                        let n = v
-                            .as_u64()
-                            .and_then(|n| u16::try_from(n).ok())
-                            .filter(|&n| n >= 2)
-                            .ok_or_else(|| format!("{path}: bad `nodes` entry {v}"))?;
-                        opts.nodes.push(n);
-                    }
-                }
-            }
-            "dirs" => {
-                if opts.dirs.is_empty() {
-                    for d in strings(value, key)? {
-                        opts.dirs
-                            .push(d.parse().map_err(|e| format!("{path}: dirs: {e}"))?);
-                    }
-                }
-            }
-            "probes" => {
-                if opts.probes.is_empty() {
-                    opts.probes = strings(value, key)?;
-                }
-            }
-            "seed" => {
-                if opts.seed.is_none() {
-                    opts.seed =
-                        Some(value.as_u64().ok_or_else(|| {
-                            format!("{path}: `seed` must be an unsigned integer")
-                        })?);
-                }
-            }
-            "iterations" => {
-                if opts.iters.is_none() {
-                    opts.iters = Some(
-                        value
-                            .as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or_else(|| format!("{path}: bad `iterations`"))?,
-                    );
-                }
-            }
-            "shards" => {
-                if opts.shards.is_none() {
-                    opts.shards = Some(
-                        value
-                            .as_u64()
-                            .and_then(|n| usize::try_from(n).ok())
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| format!("{path}: bad `shards`"))?,
-                    );
-                }
-            }
-            "jobs" => {
-                if opts.jobs.is_none() {
-                    opts.jobs = Some(
-                        value
-                            .as_u64()
-                            .and_then(|n| usize::try_from(n).ok())
-                            .ok_or_else(|| format!("{path}: bad `jobs`"))?,
-                    );
-                }
-            }
+        let flag = match key.as_str() {
+            "benchmarks" => "--benchmarks",
+            "policies" => "--policies",
+            "traces" => "--trace",
+            "nodes" => "--nodes",
+            "dirs" => "--dir",
+            "probes" => "--probe",
+            "seed" => "--seed",
+            "iterations" => "--iters",
+            "shards" => "--shards",
+            "jobs" => "--jobs",
             other => return Err(format!("{path}: unknown campaign spec key `{other}`")),
+        };
+        let spec = option_spec(flag).expect("campaign spec keys name options");
+        if from_cli.iter().any(|given| given.name() == flag) {
+            continue;
+        }
+        let items = value.as_array().unwrap_or(std::slice::from_ref(value));
+        let values: Vec<String> = items
+            .iter()
+            .map(|v| match v {
+                JsonValue::Str(s) => Ok(s.clone()),
+                JsonValue::U64(_) | JsonValue::I64(_) => Ok(v.to_string()),
+                _ => Err(format!(
+                    "{path}: `{key}` takes a string, a number, or an array of them"
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        let joined = [values.join(",")];
+        let each: &[String] = if flag == "--probe" { &values } else { &joined };
+        for value in each {
+            opts.set(spec, value).map_err(|e| format!("{path}: {e}"))?;
         }
     }
     Ok(())
@@ -1350,61 +1408,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = parse_options(rest).and_then(|opts| {
-        // Only trace-info (files), campaign (spec file), and report (store
-        // dir) take positional arguments; everywhere else a bare word is a
-        // mistake (e.g. a trace path missing its --trace).
-        if !matches!(command.as_str(), "trace-info" | "campaign" | "report") {
-            if let Some(stray) = opts.positional.first() {
-                return Err(format!("unexpected argument `{stray}`"));
-            }
-        }
-        // `--record` tees a single live `run`; everywhere else it can only
-        // be a mistake.
-        if opts.record.is_some() && command != "run" {
-            return Err("--record applies to `run` only (it tees one live run)".to_string());
-        }
-        // `--report` is the tournament table; nothing else writes one.
-        if opts.report.is_some() && command != "predict" {
-            return Err(
-                "--report applies to `predict` only (it writes the tournament table)".to_string(),
-            );
-        }
-        // Probes observe simulations; commands that run none would drop
-        // them silently.
-        if !opts.probes.is_empty()
-            && !matches!(
-                command.as_str(),
-                "run" | "sweep" | "compare" | "suite" | "check" | "campaign"
-            )
-        {
-            return Err(format!(
-                "--probe applies to run/sweep/compare/suite/check/campaign only \
-                 (`{command}` runs no simulation)"
-            ));
-        }
-        // `--resume`/`--dry-run` steer the campaign store; `--fig` selects
-        // report artifacts.
-        if (opts.resume || opts.dry_run) && command != "campaign" {
-            return Err("--resume/--dry-run apply to `campaign` only".to_string());
-        }
-        if opts.figs.is_some() && command != "report" {
-            return Err("--fig applies to `report` only".to_string());
-        }
-        // `--check` attaches the sanitizer to simulations; `--exhaustive`
-        // selects the model checker inside `check`.
-        if opts.check
-            && !matches!(
-                command.as_str(),
-                "run" | "sweep" | "compare" | "suite" | "check"
-            )
-        {
-            return Err("--check applies to run/sweep/compare/suite/check only \
-                 (a campaign attaches the sanitizer with `--probe check`)"
-                .to_string());
-        }
-        if opts.exhaustive && command != "check" {
-            return Err("--exhaustive applies to `check` only".to_string());
-        }
+        check_applies(command, &opts)?;
         match command.as_str() {
             "list" => {
                 cmd_list();
@@ -1429,11 +1433,11 @@ fn main() -> ExitCode {
             "predict" => cmd_predict(&registry, &opts),
             "campaign" => cmd_campaign(&registry, &probes, &opts),
             "report" => cmd_report(&opts),
-            "help" | "--help" | "-h" => {
+            // help, --help, -h
+            _ => {
                 println!("{USAGE}");
                 Ok(())
             }
-            other => Err(format!("unknown command `{other}`")),
         }
     });
     match result {

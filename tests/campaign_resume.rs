@@ -180,3 +180,40 @@ fn campaign_refuses_a_dirty_store_without_resume() {
     assert!(stderr.contains("--resume"), "unhelpful error: {stderr}");
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn spec_file_scalars_parse_like_their_flags() {
+    let dir = tmp_dir("scalar-spec");
+    fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    let store = dir.join("store");
+    // A scalar `nodes` (and `"shards":"auto"`, as `--shards auto`) is one
+    // value, not a dropped key.
+    fs::write(
+        &spec,
+        r#"{"benchmarks":["em3d"],"policies":["base"],"nodes":16,"iterations":2,"shards":"auto"}"#,
+    )
+    .unwrap();
+    for extra in [&["--dry-run"][..], &["--quiet"][..]] {
+        let out = ltp()
+            .arg("campaign")
+            .arg(&spec)
+            .arg("-o")
+            .arg(&store)
+            .args(extra)
+            .output()
+            .expect("campaign runs");
+        assert!(
+            out.status.success(),
+            "campaign {extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let aggregate = fs::read_to_string(store.join("campaign.jsonl")).unwrap();
+    assert_eq!(aggregate.lines().count(), 1);
+    assert!(
+        aggregate.contains("\"nodes\":16,"),
+        "the run is stored at 16 nodes: {aggregate}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
+}
