@@ -1,4 +1,4 @@
-//! Exhaustive small-configuration model checker (`ltp check --exhaustive`).
+//! Exhaustive small-configuration model checker (`ltp check`).
 //!
 //! Enumerates the **full reachable state space** of a tiny machine — real
 //! [`NodeCache`] and [`Directory`] components, modeled per-edge FIFO

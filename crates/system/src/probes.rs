@@ -617,7 +617,7 @@ impl Probe for TraceRecorderProbe {
         let trace = self.writer.finish();
         trace
             .save(&path)
-            .unwrap_or_else(|e| panic!("--record {path}: {e}"));
+            .unwrap_or_else(|e| panic!("record:{path}: {e}"));
         None
     }
 }

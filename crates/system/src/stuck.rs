@@ -7,7 +7,8 @@
 //! into a [`StuckReport`] — per-node execution class (lock spin vs. barrier
 //! wait vs. fill wait), the cycle at which each node last retired an
 //! operation, and how many operations it retired — instead of a panic, so
-//! campaign drivers can record the run as `stuck` and keep going.
+//! campaign drivers can record the run as `stuck` and keep going, and
+//! [`SweepSpec::execute`](crate::SweepSpec::execute) can return it.
 
 use ltp_core::{JsonObject, JsonValue};
 use ltp_dsm::DirectoryKind;

@@ -32,7 +32,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use ltp_core::{PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig};
@@ -43,6 +42,7 @@ use crate::experiment::ExperimentSpec;
 use crate::pool;
 use crate::probe::{ProbeFactory, ProbeRegistry, ProbeSpecError};
 use crate::report::{MemorySink, ReportSink, RunReport};
+use crate::stuck::{RunOutcome, StuckReport};
 
 /// A cross product of workload sources × policies × machine geometries ×
 /// directory organizations, plus the execution strategy for running it.
@@ -325,33 +325,50 @@ impl SweepSpec {
     /// observes anything, and the reports are bit-identical to serial
     /// execution.
     ///
+    /// # Errors
+    ///
+    /// Returns the diagnosis of the first run, in run order, that hit the
+    /// cycle horizon ([`ExperimentSpec::try_run`]). Every run before it has
+    /// reached the sink; no run starts after it is found.
+    ///
     /// # Panics
     ///
-    /// Re-raises the panic of any run that panics (e.g. a machine
-    /// deadlock), after the runs that finished before it in run order have
-    /// reached the sink.
-    pub fn execute(&self, sink: &mut dyn ReportSink) -> Vec<RunReport> {
+    /// Re-raises the panic of any run that panics (e.g. an unreadable
+    /// trace file), after the runs that finished before it in run order
+    /// have reached the sink.
+    pub fn execute(&self, sink: &mut dyn ReportSink) -> Result<Vec<RunReport>, Box<StuckReport>> {
         let runs = self.runs();
         let all: Vec<usize> = (0..runs.len()).collect();
         let mut reports = Vec::with_capacity(runs.len());
         // Reorder buffer: the sink sees run order whichever worker
         // finishes first.
-        let mut early: BTreeMap<usize, RunReport> = BTreeMap::new();
-        let Ok(()) = self.dispatch(&runs, &all, ExperimentSpec::run, |seq, report| {
-            early.insert(seq, report);
-            while let Some(report) = early.remove(&reports.len()) {
-                sink.record(reports.len(), &report);
-                reports.push(report);
+        let mut early: BTreeMap<usize, RunOutcome> = BTreeMap::new();
+        let result = self.dispatch(&runs, &all, ExperimentSpec::try_run, |seq, outcome| {
+            early.insert(seq, outcome);
+            while let Some(outcome) = early.remove(&reports.len()) {
+                match outcome {
+                    RunOutcome::Completed(report) => {
+                        sink.record(reports.len(), &report);
+                        reports.push(*report);
+                    }
+                    RunOutcome::Stuck(stuck) => return Err(stuck),
+                }
             }
-            Ok::<(), Infallible>(())
+            Ok(())
         });
         sink.finish();
-        reports
+        result.map(|()| reports)
     }
 
     /// Executes every run into a [`MemorySink`], returning the reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the rendered diagnosis if a run hits the cycle horizon,
+    /// and re-raises the panic of any run that panics.
     pub fn collect(&self) -> Vec<RunReport> {
         self.execute(&mut MemorySink::new())
+            .unwrap_or_else(|stuck| panic!("{}", stuck.render_human()))
     }
 
     /// Runs `job` on each `pending` run (indices into `runs`, ascending)
@@ -443,7 +460,7 @@ mod tests {
     #[test]
     fn sink_sees_runs_in_order_even_in_parallel() {
         let mut sink = JsonLinesSink::new(Vec::new());
-        let reports = small_sweep().threads(4).execute(&mut sink);
+        let reports = small_sweep().threads(4).execute(&mut sink).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), reports.len());

@@ -4,10 +4,9 @@
 //! ```text
 //! ltp list                                  # benchmarks and machine
 //! ltp list-policies                         # registered policies + grammar
-//! ltp run -b em3d -p ltp:bits=13            # one experiment
-//! ltp sweep -b em3d,ocean -p base,dsi,ltp   # parallel cross-product sweep
-//! ltp compare -b raytrace                   # every built-in on one benchmark
-//! ltp suite -p dsi                          # one policy across the suite
+//! ltp run -b em3d -p ltp:bits=13            # one experiment, detailed report
+//! ltp run -b all -p base,dsi,ltp            # cross product, one row per run
+//! ltp check                                 # model-check the protocol
 //! ltp record -b em3d -o em3d.ltrace         # capture a trace file
 //! ltp run --trace em3d.ltrace -p ltp        # replay it as a workload
 //! ltp gen-trace -o fuzz.ltrace --ops 50000  # random valid workload
@@ -42,12 +41,8 @@ USAGE:
     ltp list
     ltp list-policies
     ltp list-probes
-    ltp run        -b <benchmark> -p <policy-spec> [options]
-    ltp check      [-b <b1,..|all>] [-p <specs>] [options]
-    ltp check      --exhaustive [-d <kind,..>] [--ops <N>]
-    ltp sweep      -b <b1,b2,..|all> -p <spec1,spec2,..> [options]
-    ltp compare    -b <benchmark> [options]
-    ltp suite      -p <policy-spec> [options]
+    ltp run        -b <b1,..|all> and/or -t <FILE> -p <spec1,..> [options]
+    ltp check      [-d <kind,..>] [-n <N>] [--ops <N>]
     ltp record     -b <benchmark> -o <FILE.ltrace> [options]
     ltp gen-trace  -o <FILE.ltrace> [options]
     ltp trace-info <FILE.ltrace> [FILE..]
@@ -63,7 +58,8 @@ OPTIONS:
                               from disk (mixable with -b)
     -o, --output <FILE>       output trace file (record, gen-trace), store
                               directory (campaign), artifact directory (report)
-        --ops <N>             ops per node to generate        [default: 65536]
+        --ops <N>             ops per node to generate (gen-trace; default
+                              65536) or to explore (check)
     -n, --nodes <N[,N..]>     machine size(s)          [default: 32]
     -i, --iters <N>           iteration override       [default: per-benchmark]
     -s, --seed <S>            workload seed            [default: 0x15CA2000]
@@ -81,11 +77,8 @@ OPTIONS:
         --probe <spec>        attach a probe to every run (repeatable)
                               e.g. --probe per-node --probe hist:self-inv-lead
                               (grammar: name[:argument]; see list-probes)
-        --check               attach the coherence sanitizer to every run
-                              (run/sweep/compare/suite; exit 1 on violations)
-        --exhaustive          (check only) exhaustively model-check small
-                              configs instead of sanitizing benchmark runs
-        --record <FILE>       tee the live run's op stream to FILE.ltrace (run only)
+        --check               (run) attach the coherence sanitizer to every
+                              run; exit 1 on violations
         --report <FILE>       write the tournament markdown table to FILE (predict only)
         --resume              (campaign) continue into a non-empty store
         --dry-run             (campaign) print done/pending counts and exit
@@ -93,12 +86,15 @@ OPTIONS:
         --json                emit RunReports as JSON to stdout
         --json-lines <FILE>   stream per-run JSON lines to FILE
         --debug               print the sweep schedule (estimated ops + source)
-        --quiet               suppress the human-readable table
+        --quiet               suppress the human-readable output
 
-`check` asserts the protocol invariant catalog (docs/manual.md §Protocol
-checking): without --exhaustive it replays benchmark runs under the online
-sanitizer probe; with --exhaustive it enumerates every message interleaving
-of 2–3-node configurations and prints a minimal counterexample on failure.
+`run` simulates workloads × policies × geometries × directories. One run
+prints a detailed report; more print one table row per run, with its
+speedup over the `base` row of the same workload, geometry and directory.
+
+`check` model-checks the protocol invariant catalog (docs/manual.md §12):
+it enumerates every message interleaving of 2–3-node configurations and
+prints a minimal counterexample on failure.
 
 `predict` replays workloads through the offline logical coherence model —
 no cycle simulation — and races predictor specs (default: the full zoo,
@@ -126,9 +122,6 @@ const COMMANDS: &[&str] = &[
     "list-probes",
     "run",
     "check",
-    "sweep",
-    "compare",
-    "suite",
     "record",
     "gen-trace",
     "trace-info",
@@ -142,8 +135,7 @@ const COMMANDS: &[&str] = &[
 
 /// One option: its spellings (space-separated, the canonical long name
 /// first), whether it takes a value, and the comma-separated commands it
-/// applies to. `check --exhaustive` counts as a command of its own. Every
-/// other command rejects the option.
+/// applies to. Every other command rejects the option.
 #[derive(Debug)]
 struct OptionSpec {
     names: &'static str,
@@ -173,31 +165,27 @@ impl OptionSpec {
 /// The option table (manual §3 mirrors it).
 #[rustfmt::skip]
 const OPTIONS: &[OptionSpec] = &[
-    opt("--benchmarks -b --benchmark", true, "run,check,sweep,compare,record,predict,campaign"),
-    opt("--policies -p --policy", true, "run,check,sweep,suite,predict,campaign"),
-    opt("--trace -t --traces", true, "run,check,sweep,compare,trace-info,predict,campaign"),
+    opt("--benchmarks -b --benchmark", true, "run,record,predict,campaign"),
+    opt("--policies -p --policy", true, "run,predict,campaign"),
+    opt("--trace -t --traces", true, "run,trace-info,predict,campaign"),
     opt("--output -o", true, "record,gen-trace,campaign,report"),
-    opt("--ops", true, "gen-trace,check --exhaustive"),
-    opt("--nodes -n", true,
-        "run,check,check --exhaustive,sweep,compare,suite,record,gen-trace,predict,campaign"),
-    opt("--iters -i", true, "run,check,sweep,compare,suite,record,predict,campaign"),
-    opt("--seed -s", true, "run,check,sweep,compare,suite,record,gen-trace,predict,campaign"),
-    opt("--dir -d --dirs", true, "run,check,check --exhaustive,sweep,compare,suite,campaign"),
-    opt("--jobs -j", true, "run,check,sweep,compare,suite,predict,campaign"),
-    opt("--shards", true, "run,check,sweep,compare,suite,campaign"),
-    opt("--probe --probes", true, "run,check,sweep,compare,suite,campaign"),
-    opt("--check", false, "run,check,sweep,compare,suite"),
-    opt("--exhaustive", false, "check --exhaustive"),
-    opt("--record", true, "run"),
+    opt("--ops", true, "gen-trace,check"),
+    opt("--nodes -n", true, "run,check,record,gen-trace,predict,campaign"),
+    opt("--iters -i", true, "run,record,predict,campaign"),
+    opt("--seed -s", true, "run,record,gen-trace,predict,campaign"),
+    opt("--dir -d --dirs", true, "run,check,campaign"),
+    opt("--jobs -j", true, "run,predict,campaign"),
+    opt("--shards", true, "run,campaign"),
+    opt("--probe --probes", true, "run,campaign"),
+    opt("--check", false, "run"),
     opt("--report", true, "predict"),
     opt("--resume", false, "campaign"),
     opt("--dry-run", false, "campaign"),
     opt("--fig --figs", true, "report"),
-    opt("--json", false, "run,check,sweep,compare,suite,predict"),
-    opt("--json-lines", true, "run,check,sweep,compare,suite"),
-    opt("--debug", false, "run,check,sweep,compare,suite"),
-    opt("--quiet", false,
-        "run,check,check --exhaustive,sweep,compare,suite,record,gen-trace,predict,campaign,report"),
+    opt("--json", false, "run,predict"),
+    opt("--json-lines", true, "run"),
+    opt("--debug", false, "run"),
+    opt("--quiet", false, "run,check,record,gen-trace,predict,campaign,report"),
 ];
 
 /// The [`OPTIONS`] entry spelled `name`.
@@ -226,8 +214,6 @@ struct Options {
     shards: Option<usize>,
     probes: Vec<String>,
     check: bool,
-    exhaustive: bool,
-    record: Option<String>,
     report: Option<String>,
     resume: bool,
     dry_run: bool,
@@ -300,8 +286,6 @@ impl Options {
             }
             "--probe" => self.probes.push(value.to_string()),
             "--check" => self.check = true,
-            "--exhaustive" => self.exhaustive = true,
-            "--record" => self.record = Some(value.to_string()),
             "--report" => self.report = Some(value.to_string()),
             "--resume" => self.resume = true,
             "--dry-run" => self.dry_run = true,
@@ -350,15 +334,10 @@ fn check_applies(command: &str, opts: &Options) -> Result<(), String> {
             return Err(format!("unexpected argument `{stray}`"));
         }
     }
-    let mode = if command == "check" && opts.exhaustive {
-        "check --exhaustive"
-    } else {
-        command
-    };
     for spec in &opts.given {
-        if !spec.applies_to(mode) {
+        if !spec.applies_to(command) {
             return Err(format!(
-                "{} does not apply to `{mode}` (it applies to: {})",
+                "{} does not apply to `{command}` (it applies to: {})",
                 spec.name(),
                 spec.commands.replace(',', ", ")
             ));
@@ -457,25 +436,37 @@ fn split_specs(raw: &str) -> Vec<String> {
     specs
 }
 
+/// One workload geometry per `-n` value (the paper machine when none is
+/// given): [`WorkloadParams::default()`] with `-s` and `-i` applied.
 fn geometries(opts: &Options) -> Vec<WorkloadParams> {
+    let base = WorkloadParams::default();
     let nodes = if opts.nodes.is_empty() {
-        vec![32]
+        vec![base.nodes]
     } else {
         opts.nodes.clone()
     };
     nodes
         .into_iter()
-        .map(|n| WorkloadParams {
-            nodes: n,
-            seed: opts.seed.unwrap_or(0x15CA_2000),
-            iterations: opts.iters,
+        .map(|nodes| WorkloadParams {
+            nodes,
+            seed: opts.seed.unwrap_or(base.seed),
+            iterations: opts.iters.or(base.iterations),
         })
         .collect()
 }
 
+/// The one geometry of a `command` that takes a single `--nodes` value.
+fn single_geometry(command: &str, opts: &Options) -> Result<WorkloadParams, String> {
+    match geometries(opts)[..] {
+        [params] => Ok(params),
+        _ => Err(format!("{command} takes a single --nodes value")),
+    }
+}
+
 /// Whether `record` names the same file as the (existing) input `trace`
-/// path — the `--record` self-overwrite guard. The record file usually does
-/// not exist yet, so its parent directory is canonicalized instead.
+/// path — the `record:` probe's self-overwrite guard. The record file
+/// usually does not exist yet, so its parent directory is canonicalized
+/// instead.
 fn same_output_as_input(record: &str, trace: &str) -> bool {
     let record_path = std::path::Path::new(record);
     let trace_canon = std::fs::canonicalize(trace).ok();
@@ -541,19 +532,73 @@ fn print_report(report: &RunReport) {
             report.directory, m.dir_evictions, m.eviction_invalidations
         );
     }
+    print_probe_sections(report);
+}
+
+/// The `probe <name>: ...` lines under a report or a table row.
+fn print_probe_sections(report: &RunReport) {
     for section in &report.sections {
         println!("    probe {}: {}", section.name, section.data);
     }
 }
 
-fn emit_all(reports: &[RunReport], opts: &Options) {
-    for report in reports {
-        if opts.json {
+/// Prints the reports: JSON objects with `--json`, nothing with `--quiet`,
+/// the detailed report of a single run, and otherwise one table row per
+/// run with its speedup over the `base` row of the same workload, geometry
+/// and directory (`-` when the invocation has no such row).
+fn emit(reports: &[RunReport], opts: &Options) {
+    if opts.json {
+        for report in reports {
             println!("{}", report.to_json());
-        } else if !opts.quiet {
-            print_report(report);
-            println!();
         }
+        return;
+    }
+    if opts.quiet {
+        return;
+    }
+    if let [report] = reports {
+        print_report(report);
+        println!();
+        return;
+    }
+    println!(
+        "{:<14} {:<30} {:>6} {:<10} {:>12} {:>8} {:>8} {:>8} {:>9} {:>8}",
+        "benchmark",
+        "policy",
+        "nodes",
+        "dir",
+        "exec(cyc)",
+        "pred%",
+        "mis%",
+        "timely%",
+        "extra-inv",
+        "speedup"
+    );
+    for r in reports {
+        let base = reports.iter().find(|b| {
+            b.policy == "base"
+                && b.benchmark == r.benchmark
+                && b.workload == r.workload
+                && b.directory == r.directory
+        });
+        let m = &r.metrics;
+        println!(
+            "{:<14} {:<30} {:>6} {:<10} {:>12} {:>8.1} {:>8.1} {:>8.1} {:>9} {:>8}",
+            r.benchmark,
+            r.policy_spec,
+            r.workload.nodes,
+            r.directory,
+            m.exec_cycles,
+            m.predicted_pct(),
+            m.mispredicted_pct(),
+            m.timeliness_pct(),
+            m.extra_invalidations,
+            base.map_or_else(
+                || "-".to_string(),
+                |b| format!("{:.3}", m.speedup_vs(&b.metrics))
+            )
+        );
+        print_probe_sections(r);
     }
 }
 
@@ -602,7 +647,7 @@ fn cmd_list_policies(registry: &PolicyRegistry) {
     println!("examples:");
     println!("  ltp run -b em3d -p ltp");
     println!("  ltp run -b tomcatv -p ltp:bits=6");
-    println!("  ltp sweep -b all -p base,dsi,ltp:bits=13,ltp-global:sets=1024");
+    println!("  ltp run -b all -p base,dsi,ltp:bits=13,ltp-global:sets=1024");
     println!();
     println!("external policies: implement ltp_core::PolicyFactory and register it");
     println!("in a PolicyRegistry (see examples/custom_policy.rs).");
@@ -616,8 +661,8 @@ fn cmd_list_probes(probes: &ProbeRegistry) {
     println!();
     println!("examples:");
     println!("  ltp run -b em3d -p ltp --probe per-node --probe hist:self-inv-lead");
-    println!("  ltp run -b em3d -p ltp --record em3d-live.ltrace");
-    println!("  ltp sweep -b all -p base,ltp --probe per-node --json-lines out.jsonl");
+    println!("  ltp run -b em3d -p ltp --probe record:em3d-live.ltrace");
+    println!("  ltp run -b all -p base,ltp --probe per-node --json-lines out.jsonl");
     println!();
     println!("probe output lands in the report's `sections` (JSON) / the");
     println!("`probe <name>: ...` lines (tables). external probes: implement");
@@ -625,9 +670,9 @@ fn cmd_list_probes(probes: &ProbeRegistry) {
     println!("ProbeRegistry (see examples/custom_probe.rs).");
 }
 
-/// Builds the sweep behind `run`, `sweep`, `compare`, `suite`, `check`, and
-/// `campaign`, refusing a trace recording that would not tee exactly one
-/// run before anything executes or is written.
+/// Builds the sweep behind `run` and `campaign`, refusing a trace
+/// recording that would not tee exactly one run before anything executes
+/// or is written.
 fn build_sweep(
     sources: Vec<WorkloadSource>,
     policies: Vec<Arc<dyn PolicyFactory>>,
@@ -655,24 +700,17 @@ fn build_sweep(
             .probe_spec(probes, "check")
             .map_err(|e| e.to_string())?;
     }
-    if let Some(record) = &opts.record {
-        sweep = sweep
-            .probe_spec(probes, &format!("record:{record}"))
-            .map_err(|e| e.to_string())?;
-    }
-    // Trace recording — via `--record` or a raw `--probe record:<file>` —
-    // tees exactly one run: concurrent runs would race their saves to the
-    // one output file, and overwriting the trace being replayed destroys
-    // the input mid-read. `sweep.len()` is the single source of truth for
-    // the run count.
+    // Trace recording (`--probe record:<file>`) tees exactly one run:
+    // concurrent runs would race their saves to the one output file, and
+    // overwriting the trace being replayed destroys the input mid-read.
+    // `sweep.len()` is the single source of truth for the run count.
     let record_outputs: Vec<&str> = opts
-        .record
+        .probes
         .iter()
-        .map(String::as_str)
-        .chain(opts.probes.iter().filter_map(|spec| {
+        .filter_map(|spec| {
             let (name, arg) = spec.split_once(':')?;
             (name.trim() == "record").then_some(arg.trim())
-        }))
+        })
         .collect();
     if !record_outputs.is_empty() {
         if sweep.len() != 1 {
@@ -698,60 +736,6 @@ fn build_sweep(
         sweep = sweep.shards(shards);
     }
     Ok(sweep)
-}
-
-/// Builds and executes the sweep shared by `run`, `sweep`, `compare`,
-/// `suite`, and `check`; returns the reports in run order.
-fn execute(
-    sources: Vec<WorkloadSource>,
-    policies: Vec<Arc<dyn PolicyFactory>>,
-    probes: &ProbeRegistry,
-    opts: &Options,
-) -> Result<Vec<RunReport>, String> {
-    let sweep = build_sweep(sources, policies, probes, opts)?;
-    if opts.debug {
-        if opts.jobs == Some(1) {
-            eprintln!("# -j 1: one worker, runs proceed in cross-product order");
-        } else {
-            let runs = sweep.runs();
-            for (pos, (seq, estimate)) in SweepSpec::schedule_for(&runs).into_iter().enumerate() {
-                let run = &runs[seq];
-                let what = format!(
-                    "{} / {} / {} nodes / {}",
-                    run.source.name(),
-                    run.policy.spec(),
-                    run.workload.nodes,
-                    run.directory
-                );
-                match estimate {
-                    Some(e) => eprintln!(
-                        "# schedule[{pos}] = run {seq}: {what} — ~{} ops (from {})",
-                        e.ops, e.source
-                    ),
-                    None => eprintln!(
-                        "# schedule[{pos}] = run {seq}: {what} — length unknown, scheduled first"
-                    ),
-                }
-            }
-        }
-    }
-    let started = Instant::now();
-    let count = sweep.len();
-    let reports = match &opts.json_lines {
-        Some(path) => {
-            let file = File::create(path).map_err(|e| format!("--json-lines {path}: {e}"))?;
-            let mut sink = JsonLinesSink::new(BufWriter::new(file));
-            sweep.execute(&mut sink)
-        }
-        None => sweep.execute(&mut NullSink),
-    };
-    if !opts.quiet && !opts.json && count > 1 {
-        eprintln!("# {count} runs in {:.2}s", started.elapsed().as_secs_f64());
-    }
-    if opts.check {
-        scan_check_sections(&reports)?;
-    }
-    Ok(reports)
 }
 
 /// Reads the sanitizer's `check` section out of every report and fails
@@ -800,6 +784,7 @@ fn scan_check_sections(reports: &[RunReport]) -> Result<(), String> {
     ))
 }
 
+/// `ltp run`: simulates the cross product and prints it (see [`emit`]).
 fn cmd_run(
     registry: &PolicyRegistry,
     probes: &ProbeRegistry,
@@ -807,55 +792,54 @@ fn cmd_run(
 ) -> Result<(), String> {
     let sources = parse_sources(opts)?;
     let policies = parse_policies(registry, opts)?;
-    let reports = execute(sources, policies, probes, opts)?;
-    emit_all(&reports, opts);
-    Ok(())
-}
-
-/// `ltp check`: the protocol-correctness front end. Without `--exhaustive`
-/// it replays benchmark runs (default: the whole suite under `ltp`) with
-/// the online sanitizer attached; with `--exhaustive` it model-checks
-/// small configurations over every message interleaving.
-fn cmd_check(
-    registry: &PolicyRegistry,
-    probes: &ProbeRegistry,
-    opts: &Options,
-) -> Result<(), String> {
-    if opts.exhaustive {
-        return cmd_check_exhaustive(opts);
-    }
-    let mut opts = opts.clone();
-    opts.check = true;
-    if opts.benchmarks.is_none() && opts.traces.is_empty() {
-        opts.benchmarks = Some("all".to_string());
-    }
-    if opts.policies.is_none() {
-        opts.policies = Some("ltp".to_string());
-    }
-    let sources = parse_sources(&opts)?;
-    let policies = parse_policies(registry, &opts)?;
-    let reports = execute(sources, policies, probes, &opts)?;
-    if opts.json {
-        emit_all(&reports, &opts);
-    } else if !opts.quiet {
-        for report in &reports {
-            let events = report
-                .sections
-                .iter()
-                .find(|s| s.name.starts_with("check"))
-                .and_then(|s| match &s.data {
-                    JsonValue::Object(fields) => fields.iter().find_map(|(k, v)| match v {
-                        JsonValue::U64(n) if k == "events" => Some(*n),
-                        _ => None,
-                    }),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            println!(
-                "  ok  {} / {} / {} nodes / {} — {events} events, 0 violations",
-                report.benchmark, report.policy_spec, report.workload.nodes, report.directory
-            );
+    let sweep = build_sweep(sources, policies, probes, opts)?;
+    if opts.debug {
+        if opts.jobs == Some(1) {
+            eprintln!("# -j 1: one worker, runs proceed in cross-product order");
+        } else {
+            let runs = sweep.runs();
+            for (pos, (seq, estimate)) in SweepSpec::schedule_for(&runs).into_iter().enumerate() {
+                let run = &runs[seq];
+                let what = format!(
+                    "{} / {} / {} nodes / {}",
+                    run.source.name(),
+                    run.policy.spec(),
+                    run.workload.nodes,
+                    run.directory
+                );
+                match estimate {
+                    Some(e) => eprintln!(
+                        "# schedule[{pos}] = run {seq}: {what} — ~{} ops (from {})",
+                        e.ops, e.source
+                    ),
+                    None => eprintln!(
+                        "# schedule[{pos}] = run {seq}: {what} — length unknown, scheduled first"
+                    ),
+                }
+            }
         }
+    }
+    let started = Instant::now();
+    let outcome = match &opts.json_lines {
+        Some(path) => {
+            let file = File::create(path).map_err(|e| format!("--json-lines {path}: {e}"))?;
+            sweep.execute(&mut JsonLinesSink::new(BufWriter::new(file)))
+        }
+        None => sweep.execute(&mut NullSink),
+    };
+    let reports = outcome.map_err(|stuck| stuck.render_human().trim_end().to_string())?;
+    if !opts.quiet && !opts.json && reports.len() > 1 {
+        eprintln!(
+            "# {} runs in {:.2}s",
+            reports.len(),
+            started.elapsed().as_secs_f64()
+        );
+    }
+    if opts.check {
+        scan_check_sections(&reports)?;
+    }
+    emit(&reports, opts);
+    if opts.check && !opts.json && !opts.quiet {
         println!(
             "coherence check passed: {} run(s), 0 violations",
             reports.len()
@@ -864,9 +848,10 @@ fn cmd_check(
     Ok(())
 }
 
-/// The `--exhaustive` matrix: both acceptance geometries crossed with the
-/// requested (default: all four) sharer organizations.
-fn cmd_check_exhaustive(opts: &Options) -> Result<(), String> {
+/// `ltp check`: model-checks the acceptance geometries crossed with the
+/// requested (default: all four) sharer organizations over every message
+/// interleaving.
+fn cmd_check(opts: &Options) -> Result<(), String> {
     let kinds: Vec<DirectoryKind> = if opts.dirs.is_empty() {
         vec![
             DirectoryKind::Full,
@@ -944,88 +929,6 @@ fn cmd_check_exhaustive(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sweep(
-    registry: &PolicyRegistry,
-    probes: &ProbeRegistry,
-    opts: &Options,
-) -> Result<(), String> {
-    let sources = parse_sources(opts)?;
-    let policies = parse_policies(registry, opts)?;
-    let reports = execute(sources, policies, probes, opts)?;
-    if opts.json || opts.quiet {
-        emit_all(&reports, opts);
-        return Ok(());
-    }
-    // Compact sweep table.
-    println!(
-        "{:<14} {:<30} {:>6} {:<10} {:>12} {:>8} {:>8} {:>8} {:>9}",
-        "benchmark", "policy", "nodes", "dir", "exec(cyc)", "pred%", "mis%", "timely%", "extra-inv"
-    );
-    for r in &reports {
-        let m = &r.metrics;
-        println!(
-            "{:<14} {:<30} {:>6} {:<10} {:>12} {:>8.1} {:>8.1} {:>8.1} {:>9}",
-            r.benchmark,
-            r.policy_spec,
-            r.workload.nodes,
-            r.directory,
-            m.exec_cycles,
-            m.predicted_pct(),
-            m.mispredicted_pct(),
-            m.timeliness_pct(),
-            m.extra_invalidations
-        );
-    }
-    Ok(())
-}
-
-fn cmd_compare(
-    registry: &PolicyRegistry,
-    probes: &ProbeRegistry,
-    opts: &Options,
-) -> Result<(), String> {
-    let sources = parse_sources(opts)?;
-    let policies: Vec<Arc<dyn PolicyFactory>> = ["base", "dsi", "last-pc", "ltp", "ltp-global"]
-        .iter()
-        .map(|s| registry.parse(s).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    let reports = execute(sources, policies, probes, opts)?;
-    if opts.json || opts.quiet {
-        emit_all(&reports, opts);
-        return Ok(());
-    }
-    let base: Vec<&RunReport> = reports.iter().filter(|r| r.policy == "base").collect();
-    for report in &reports {
-        print_report(report);
-        if let Some(b) = base
-            .iter()
-            .find(|b| b.benchmark == report.benchmark && b.workload == report.workload)
-        {
-            println!(
-                "    speedup over base: {:.3}",
-                report.metrics.speedup_vs(&b.metrics)
-            );
-        }
-        println!();
-    }
-    Ok(())
-}
-
-fn cmd_suite(
-    registry: &PolicyRegistry,
-    probes: &ProbeRegistry,
-    opts: &Options,
-) -> Result<(), String> {
-    let policies = parse_policies(registry, opts)?;
-    let sources = Benchmark::ALL
-        .into_iter()
-        .map(WorkloadSource::from)
-        .collect();
-    let reports = execute(sources, policies, probes, opts)?;
-    emit_all(&reports, opts);
-    Ok(())
-}
-
 fn cmd_record(opts: &Options) -> Result<(), String> {
     let benchmarks = parse_benchmarks(opts)?;
     let Some(output) = opts.output.as_deref() else {
@@ -1034,14 +937,7 @@ fn cmd_record(opts: &Options) -> Result<(), String> {
     let [benchmark] = benchmarks[..] else {
         return Err("record captures exactly one benchmark per file".to_string());
     };
-    if opts.nodes.len() > 1 {
-        return Err("record takes a single --nodes value".to_string());
-    }
-    let params = WorkloadParams {
-        nodes: opts.nodes.first().copied().unwrap_or(32),
-        seed: opts.seed.unwrap_or(0x15CA_2000),
-        iterations: opts.iters,
-    };
+    let params = single_geometry("record", opts)?;
     let trace = Trace::record(benchmark, &params);
     save_trace(&trace, output)?;
     if !opts.quiet {
@@ -1054,14 +950,7 @@ fn cmd_gen_trace(opts: &Options) -> Result<(), String> {
     let Some(output) = opts.output.as_deref() else {
         return Err("gen-trace needs --output <FILE.ltrace>".to_string());
     };
-    if opts.nodes.len() > 1 {
-        return Err("gen-trace takes a single --nodes value".to_string());
-    }
-    let params = WorkloadParams {
-        nodes: opts.nodes.first().copied().unwrap_or(32),
-        seed: opts.seed.unwrap_or(0x15CA_2000),
-        iterations: None,
-    };
+    let params = single_geometry("gen-trace", opts)?;
     let trace = random_trace(&params, opts.ops.unwrap_or(1 << 16));
     save_trace(&trace, output)?;
     if !opts.quiet {
@@ -1092,9 +981,7 @@ fn report_written(verb: &str, trace: &Trace, output: &str) {
 
 fn cmd_predict(registry: &PolicyRegistry, opts: &Options) -> Result<(), String> {
     let sources = parse_sources(opts)?;
-    if opts.nodes.len() > 1 {
-        return Err("predict takes a single --nodes value".to_string());
-    }
+    let params = single_geometry("predict", opts)?;
     // Explicit -p specs race; without them the whole default zoo runs.
     let policies = if opts.policies.is_some() {
         parse_policies(registry, opts)?
@@ -1103,11 +990,6 @@ fn cmd_predict(registry: &PolicyRegistry, opts: &Options) -> Result<(), String> 
             .iter()
             .map(|s| registry.parse(s).map_err(|e| e.to_string()))
             .collect::<Result<_, _>>()?
-    };
-    let params = WorkloadParams {
-        nodes: opts.nodes.first().copied().unwrap_or(32),
-        seed: opts.seed.unwrap_or(0x15CA_2000),
-        iterations: opts.iters,
     };
     let mut spec = PredictSpec::new().geometry(params);
     for source in sources {
@@ -1423,10 +1305,7 @@ fn main() -> ExitCode {
                 Ok(())
             }
             "run" => cmd_run(&registry, &probes, &opts),
-            "check" => cmd_check(&registry, &probes, &opts),
-            "sweep" => cmd_sweep(&registry, &probes, &opts),
-            "compare" => cmd_compare(&registry, &probes, &opts),
-            "suite" => cmd_suite(&registry, &probes, &opts),
+            "check" => cmd_check(&opts),
             "record" => cmd_record(&opts),
             "gen-trace" => cmd_gen_trace(&opts),
             "trace-info" => cmd_trace_info(&opts),

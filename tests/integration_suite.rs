@@ -105,7 +105,7 @@ fn parallel_sweep_matches_serial_through_the_facade() {
         .quick_geometry(6, 4);
     let serial = sweep.clone().serial().collect();
     let mut sink = MemorySink::new();
-    let parallel = sweep.threads(8).execute(&mut sink);
+    let parallel = sweep.threads(8).execute(&mut sink).expect("no run stalls");
     assert_eq!(serial, parallel);
     assert_eq!(sink.reports(), &serial[..], "sink saw the same run order");
 }
