@@ -21,8 +21,7 @@
 //! DSI has no confidence mechanism: verification outcomes are ignored, which
 //! is why its premature rate (Figure 6) stays high.
 
-use std::collections::{HashMap, HashSet};
-
+use crate::fast_hash::{FxHashMap, FxHashSet};
 use crate::policy::{FillKind, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome};
 use crate::types::BlockId;
 
@@ -51,11 +50,11 @@ use crate::types::BlockId;
 #[derive(Debug, Clone, Default)]
 pub struct DsiPolicy {
     /// Version of the copy this node last held, per block.
-    remembered_version: HashMap<BlockId, u32>,
+    remembered_version: FxHashMap<BlockId, u32>,
     /// Blocks currently cached whose fetch marked them candidates.
-    candidates: HashSet<BlockId>,
+    candidates: FxHashSet<BlockId>,
     /// Blocks currently cached (candidates must still be cached to flush).
-    cached: HashSet<BlockId>,
+    cached: FxHashSet<BlockId>,
     flushed_total: u64,
 }
 

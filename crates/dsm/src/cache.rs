@@ -9,9 +9,7 @@
 //! knows nothing about time. The event-driven composition (latencies, NI
 //! contention, engine queueing) happens in `ltp-system`.
 
-use std::collections::HashMap;
-
-use ltp_core::{BlockId, FillInfo, FillKind, NodeId, VerifyOutcome};
+use ltp_core::{BlockId, FillInfo, FillKind, FxHashMap, NodeId, VerifyOutcome};
 
 use crate::msg::MsgKind;
 
@@ -89,8 +87,8 @@ struct PendingTx {
 #[derive(Debug, Clone)]
 pub struct NodeCache {
     node: NodeId,
-    lines: HashMap<BlockId, Line>,
-    pending: HashMap<BlockId, PendingTx>,
+    lines: FxHashMap<BlockId, Line>,
+    pending: FxHashMap<BlockId, PendingTx>,
 }
 
 impl NodeCache {
@@ -98,8 +96,8 @@ impl NodeCache {
     pub fn new(node: NodeId) -> Self {
         NodeCache {
             node,
-            lines: HashMap::new(),
-            pending: HashMap::new(),
+            lines: FxHashMap::default(),
+            pending: FxHashMap::default(),
         }
     }
 

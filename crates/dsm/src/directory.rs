@@ -45,9 +45,9 @@
 //! upgrades racing writers, stale acknowledgements — are resolved here and
 //! covered by unit tests.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use ltp_core::{BlockId, NodeId, SharerSet, VerifyOutcome};
+use ltp_core::{BlockId, FxHashMap, NodeId, SharerSet, VerifyOutcome};
 use ltp_sim::stats::Counter;
 
 use crate::config::DirectoryKind;
@@ -487,7 +487,7 @@ pub struct Directory {
     /// Machine size, needed to expand imprecise representations into
     /// invalidation targets.
     nodes: u16,
-    blocks: HashMap<BlockId, DirBlock>,
+    blocks: FxHashMap<BlockId, DirBlock>,
     counters: DirCounters,
     /// Monotonic service tick stamped into each touched block's `last_use`
     /// (the sparse LRU clock; inert outside `sparse:E`).
@@ -516,7 +516,7 @@ impl Directory {
             home,
             kind,
             nodes,
-            blocks: HashMap::new(),
+            blocks: FxHashMap::default(),
             counters: DirCounters::default(),
             tick: 0,
         }

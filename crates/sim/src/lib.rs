@@ -18,6 +18,21 @@
 //! the caller, and all randomness flows through explicitly-seeded
 //! [`SimRng`] streams.
 //!
+//! [`KeyedEventQueue`] is a calendar queue: a ring of 256 one-cycle
+//! buckets covers the cycles from the last popped one onward, a bitmap of
+//! occupied buckets finds the next busy cycle with `trailing_zeros`, and
+//! each bucket stays sorted by `(key, seq)` on insert so a pop is a
+//! `pop_front`. Events beyond the ring wait in an overflow binary heap and
+//! move into the ring as time advances. Nearly every simulator event lands
+//! a few cycles ahead, so a push and a pop cost a bucket access rather
+//! than a heap sift.
+//!
+//! Simulated time never runs backwards: scheduling an event before the
+//! last popped cycle is a caller bug, checked by a `debug_assert!`.
+//! Scheduling at the last popped cycle is allowed and pops in key order
+//! among that cycle's remaining events; a windowed caller drains a window
+//! with [`KeyedEventQueue::pop_before`].
+//!
 //! # Examples
 //!
 //! A two-node ping/pong driven straight off the queue, keyed by node:

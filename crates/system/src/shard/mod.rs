@@ -33,9 +33,9 @@ pub(crate) mod channel;
 pub(crate) mod clock;
 mod partition;
 
-use std::collections::HashMap;
-
-use ltp_core::{BlockId, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome};
+use ltp_core::{
+    BlockId, FxHashMap, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome,
+};
 use ltp_dsm::{
     AccessOutcome, DirEvent, Directory, Message, MsgKind, NetIface, NodeCache, ProtocolEngine,
     SystemConfig,
@@ -253,7 +253,7 @@ pub(crate) struct Shard {
     /// (per source→destination FIFO) network — delivering an invalidation
     /// for a copy that has not arrived yet. Directory sends for one block
     /// therefore depart in service order.
-    dir_send_order: Vec<HashMap<BlockId, Cycle>>,
+    dir_send_order: Vec<FxHashMap<BlockId, Cycle>>,
     /// Per-local-node FIFO sequence for sent messages (part of arrival
     /// event keys).
     send_seq: Vec<u64>,
@@ -263,7 +263,7 @@ pub(crate) struct Shard {
     /// has consumed. The flag's current generation is the block's data token
     /// (its write count), so spins observe real coherence state — a stale
     /// cached copy really does show the old generation.
-    flag_waited: HashMap<(u16, BlockId), u64>,
+    flag_waited: FxHashMap<(u16, BlockId), u64>,
     queue: KeyedEventQueue<EventKey, Event>,
     /// Per-destination-shard buffers of messages leaving this shard, drained
     /// by the coordinator at each window boundary.
@@ -349,10 +349,10 @@ impl Shard {
             dirs,
             engines,
             nis,
-            dir_send_order: (0..count).map(|_| HashMap::new()).collect(),
+            dir_send_order: (0..count).map(|_| FxHashMap::default()).collect(),
             send_seq: vec![0; count],
             reinject_seq: vec![0; count],
-            flag_waited: HashMap::new(),
+            flag_waited: FxHashMap::default(),
             queue,
             outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
             sync_log: Vec::new(),
@@ -382,11 +382,7 @@ impl Shard {
     pub fn run_window(&mut self, start: Cycle, end: Cycle) {
         let _ = start;
         let t0 = std::time::Instant::now();
-        while let Some(at) = self.queue.peek_time() {
-            if at >= end {
-                break;
-            }
-            let (at, key, ev) = self.queue.pop().expect("peeked event present");
+        while let Some((at, key, ev)) = self.queue.pop_before(end) {
             debug_assert!(at >= start, "event at {at} predates window start {start}");
             self.cur_at = at;
             self.cur_key = key;
