@@ -1,8 +1,10 @@
 //! System configuration (paper Table 1).
 //!
-//! [`SystemConfig`] gathers every timing and geometry parameter of the
-//! simulated CC-NUMA machine. [`SystemConfig::isca00`] reproduces Table 1 of
-//! the paper:
+//! The simulated CC-NUMA machine is the paper's Table 1 machine. Its
+//! timing is fixed: the associated constants of [`SystemConfig`] hold it.
+//! A [`SystemConfig`] chooses only the node count, the directory
+//! organization and the barrier fan-in; [`SystemConfig::isca00`] is the
+//! 32-node full-map machine of Table 1:
 //!
 //! | parameter | value |
 //! |---|---|
@@ -14,10 +16,11 @@
 //! | round-trip miss latency | ≈416 cycles |
 //! | remote-to-local access ratio | ≈4 |
 //!
-//! The builder validates its inputs ([C-VALIDATE]) and the defaults decompose
-//! the 416-cycle round trip as: NI serialization (8) + network (80) +
-//! directory service (24 control + 104 memory) + NI (8) + network (80) +
-//! requester-side network-cache fill (104) + issue/fill overhead ≈ 409.
+//! The builder validates those three choices ([C-VALIDATE]). The constants
+//! decompose the 416-cycle round trip as: NI serialization (8) + network
+//! (80) + directory service (24 control + 104 memory) + NI (8) + network
+//! (80) + requester-side network-cache fill (104) + issue/fill overhead
+//! ≈ 409.
 //!
 //! [C-VALIDATE]: https://rust-lang.github.io/api-guidelines/dependability.html
 
@@ -32,8 +35,6 @@ use ltp_sim::Cycle;
 pub enum ConfigError {
     /// The machine needs at least two nodes to share anything.
     TooFewNodes(u16),
-    /// A timing parameter that must be nonzero was zero.
-    ZeroTiming(&'static str),
     /// The directory organization parameter is out of range.
     BadDirectory(&'static str),
     /// The combining-tree barrier fan-in must be at least 2.
@@ -51,9 +52,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "combining-tree barrier fan-in must be at least 2, got {f_in}"
                 )
-            }
-            ConfigError::ZeroTiming(what) => {
-                write!(f, "timing parameter `{what}` must be nonzero")
             }
             ConfigError::BadDirectory(what) => {
                 write!(f, "directory organization: {what}")
@@ -263,23 +261,62 @@ impl FromStr for DirectoryKind {
     }
 }
 
-/// Full machine configuration. Construct via [`SystemConfig::builder`] or
-/// [`SystemConfig::isca00`].
+/// Machine configuration: the node count, directory organization and
+/// barrier fan-in of a Table 1 machine. Construct via
+/// [`SystemConfig::builder`] or [`SystemConfig::isca00`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     nodes: u16,
-    block_bytes: u32,
-    cpu_hit: Cycle,
-    mem_access: Cycle,
-    dir_control: Cycle,
-    net_latency: Cycle,
-    ni_occupancy: Cycle,
-    pipeline_stages: u32,
     directory: DirectoryKind,
     barrier_fanin: u16,
 }
 
 impl SystemConfig {
+    /// Coherence block size in bytes (Table 1: 32).
+    pub const BLOCK_BYTES: u32 = 32;
+
+    /// Processor-cache hit latency.
+    pub const CPU_HIT: Cycle = Cycle::new(1);
+
+    /// One local-memory / network-cache access (Table 1: 104 cycles).
+    pub const MEM_ACCESS: Cycle = Cycle::new(104);
+
+    /// Protocol-engine occupancy for a control-only message.
+    pub const DIR_CONTROL: Cycle = Cycle::new(24);
+
+    /// One-way point-to-point network latency (Table 1: 80 cycles).
+    pub const NET_LATENCY: Cycle = Cycle::new(80);
+
+    /// Network-interface serialization time per message (the contention
+    /// point the paper models).
+    pub const NI_OCCUPANCY: Cycle = Cycle::new(8);
+
+    /// Depth of the pipelined protocol engine (Table 1 note: an "aggressive
+    /// two-stage pipelined protocol engine").
+    pub const PIPELINE_STAGES: u32 = 2;
+
+    /// Service time for a directory operation that moves data (control +
+    /// one memory access).
+    pub const DIR_DATA_SERVICE: Cycle =
+        Cycle::new(Self::DIR_CONTROL.as_u64() + Self::MEM_ACCESS.as_u64());
+
+    /// The smallest possible latency of any message between two *distinct*
+    /// nodes: one NI serialization plus one network hop. Home-local
+    /// (`src == dst`) traffic is faster, but it never crosses a shard
+    /// boundary, so this bound is the safe lookahead for conservative
+    /// time-stepped parallel simulation (`ltp-system`'s shard engine).
+    pub const MIN_CROSS_NODE_LATENCY: Cycle =
+        Cycle::new(Self::NI_OCCUPANCY.as_u64() + Self::NET_LATENCY.as_u64());
+
+    /// Back-of-envelope remote read round trip for an Idle block, used to
+    /// sanity-check against Table 1's 416 cycles.
+    pub const REMOTE_ROUND_TRIP_ESTIMATE: Cycle = Cycle::new(
+        Self::CPU_HIT.as_u64()
+            + 2 * Self::MIN_CROSS_NODE_LATENCY.as_u64()
+            + Self::DIR_DATA_SERVICE.as_u64()
+            + Self::MEM_ACCESS.as_u64(),
+    );
+
     /// The paper's Table 1 machine: 32 nodes, 32-byte blocks, 104-cycle
     /// memory, 80-cycle network, two-stage pipelined protocol engines.
     ///
@@ -291,7 +328,7 @@ impl SystemConfig {
     /// let cfg = SystemConfig::isca00();
     /// assert_eq!(cfg.nodes(), 32);
     /// // Remote read round trip ≈ 416 cycles (Table 1).
-    /// let rt = cfg.remote_round_trip_estimate();
+    /// let rt = SystemConfig::REMOTE_ROUND_TRIP_ESTIMATE;
     /// assert!((380..=440).contains(&rt.as_u64()), "round trip {rt}");
     /// ```
     pub fn isca00() -> Self {
@@ -310,49 +347,6 @@ impl SystemConfig {
         self.nodes
     }
 
-    /// Coherence block size in bytes (32 in the paper).
-    pub fn block_bytes(&self) -> u32 {
-        self.block_bytes
-    }
-
-    /// Processor-cache hit latency.
-    pub fn cpu_hit(&self) -> Cycle {
-        self.cpu_hit
-    }
-
-    /// One local-memory / network-cache access (Table 1: 104 cycles).
-    pub fn mem_access(&self) -> Cycle {
-        self.mem_access
-    }
-
-    /// Protocol-engine occupancy for a control-only message.
-    pub fn dir_control(&self) -> Cycle {
-        self.dir_control
-    }
-
-    /// Service time for a directory operation that moves data (control +
-    /// one memory access).
-    pub fn dir_data_service(&self) -> Cycle {
-        self.dir_control + self.mem_access
-    }
-
-    /// One-way point-to-point network latency (Table 1: 80 cycles).
-    pub fn net_latency(&self) -> Cycle {
-        self.net_latency
-    }
-
-    /// Network-interface serialization time per message (the contention
-    /// point the paper models).
-    pub fn ni_occupancy(&self) -> Cycle {
-        self.ni_occupancy
-    }
-
-    /// Depth of the pipelined protocol engine (Table 1 note: an "aggressive
-    /// two-stage pipelined protocol engine").
-    pub fn pipeline_stages(&self) -> u32 {
-        self.pipeline_stages
-    }
-
     /// The directory sharer-representation organization.
     pub fn directory(&self) -> DirectoryKind {
         self.directory
@@ -369,27 +363,6 @@ impl SystemConfig {
     pub fn home_of(&self, block: BlockId) -> NodeId {
         NodeId::new((block.index() % u64::from(self.nodes)) as u16)
     }
-
-    /// The smallest possible latency of any message between two *distinct*
-    /// nodes: one NI serialization plus one network hop. Home-local
-    /// (`src == dst`) traffic is faster, but it never crosses a shard
-    /// boundary, so this bound is the safe lookahead for conservative
-    /// time-stepped parallel simulation (`ltp-system`'s shard engine).
-    pub fn min_cross_node_latency(&self) -> Cycle {
-        self.ni_occupancy + self.net_latency
-    }
-
-    /// Back-of-envelope remote read round trip for an Idle block, used to
-    /// sanity-check against Table 1's 416 cycles.
-    pub fn remote_round_trip_estimate(&self) -> Cycle {
-        self.cpu_hit
-            + self.ni_occupancy
-            + self.net_latency
-            + self.dir_data_service()
-            + self.ni_occupancy
-            + self.net_latency
-            + self.mem_access
-    }
 }
 
 impl Default for SystemConfig {
@@ -403,13 +376,6 @@ impl Default for SystemConfig {
 #[derive(Debug, Clone)]
 pub struct SystemConfigBuilder {
     nodes: u16,
-    block_bytes: u32,
-    cpu_hit: u64,
-    mem_access: u64,
-    dir_control: u64,
-    net_latency: u64,
-    ni_occupancy: u64,
-    pipeline_stages: u32,
     directory: DirectoryKind,
     barrier_fanin: u16,
 }
@@ -418,13 +384,6 @@ impl Default for SystemConfigBuilder {
     fn default() -> Self {
         SystemConfigBuilder {
             nodes: 32,
-            block_bytes: 32,
-            cpu_hit: 1,
-            mem_access: 104,
-            dir_control: 24,
-            net_latency: 80,
-            ni_occupancy: 8,
-            pipeline_stages: 2,
             directory: DirectoryKind::Full,
             barrier_fanin: 4,
         }
@@ -435,48 +394,6 @@ impl SystemConfigBuilder {
     /// Sets the node count.
     pub fn nodes(&mut self, nodes: u16) -> &mut Self {
         self.nodes = nodes;
-        self
-    }
-
-    /// Sets the block size in bytes.
-    pub fn block_bytes(&mut self, bytes: u32) -> &mut Self {
-        self.block_bytes = bytes;
-        self
-    }
-
-    /// Sets the processor-cache hit latency in cycles.
-    pub fn cpu_hit(&mut self, cycles: u64) -> &mut Self {
-        self.cpu_hit = cycles;
-        self
-    }
-
-    /// Sets the local-memory access time in cycles.
-    pub fn mem_access(&mut self, cycles: u64) -> &mut Self {
-        self.mem_access = cycles;
-        self
-    }
-
-    /// Sets the control-message engine occupancy in cycles.
-    pub fn dir_control(&mut self, cycles: u64) -> &mut Self {
-        self.dir_control = cycles;
-        self
-    }
-
-    /// Sets the one-way network latency in cycles.
-    pub fn net_latency(&mut self, cycles: u64) -> &mut Self {
-        self.net_latency = cycles;
-        self
-    }
-
-    /// Sets the per-message NI serialization time in cycles.
-    pub fn ni_occupancy(&mut self, cycles: u64) -> &mut Self {
-        self.ni_occupancy = cycles;
-        self
-    }
-
-    /// Sets the protocol-engine pipeline depth (≥1).
-    pub fn pipeline_stages(&mut self, stages: u32) -> &mut Self {
-        self.pipeline_stages = stages;
         self
     }
 
@@ -496,11 +413,10 @@ impl SystemConfigBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] if fewer than 2 nodes are configured, any
-    /// required timing parameter is zero, the directory organization is
-    /// malformed or sized beyond the node count, or the barrier fan-in is
-    /// below 2. The node count itself is unbounded up to `u16::MAX` — the
-    /// sharer representation is width-generic.
+    /// Returns [`ConfigError`] if fewer than 2 nodes are configured, the
+    /// directory organization is malformed or sized beyond the node count,
+    /// or the barrier fan-in is below 2. The node count itself is unbounded
+    /// up to `u16::MAX` — the sharer representation is width-generic.
     pub fn build(&self) -> Result<SystemConfig, ConfigError> {
         if self.nodes < 2 {
             return Err(ConfigError::TooFewNodes(self.nodes));
@@ -509,28 +425,8 @@ impl SystemConfigBuilder {
             return Err(ConfigError::BadBarrierFanin(self.barrier_fanin));
         }
         self.directory.validate_for(self.nodes)?;
-        for (name, v) in [
-            ("mem_access", self.mem_access),
-            ("dir_control", self.dir_control),
-            ("net_latency", self.net_latency),
-            ("cpu_hit", self.cpu_hit),
-        ] {
-            if v == 0 {
-                return Err(ConfigError::ZeroTiming(name));
-            }
-        }
-        if self.pipeline_stages == 0 {
-            return Err(ConfigError::ZeroTiming("pipeline_stages"));
-        }
         Ok(SystemConfig {
             nodes: self.nodes,
-            block_bytes: self.block_bytes,
-            cpu_hit: Cycle::new(self.cpu_hit),
-            mem_access: Cycle::new(self.mem_access),
-            dir_control: Cycle::new(self.dir_control),
-            net_latency: Cycle::new(self.net_latency),
-            ni_occupancy: Cycle::new(self.ni_occupancy),
-            pipeline_stages: self.pipeline_stages,
             directory: self.directory,
             barrier_fanin: self.barrier_fanin,
         })
@@ -543,25 +439,25 @@ mod tests {
 
     #[test]
     fn isca00_matches_table1() {
-        let cfg = SystemConfig::isca00();
-        assert_eq!(cfg.nodes(), 32);
-        assert_eq!(cfg.block_bytes(), 32);
-        assert_eq!(cfg.mem_access(), Cycle::new(104));
-        assert_eq!(cfg.net_latency(), Cycle::new(80));
-        assert_eq!(cfg.pipeline_stages(), 2);
+        assert_eq!(SystemConfig::isca00().nodes(), 32);
+        assert_eq!(SystemConfig::BLOCK_BYTES, 32);
+        assert_eq!(SystemConfig::MEM_ACCESS, Cycle::new(104));
+        assert_eq!(SystemConfig::NET_LATENCY, Cycle::new(80));
+        assert_eq!(SystemConfig::PIPELINE_STAGES, 2);
+        assert_eq!(SystemConfig::DIR_DATA_SERVICE, Cycle::new(128));
+        assert_eq!(SystemConfig::MIN_CROSS_NODE_LATENCY, Cycle::new(88));
     }
 
     #[test]
     fn round_trip_near_416() {
-        let rt = SystemConfig::isca00().remote_round_trip_estimate().as_u64();
+        let rt = SystemConfig::REMOTE_ROUND_TRIP_ESTIMATE.as_u64();
         assert!((380..=440).contains(&rt), "estimate {rt} not near 416");
     }
 
     #[test]
     fn remote_to_local_ratio_near_4() {
-        let cfg = SystemConfig::isca00();
-        let ratio =
-            cfg.remote_round_trip_estimate().as_u64() as f64 / cfg.mem_access().as_u64() as f64;
+        let ratio = SystemConfig::REMOTE_ROUND_TRIP_ESTIMATE.as_u64() as f64
+            / SystemConfig::MEM_ACCESS.as_u64() as f64;
         assert!((3.0..=5.0).contains(&ratio), "ratio {ratio} not ≈4");
     }
 
@@ -582,27 +478,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_timing() {
-        let err = SystemConfig::builder().net_latency(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroTiming("net_latency"));
-        let err = SystemConfig::builder()
-            .pipeline_stages(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::ZeroTiming("pipeline_stages"));
-    }
-
-    #[test]
     fn builder_customization() {
         let cfg = SystemConfig::builder()
             .nodes(4)
-            .mem_access(50)
-            .net_latency(10)
+            .directory(DirectoryKind::LimitedPtr { pointers: 2 })
+            .barrier_fanin(3)
             .build()
             .unwrap();
         assert_eq!(cfg.nodes(), 4);
-        assert_eq!(cfg.mem_access(), Cycle::new(50));
-        assert_eq!(cfg.dir_data_service(), Cycle::new(74));
+        assert_eq!(cfg.directory(), DirectoryKind::LimitedPtr { pointers: 2 });
+        assert_eq!(cfg.barrier_fanin(), 3);
     }
 
     #[test]

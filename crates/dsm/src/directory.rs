@@ -32,11 +32,11 @@
 //!   token, verification mask) persists across evictions — only the
 //!   *sharing* record is bounded.
 //!
-//! Over-invalidation is measurable: [`DirCounters::extra_invalidations`]
-//! counts invalidations acknowledged without a copy,
-//! [`DirCounters::broadcast_overflows`] counts pointer-array overflows, and
-//! [`DirCounters::dir_evictions`]/[`DirCounters::eviction_invalidations`]
-//! count sparse replacements and the invalidations they forced.
+//! Over-invalidation is measurable from the [`DirEvent`]s each step
+//! returns: [`DirEvent::InvalidationAcked`] with `had_copy: false` marks an
+//! invalidation acknowledged without a copy, [`DirEvent::BroadcastOverflow`]
+//! a pointer-array overflow, and [`DirEvent::EntryEvicted`] a sparse
+//! replacement with the invalidations it forced.
 //!
 //! The directory is a pure state machine: [`Directory::process`] consumes one
 //! message and returns the messages to emit, the requests to re-inject, and
@@ -48,7 +48,6 @@
 use std::collections::VecDeque;
 
 use ltp_core::{BlockId, FxHashMap, NodeId, SharerSet, VerifyOutcome};
-use ltp_sim::stats::Counter;
 
 use crate::config::DirectoryKind;
 use crate::msg::{Message, MsgKind};
@@ -64,14 +63,12 @@ pub enum ServiceClass {
 
 /// A directory-side observation produced while processing one message.
 ///
-/// These are the emission points of the probe API: every increment of the
-/// report-level [`DirCounters`] (invalidations sent, over-invalidation
-/// acks, broadcast overflows, stale ignores) has a matching event here, so
-/// external observers (the `ltp-system` probe layer) see the same stream
-/// those counters summarize. The directory-internal
-/// `self_inv_timely`/`self_inv_late` bookkeeping has no event of its own —
-/// node-side probes already see each self-invalidation and its verdict
-/// (with the timeliness flag) directly. The block concerned is the
+/// These are the emission points of the probe API: the report's directory
+/// statistics (invalidations sent, over-invalidation acks, broadcast
+/// overflows, stale ignores, sparse evictions) are folded from this stream
+/// by the `ltp-system` probe layer. Self-invalidations have no event of
+/// their own — node-side probes already see each self-invalidation and its
+/// verdict (with the timeliness flag) directly. The block concerned is the
 /// processed message's block; the home is the directory that emitted the
 /// step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,32 +228,6 @@ impl Default for DirBlock {
             last_use: 0,
         }
     }
-}
-
-/// Counters the directory keeps for reports and invariant checks.
-#[derive(Debug, Clone, Default)]
-pub struct DirCounters {
-    /// Invalidation messages sent to sharers/owners on behalf of requests.
-    pub invalidations_sent: Counter,
-    /// Invalidations acknowledged without a copy: the over-invalidation
-    /// cost of an imprecise sharer representation (coarse clusters, limited
-    /// -pointer broadcast) plus, rarely, self-invalidations crossing an
-    /// invalidation in flight.
-    pub extra_invalidations: Counter,
-    /// Limited-pointer arrays that overflowed into broadcast mode.
-    pub broadcast_overflows: Counter,
-    /// Self-invalidations applied in a stable state (timely).
-    pub self_inv_timely: Counter,
-    /// Self-invalidations that arrived while the conflicting request was
-    /// already in flight (late; they served as the awaited ack).
-    pub self_inv_late: Counter,
-    /// Stale messages ignored (acks for completed transactions etc.).
-    pub stale_ignored: Counter,
-    /// Sparse only: tracked entries replaced to make room for a new block.
-    pub dir_evictions: Counter,
-    /// Sparse only: invalidations forced by entry replacement (counted
-    /// separately from request-driven `invalidations_sent`).
-    pub eviction_invalidations: Counter,
 }
 
 /// Read-only snapshot of one block's sharing state (the checker/explorer
@@ -488,7 +459,6 @@ pub struct Directory {
     /// invalidation targets.
     nodes: u16,
     blocks: FxHashMap<BlockId, DirBlock>,
-    counters: DirCounters,
     /// Monotonic service tick stamped into each touched block's `last_use`
     /// (the sparse LRU clock; inert outside `sparse:E`).
     tick: u64,
@@ -517,7 +487,6 @@ impl Directory {
             kind,
             nodes,
             blocks: FxHashMap::default(),
-            counters: DirCounters::default(),
             tick: 0,
         }
     }
@@ -530,11 +499,6 @@ impl Directory {
     /// The sharer organization this directory runs.
     pub fn kind(&self) -> DirectoryKind {
         self.kind
-    }
-
-    /// Statistics counters.
-    pub fn counters(&self) -> &DirCounters {
-        &self.counters
     }
 
     /// The DSI write-version of `block` (0 if never written).
@@ -556,8 +520,8 @@ impl Directory {
     }
 
     /// Iterates read-only snapshots of every tracked block, in arbitrary
-    /// order. Counters are deliberately excluded: two directories that agree
-    /// on every view are protocol-equivalent.
+    /// order. Two directories that agree on every view are
+    /// protocol-equivalent.
     pub fn blocks_view(&self) -> impl Iterator<Item = (BlockId, DirBlockView)> + '_ {
         self.blocks.iter().map(|(&b, rec)| (b, view_block(rec)))
     }
@@ -669,7 +633,6 @@ impl Directory {
             DirState::Exclusive(owner) => SharerSet::from_node(*owner),
             _ => unreachable!("victims are stable"),
         };
-        self.counters.dir_evictions.incr();
         if crate::mutation::fire_skip_eviction_inv() {
             // Seeded mutant: free the entry without invalidating holders,
             // leaving stale copies live in their caches.
@@ -679,9 +642,6 @@ impl Directory {
                 invalidations: 0,
             });
             return true;
-        }
-        for _ in 0..targets.len() {
-            self.counters.eviction_invalidations.incr();
         }
         step.events.push(DirEvent::EntryEvicted {
             block: victim,
@@ -741,7 +701,6 @@ impl Directory {
                 let overflowed = rep_insert(kind, sharers, msg.src);
                 let mut s = DirStep::data();
                 if overflowed {
-                    self.counters.broadcast_overflows.incr();
                     s.events.push(DirEvent::BroadcastOverflow);
                 }
                 s.sends.push(Message::new(
@@ -768,7 +727,6 @@ impl Directory {
                     waiting: SharerSet::from_node(owner),
                     verify,
                 });
-                self.counters.invalidations_sent.incr();
                 let mut s = DirStep::control();
                 s.events.push(DirEvent::InvalidationSent { to: owner });
                 s.sends.push(Message::new(home, owner, block, MsgKind::Inv));
@@ -819,7 +777,6 @@ impl Directory {
                     let waiting = inv_targets(kind, total, sharers, msg.src);
                     let mut s = DirStep::control();
                     for n in &waiting {
-                        self.counters.invalidations_sent.incr();
                         s.events.push(DirEvent::InvalidationSent { to: n });
                         s.sends.push(Message::new(home, n, block, MsgKind::Inv));
                     }
@@ -858,7 +815,6 @@ impl Directory {
                 } else {
                     let mut s = DirStep::control();
                     for n in &waiting {
-                        self.counters.invalidations_sent.incr();
                         s.events.push(DirEvent::InvalidationSent { to: n });
                         s.sends.push(Message::new(home, n, block, MsgKind::Inv));
                     }
@@ -882,7 +838,6 @@ impl Directory {
                     waiting: SharerSet::from_node(owner),
                     verify,
                 });
-                self.counters.invalidations_sent.incr();
                 let mut s = DirStep::control();
                 s.events.push(DirEvent::InvalidationSent { to: owner });
                 s.sends.push(Message::new(home, owner, block, MsgKind::Inv));
@@ -921,7 +876,6 @@ impl Directory {
                     relinquished_exclusive: false,
                     timely: true,
                 });
-                self.counters.self_inv_timely.incr();
                 DirStep::control()
             }
             DirState::Exclusive(owner) if *owner == msg.src => {
@@ -934,7 +888,6 @@ impl Directory {
                     relinquished_exclusive: true,
                     timely: true,
                 });
-                self.counters.self_inv_timely.incr();
                 DirStep::data()
             }
             DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
@@ -951,7 +904,6 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                self.counters.self_inv_late.incr();
                 let mut step = if relinq_ex {
                     DirStep::data()
                 } else {
@@ -981,7 +933,6 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                self.counters.self_inv_late.incr();
                 let mut step = if relinq_ex {
                     DirStep::data()
                 } else {
@@ -998,7 +949,6 @@ impl Directory {
             }
             _ => {
                 // Stale: the copy was already invalidated by a crossing Inv.
-                self.counters.stale_ignored.incr();
                 let mut step = DirStep::control();
                 step.events.push(DirEvent::StaleIgnored { from: msg.src });
                 step
@@ -1018,7 +968,6 @@ impl Directory {
             // Orphaned ack for an invalidation a crossing self-invalidation
             // already answered; the node's copy was long gone.
             debug_assert!(!had_copy, "orphaned ack cannot carry a copy");
-            self.counters.stale_ignored.incr();
             let mut step = DirStep::control();
             step.events.push(DirEvent::StaleIgnored { from: msg.src });
             return step;
@@ -1026,12 +975,6 @@ impl Directory {
         match &mut entry.state {
             DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
                 busy.waiting.remove(msg.src);
-                if !had_copy {
-                    // The invalidated node held nothing: an over-invalidation
-                    // (imprecise sharer representation) or a crossing
-                    // self-invalidation.
-                    self.counters.extra_invalidations.incr();
-                }
                 if let Some(token) = dirty_token {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
@@ -1050,9 +993,6 @@ impl Directory {
             }
             DirState::Evicting { waiting } if waiting.contains(msg.src) => {
                 waiting.remove(msg.src);
-                if !had_copy {
-                    self.counters.extra_invalidations.incr();
-                }
                 if let Some(token) = dirty_token {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
@@ -1072,7 +1012,6 @@ impl Directory {
             _ => {
                 // An ack for a transaction a self-invalidation already
                 // completed.
-                self.counters.stale_ignored.incr();
                 let mut step = DirStep::control();
                 step.events.push(DirEvent::StaleIgnored { from: msg.src });
                 step
@@ -1171,6 +1110,25 @@ mod tests {
         }
     }
 
+    /// How many of `step`'s events match `pred`.
+    fn count(step: &DirStep, pred: impl Fn(&DirEvent) -> bool) -> usize {
+        step.events.iter().filter(|e| pred(e)).count()
+    }
+
+    fn is_extra_ack(e: &DirEvent) -> bool {
+        matches!(
+            e,
+            DirEvent::InvalidationAcked {
+                had_copy: false,
+                ..
+            }
+        )
+    }
+
+    fn is_overflow(e: &DirEvent) -> bool {
+        matches!(e, DirEvent::BroadcastOverflow)
+    }
+
     #[test]
     fn cold_read_served_from_home() {
         let mut d = dir();
@@ -1208,6 +1166,7 @@ mod tests {
         assert_eq!(step.sends.len(), 1);
         assert_eq!(step.sends[0].dst, n(1));
         assert!(matches!(step.sends[0].kind, MsgKind::Inv));
+        assert_eq!(step.events, vec![DirEvent::InvalidationSent { to: n(1) }]);
         // P1's writeback completes the transaction.
         let step = d.process(msg(
             1,
@@ -1221,7 +1180,6 @@ mod tests {
         let reply = step.sends.last().unwrap();
         assert_eq!(reply.dst, n(2));
         assert!(matches!(reply.kind, MsgKind::DataS { token: 5, .. }));
-        assert_eq!(d.counters().invalidations_sent.count(), 1);
     }
 
     #[test]
@@ -1306,7 +1264,14 @@ mod tests {
         let step = d.process(msg(1, 0, MsgKind::SelfInvClean));
         assert!(step.sends.is_empty());
         assert!(d.is_idle(b(0)));
-        assert_eq!(d.counters().self_inv_timely.count(), 1);
+        assert_eq!(
+            d.view_of(b(0)).unwrap().mask,
+            vec![MaskEntryView {
+                node: n(1),
+                relinquished_exclusive: false,
+                timely: true,
+            }]
+        );
         // A subsequent writer finds Idle: 2-hop grant + verification.
         let step = d.process(msg(2, 0, MsgKind::GetX));
         assert_eq!(step.sends.len(), 2);
@@ -1403,11 +1368,14 @@ mod tests {
             .sends
             .iter()
             .any(|m| matches!(m.kind, MsgKind::VerifyCorrect { timely: false }) && m.dst == n(1)));
-        assert_eq!(d.counters().self_inv_late.count(), 1);
+        assert!(
+            d.view_of(b(0)).unwrap().mask.is_empty(),
+            "a late self-invalidation is verified on arrival, never enrolled"
+        );
         // P1's InvAck for the crossed Inv arrives afterwards: ignored.
         let step = d.process(msg(1, 0, ack(false)));
         assert!(step.sends.is_empty());
-        assert_eq!(d.counters().stale_ignored.count(), 1);
+        assert_eq!(step.events, vec![DirEvent::StaleIgnored { from: n(1) }]);
     }
 
     #[test]
@@ -1418,7 +1386,7 @@ mod tests {
         // A second (buggy/duplicate) self-inv is ignored.
         let step = d.process(msg(1, 0, MsgKind::SelfInvClean));
         assert!(step.sends.is_empty());
-        assert_eq!(d.counters().stale_ignored.count(), 1);
+        assert_eq!(step.events, vec![DirEvent::StaleIgnored { from: n(1) }]);
     }
 
     #[test]
@@ -1492,9 +1460,15 @@ mod tests {
         let step = d.process(msg(5, 0, MsgKind::GetX));
         let inv_dsts: Vec<NodeId> = step.sends.iter().map(|m| m.dst).collect();
         assert_eq!(inv_dsts, vec![n(0), n(1), n(2), n(3)], "whole clusters");
-        // Non-holders ack without a copy: counted as extra invalidations.
+        assert_eq!(
+            count(&step, |e| matches!(e, DirEvent::InvalidationSent { .. })),
+            4
+        );
+        // Non-holders ack without a copy: extra invalidations.
+        let mut extra = 0;
         for (src, had) in [(0, false), (1, true), (2, false), (3, true)] {
             let step = d.process(msg(src, 0, ack(had)));
+            extra += count(&step, is_extra_ack);
             if src == 3 {
                 assert!(matches!(
                     step.sends.last().unwrap().kind,
@@ -1502,8 +1476,7 @@ mod tests {
                 ));
             }
         }
-        assert_eq!(d.counters().extra_invalidations.count(), 2);
-        assert_eq!(d.counters().invalidations_sent.count(), 4);
+        assert_eq!(extra, 2);
     }
 
     #[test]
@@ -1527,13 +1500,13 @@ mod tests {
             .sends
             .iter()
             .any(|m| matches!(m.kind, MsgKind::VerifyCorrect { timely: true }) && m.dst == n(1)));
-        d.process(msg(0, 0, ack(false)));
+        let first = d.process(msg(0, 0, ack(false)));
         let step = d.process(msg(1, 0, ack(false)));
         assert!(matches!(
             step.sends.last().unwrap().kind,
             MsgKind::DataX { .. }
         ));
-        assert_eq!(d.counters().extra_invalidations.count(), 2);
+        assert_eq!(count(&first, is_extra_ack) + count(&step, is_extra_ack), 2);
     }
 
     #[test]
@@ -1576,7 +1549,7 @@ mod tests {
                     ..
                 }
             ));
-            assert_eq!(d.counters().extra_invalidations.count(), 0);
+            assert_eq!(count(&step, is_extra_ack), 0);
         }
     }
 
@@ -1585,15 +1558,17 @@ mod tests {
     #[test]
     fn ptr_exact_fit_matches_full_map() {
         let mut d = ptr(2, 8);
-        d.process(msg(1, 0, MsgKind::GetS));
-        d.process(msg(2, 0, MsgKind::GetS));
+        let mut overflows = 0;
+        for src in [1, 2] {
+            overflows += count(&d.process(msg(src, 0, MsgKind::GetS)), is_overflow);
+        }
         let step = d.process(msg(3, 0, MsgKind::GetX));
         let inv_dsts: Vec<NodeId> = step.sends.iter().map(|m| m.dst).collect();
         assert_eq!(inv_dsts, vec![n(1), n(2)], "exact pointers, no broadcast");
-        assert_eq!(d.counters().broadcast_overflows.count(), 0);
-        d.process(msg(1, 0, ack(true)));
-        d.process(msg(2, 0, ack(true)));
-        assert_eq!(d.counters().extra_invalidations.count(), 0);
+        assert_eq!(overflows + count(&step, is_overflow), 0);
+        for src in [1, 2] {
+            assert_eq!(count(&d.process(msg(src, 0, ack(true))), is_extra_ack), 0);
+        }
     }
 
     #[test]
@@ -1601,8 +1576,8 @@ mod tests {
         let mut d = ptr(2, 5);
         d.process(msg(1, 0, MsgKind::GetS));
         d.process(msg(2, 0, MsgKind::GetS));
-        d.process(msg(3, 0, MsgKind::GetS)); // third sharer: overflow
-        assert_eq!(d.counters().broadcast_overflows.count(), 1);
+        let step = d.process(msg(3, 0, MsgKind::GetS)); // third sharer: overflow
+        assert_eq!(step.events, vec![DirEvent::BroadcastOverflow]);
         let step = d.process(msg(4, 0, MsgKind::GetX));
         let inv_dsts: Vec<NodeId> = step.sends.iter().map(|m| m.dst).collect();
         assert_eq!(
@@ -1610,10 +1585,11 @@ mod tests {
             vec![n(0), n(1), n(2), n(3)],
             "broadcast to everyone but the requester"
         );
+        let mut extra = 0;
         for (src, had) in [(0, false), (1, true), (2, true), (3, true)] {
-            d.process(msg(src, 0, ack(had)));
+            extra += count(&d.process(msg(src, 0, ack(had))), is_extra_ack);
         }
-        assert_eq!(d.counters().extra_invalidations.count(), 1, "only P0");
+        assert_eq!(extra, 1, "only P0");
     }
 
     #[test]
@@ -1623,16 +1599,16 @@ mod tests {
         d.process(msg(1, 0, MsgKind::SelfInvClean));
         assert!(d.is_idle(b(0)), "the only pointer was removed");
         // A new sharer reuses the freed pointer without overflow.
-        d.process(msg(2, 0, MsgKind::GetS));
-        assert_eq!(d.counters().broadcast_overflows.count(), 0);
+        let step = d.process(msg(2, 0, MsgKind::GetS));
+        assert_eq!(count(&step, is_overflow), 0);
     }
 
     #[test]
     fn ptr_overflowed_upgrade_is_served_as_a_write_miss() {
         let mut d = ptr(1, 3);
         d.process(msg(1, 0, MsgKind::GetS));
-        d.process(msg(2, 0, MsgKind::GetS)); // overflow at the second sharer
-        assert_eq!(d.counters().broadcast_overflows.count(), 1);
+        let step = d.process(msg(2, 0, MsgKind::GetS)); // overflow at the second sharer
+        assert_eq!(step.events, vec![DirEvent::BroadcastOverflow]);
         let step = d.process(msg(1, 0, MsgKind::Upgrade));
         let invs: Vec<NodeId> = step
             .sends

@@ -7,26 +7,18 @@
 //! `service_time / pipeline_stages` (the initiation interval) while the
 //! message's effects complete after the full `service_time`.
 //!
-//! The engine records, per message, its *queueing delay* (arrival →
-//! service start) and *service time* — exactly the two Table 4 columns.
+//! [`ProtocolEngine::dequeue`] returns each message's *queueing delay*
+//! (arrival → service start); the machine puts it, with the service time,
+//! on the message's `MessageServiced` event, from which the report folds
+//! the two Table 4 columns.
 
 use std::collections::VecDeque;
 
-use ltp_sim::stats::MeanAccumulator;
 use ltp_sim::Cycle;
 
 use crate::msg::Message;
 
-/// Queueing and service statistics for one engine.
-#[derive(Debug, Clone, Default)]
-pub struct EngineStats {
-    /// Per-message queueing delay (cycles).
-    pub queueing: MeanAccumulator,
-    /// Per-message service time (cycles).
-    pub service: MeanAccumulator,
-}
-
-/// A home node's protocol engine: FIFO + pipelined server + statistics.
+/// A home node's protocol engine: FIFO + pipelined server.
 ///
 /// The engine does not know message semantics; the machine driver pops a
 /// message when the engine is ready, asks the directory to process it, and
@@ -54,7 +46,6 @@ pub struct ProtocolEngine {
     busy_until: Cycle,
     pipeline_stages: u32,
     drain_scheduled: bool,
-    stats: EngineStats,
 }
 
 impl ProtocolEngine {
@@ -70,7 +61,6 @@ impl ProtocolEngine {
             busy_until: Cycle::ZERO,
             pipeline_stages,
             drain_scheduled: false,
-            stats: EngineStats::default(),
         }
     }
 
@@ -92,19 +82,15 @@ impl ProtocolEngine {
         now.max(self.busy_until)
     }
 
-    /// Pops the next message for service at `now`, recording its queueing
-    /// delay — which is also returned, so callers (the probe event stream)
-    /// can observe per-message queueing without reaching into the engine's
-    /// statistics. Returns `None` when the queue is empty (the drain event
-    /// was stale); the caller must re-arm via [`ProtocolEngine::enqueue`]'s
-    /// return value.
+    /// Pops the next message for service at `now`, with its queueing delay
+    /// (the probe event stream reports it). Returns `None` when the queue is
+    /// empty (the drain event was stale); the caller must re-arm via
+    /// [`ProtocolEngine::enqueue`]'s return value.
     pub fn dequeue(&mut self, now: Cycle) -> Option<(Message, Cycle)> {
         match self.queue.pop_front() {
             Some((arrival, msg)) => {
                 debug_assert!(now >= arrival, "service before arrival");
-                let queued = now - arrival;
-                self.stats.queueing.record_cycles(queued);
-                Some((msg, queued))
+                Some((msg, now - arrival))
             }
             None => {
                 self.drain_scheduled = false;
@@ -119,7 +105,6 @@ impl ProtocolEngine {
     /// The engine becomes ready for the next message after one pipeline
     /// initiation interval (`service_time / stages`), not the full latency.
     pub fn begin_service(&mut self, now: Cycle, service_time: Cycle) -> Cycle {
-        self.stats.service.record_cycles(service_time);
         let ii = Cycle::new((service_time.as_u64() / u64::from(self.pipeline_stages)).max(1));
         self.busy_until = now + ii;
         now + service_time
@@ -140,11 +125,6 @@ impl ProtocolEngine {
     /// Messages waiting for service.
     pub fn backlog(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
     }
 }
 
@@ -177,7 +157,6 @@ mod tests {
         e.enqueue(Cycle::new(10), m(1));
         let (_, queued) = e.dequeue(Cycle::new(50)).unwrap();
         assert_eq!(queued, Cycle::new(40));
-        assert_eq!(e.stats().queueing.mean(), Some(40.0));
     }
 
     #[test]

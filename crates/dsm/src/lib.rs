@@ -4,8 +4,9 @@
 //! paper evaluates on, rebuilt as composable, individually-tested state
 //! machines:
 //!
-//! * [`SystemConfig`] — Table 1's machine parameters (32 nodes, 32-byte
-//!   blocks, 104-cycle memory, 80-cycle network, ≈416-cycle round trip);
+//! * [`SystemConfig`] — Table 1's machine: fixed timing constants (32-byte
+//!   blocks, 104-cycle memory, 80-cycle network, ≈416-cycle round trip)
+//!   plus the node count, directory organization and barrier fan-in;
 //! * [`NodeCache`] — the per-node network cache (infinite capacity: every
 //!   miss is a coherence miss, as the paper assumes);
 //! * [`Directory`] — the write-invalidate directory with transient states,
@@ -13,8 +14,8 @@
 //!   verification mask, and a selectable sharer representation
 //!   ([`DirectoryKind`]: exact full map, coarse vector, or limited
 //!   pointers) built on the allocation-free [`ltp_core::SharerSet`];
-//! * [`ProtocolEngine`] — the two-stage pipelined engine whose queueing and
-//!   service statistics regenerate Table 4;
+//! * [`ProtocolEngine`] — the two-stage pipelined engine; the queueing
+//!   delay it returns per message feeds Table 4 through the event stream;
 //! * [`NetIface`] — network-interface contention (the paper's only modeled
 //!   network contention point);
 //! * [`Message`]/[`MsgKind`] — the protocol wire format.
@@ -53,9 +54,8 @@ pub use config::{
     ConfigError, DirectoryKind, ParseDirectoryKindError, SystemConfig, SystemConfigBuilder,
 };
 pub use directory::{
-    DirBlockView, DirCounters, DirEvent, DirStateView, DirStep, Directory, MaskEntryView,
-    ServiceClass,
+    DirBlockView, DirEvent, DirStateView, DirStep, Directory, MaskEntryView, ServiceClass,
 };
-pub use engine::{EngineStats, ProtocolEngine};
+pub use engine::ProtocolEngine;
 pub use msg::{Message, MsgKind};
 pub use network::NetIface;

@@ -12,7 +12,6 @@
 //! directory relies on (a node's `SelfInv` always reaches home before that
 //! node's subsequent request for the same block).
 
-use ltp_sim::stats::Counter;
 use ltp_sim::Cycle;
 
 /// One node's outgoing network interface.
@@ -34,8 +33,6 @@ use ltp_sim::Cycle;
 pub struct NetIface {
     occupancy: Cycle,
     busy_until: Cycle,
-    sent: Counter,
-    max_backlog: Cycle,
 }
 
 impl NetIface {
@@ -44,32 +41,15 @@ impl NetIface {
         NetIface {
             occupancy,
             busy_until: Cycle::ZERO,
-            sent: Counter::new(),
-            max_backlog: Cycle::ZERO,
         }
     }
 
     /// Hands one message to the interface at `now`; returns its departure
     /// time (arrival at the destination is departure + network latency).
     pub fn depart(&mut self, now: Cycle) -> Cycle {
-        let backlog = self.busy_until.saturating_sub(now);
-        if backlog > self.max_backlog {
-            self.max_backlog = backlog;
-        }
         let start = now.max(self.busy_until);
         self.busy_until = start + self.occupancy;
-        self.sent.incr();
         self.busy_until
-    }
-
-    /// Messages sent so far.
-    pub fn sent(&self) -> u64 {
-        self.sent.count()
-    }
-
-    /// The worst serialization backlog observed (a burstiness indicator).
-    pub fn max_backlog(&self) -> Cycle {
-        self.max_backlog
     }
 }
 
@@ -87,7 +67,6 @@ mod tests {
             (t1, t2, t3),
             (Cycle::new(8), Cycle::new(16), Cycle::new(24))
         );
-        assert_eq!(ni.sent(), 3);
     }
 
     #[test]
@@ -103,14 +82,5 @@ mod tests {
         let a = ni.depart(Cycle::new(0));
         let b = ni.depart(Cycle::new(2));
         assert!(a < b, "handover order = departure order");
-    }
-
-    #[test]
-    fn tracks_max_backlog() {
-        let mut ni = NetIface::new(Cycle::new(10));
-        for _ in 0..5 {
-            ni.depart(Cycle::new(0));
-        }
-        assert_eq!(ni.max_backlog(), Cycle::new(40));
     }
 }

@@ -8,8 +8,8 @@
 //!   order;
 //! * [`RunSummary`]/[`StopReason`] — what a run reports when it stops;
 //! * [`SimRng`] — seeded randomness so workloads are reproducible;
-//! * [`stats`] — counters, mean accumulators, ratios, histograms used by the
-//!   protocol engines and the experiment harness.
+//! * [`stats`] — mean accumulators and histograms, used by the probes that
+//!   fold the machine's event stream into reports.
 //!
 //! Determinism is the design center: the paper's predictors learn from the
 //! *order* of coherence events, so reproducing its tables requires that two

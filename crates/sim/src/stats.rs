@@ -1,62 +1,11 @@
-//! Statistics primitives shared by the protocol engines, predictors, and the
-//! experiment harness.
+//! Statistics primitives for the probes that fold the simulator's event
+//! stream into reports.
 //!
-//! The paper reports averages (queueing delay, service time), fractions
-//! (prediction accuracy classes, timeliness), and per-block entry counts
-//! (storage overhead); [`Counter`], [`MeanAccumulator`], [`Ratio`], and
-//! [`Histogram`] cover all of them.
-
-use std::fmt;
+//! The paper reports per-message averages (Table 4's queueing delay and
+//! service time), which [`MeanAccumulator`] keeps; [`Histogram`] keeps the
+//! distributions (prediction lead times, message latencies).
 
 use crate::time::Cycle;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use ltp_sim::stats::Counter;
-///
-/// let mut invalidations = Counter::new();
-/// invalidations.add(3);
-/// invalidations.incr();
-/// assert_eq!(invalidations.count(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.count)
-    }
-}
 
 /// Accumulates samples and reports their arithmetic mean.
 ///
@@ -78,7 +27,6 @@ impl fmt::Display for Counter {
 pub struct MeanAccumulator {
     sum: f64,
     samples: u64,
-    max: f64,
 }
 
 impl MeanAccumulator {
@@ -92,9 +40,6 @@ impl MeanAccumulator {
     pub fn record(&mut self, sample: f64) {
         self.sum += sample;
         self.samples += 1;
-        if sample > self.max {
-            self.max = sample;
-        }
     }
 
     /// Records a [`Cycle`] duration as a sample.
@@ -113,11 +58,6 @@ impl MeanAccumulator {
         self.mean().unwrap_or(0.0)
     }
 
-    /// The largest recorded sample (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
     /// The number of samples recorded.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -132,67 +72,6 @@ impl MeanAccumulator {
     pub fn merge(&mut self, other: &MeanAccumulator) {
         self.sum += other.sum;
         self.samples += other.samples;
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-}
-
-/// A numerator/denominator pair reported as a percentage.
-///
-/// # Examples
-///
-/// ```
-/// use ltp_sim::stats::Ratio;
-///
-/// let mut timely = Ratio::new();
-/// timely.record(true);
-/// timely.record(true);
-/// timely.record(false);
-/// assert!((timely.percent() - 66.66).abs() < 0.1);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Creates an empty ratio (0/0, reported as 0%).
-    pub fn new() -> Self {
-        Ratio::default()
-    }
-
-    /// Records one outcome.
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Numerator.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `hits / total` as a fraction in `[0, 1]`; 0 when empty.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// `fraction() * 100`.
-    pub fn percent(&self) -> f64 {
-        self.fraction() * 100.0
     }
 }
 
@@ -294,15 +173,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.count(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
     fn mean_accumulator_basic() {
         let mut m = MeanAccumulator::new();
         assert_eq!(m.mean(), None);
@@ -312,7 +182,6 @@ mod tests {
         m.record_cycles(Cycle::new(6));
         assert_eq!(m.mean(), Some(4.0));
         assert_eq!(m.samples(), 3);
-        assert_eq!(m.max(), 6.0);
         assert_eq!(m.sum(), 12.0);
     }
 
@@ -326,18 +195,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.samples(), 3);
         assert_eq!(a.mean(), Some(3.0));
-        assert_eq!(a.max(), 5.0);
-    }
-
-    #[test]
-    fn ratio_edge_cases() {
-        let r = Ratio::new();
-        assert_eq!(r.percent(), 0.0);
-        let mut r = Ratio::new();
-        r.record(true);
-        assert_eq!(r.percent(), 100.0);
-        assert_eq!(r.hits(), 1);
-        assert_eq!(r.total(), 1);
     }
 
     #[test]

@@ -283,12 +283,23 @@ fn percent(num: u64, den: u64) -> f64 {
 ///
 /// # Errors
 ///
-/// Fails on store trouble or malformed stored documents.
+/// Fails on store trouble or malformed stored documents, and — before
+/// creating anything — when `store_dir` holds no store (no
+/// `manifest.jsonl`), so a mistyped path never yields blank figures.
 pub fn generate_reports(
     store_dir: &Path,
     out_dir: &Path,
     figures: &[FigureId],
 ) -> Result<Vec<Artifact>, StoreError> {
+    if !store_dir.join("manifest.jsonl").is_file() {
+        return Err(StoreError::Io(
+            store_dir.to_path_buf(),
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                "not a campaign store (no manifest.jsonl)",
+            ),
+        ));
+    }
     let store = CampaignStore::open(store_dir)?;
     let mut rows = Vec::new();
     let mut stuck = Vec::new();

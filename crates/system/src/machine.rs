@@ -345,7 +345,7 @@ impl Machine {
         assert_eq!(policies.len(), n, "one policy per node");
         assert_eq!(programs.len(), n, "one program per node");
         let part = Partition::new(cfg.nodes(), shards);
-        let clock = WindowClock::new(cfg.min_cross_node_latency());
+        let clock = WindowClock::new(SystemConfig::MIN_CROSS_NODE_LATENCY);
         let mut policies = policies.into_iter();
         let mut programs = programs.into_iter();
         let shards = (0..part.shards())

@@ -2,7 +2,7 @@
 //!
 //! Simulated time is cut into fixed windows `[kL, (k+1)L)` where `L` is the
 //! **lookahead**: the minimum latency of any cross-node message
-//! (`SystemConfig::min_cross_node_latency` — NI occupancy plus network
+//! (`SystemConfig::MIN_CROSS_NODE_LATENCY` — NI occupancy plus network
 //! latency). Within a window every shard may run independently, because a
 //! message routed by any handler executing at cycle `t < (k+1)L` cannot be
 //! delivered before `t + L ≥ kL + L = (k+1)L` — i.e. never inside the

@@ -330,10 +330,10 @@ impl Shard {
             .map(|i| Directory::with_kind(NodeId::new(lo + i as u16), cfg.directory(), cfg.nodes()))
             .collect();
         let engines = (0..count)
-            .map(|_| ProtocolEngine::new(cfg.pipeline_stages()))
+            .map(|_| ProtocolEngine::new(SystemConfig::PIPELINE_STAGES))
             .collect();
         let nis = (0..count)
-            .map(|_| NetIface::new(cfg.ni_occupancy()))
+            .map(|_| NetIface::new(SystemConfig::NI_OCCUPANCY))
             .collect();
         let mut queue = KeyedEventQueue::new();
         for i in 0..count {
@@ -620,7 +620,7 @@ impl Shard {
         }
         let src_li = self.li(msg.src);
         let depart = self.nis[src_li].depart(at);
-        let deliver = depart + self.cfg.net_latency();
+        let deliver = depart + SystemConfig::NET_LATENCY;
         let dst_shard = self.part.shard_of(msg.dst);
         if dst_shard == self.index {
             self.queue.schedule(
@@ -777,7 +777,7 @@ impl Shard {
                 if fire {
                     self.self_invalidate(now, p, block);
                 }
-                self.complete_access(now + self.cfg.cpu_hit(), p, block, cont, false);
+                self.complete_access(now + SystemConfig::CPU_HIT, p, block, cont, false);
             }
             AccessOutcome::Miss(kind) => {
                 self.emit(
@@ -834,7 +834,7 @@ impl Shard {
                     self.self_invalidate(now, p, block);
                 }
                 self.complete_access(
-                    now + self.cfg.cpu_hit(),
+                    now + SystemConfig::CPU_HIT,
                     p,
                     block,
                     Continuation::LockTas(lock),
@@ -1030,7 +1030,7 @@ impl Shard {
         );
         self.nodes[i].exec = ExecState::Ready;
         self.sync_boundary(now, p, SyncKind::Barrier);
-        self.sched_cpu(now + self.cfg.cpu_hit(), p);
+        self.sched_cpu(now + SystemConfig::CPU_HIT, p);
     }
 
     /// Reports a synchronization boundary to the node's policy and performs
@@ -1086,9 +1086,9 @@ impl Shard {
         self.emit_aux(now, || SimEvent::DirAccepted { home: h, msg });
         let step = self.dirs[hi].process(msg);
         let service = if step.data_service {
-            self.cfg.dir_data_service()
+            SystemConfig::DIR_DATA_SERVICE
         } else {
-            self.cfg.dir_control()
+            SystemConfig::DIR_CONTROL
         };
         let done = self.engines[hi].begin_service(now, service);
         self.emit(
@@ -1275,7 +1275,13 @@ impl Shard {
         }
         // The requester-side network-cache install costs one memory access
         // (this is what stretches the round trip to Table 1's ≈416 cycles).
-        self.complete_access(now + self.cfg.mem_access(), p, ctx.block, ctx.cont, tas_won);
+        self.complete_access(
+            now + SystemConfig::MEM_ACCESS,
+            p,
+            ctx.block,
+            ctx.cont,
+            tas_won,
+        );
     }
 }
 

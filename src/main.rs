@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ltp::core::{parse_json, JsonValue, PolicyFactory, PolicyRegistry};
-use ltp::dsm::DirectoryKind;
+use ltp::dsm::{DirectoryKind, SystemConfig};
 use ltp::system::campaign::{generate_reports, Campaign, FigureId, RunStatus};
 use ltp::system::predict::{render_json, render_report, PredictSpec, DEFAULT_ZOO};
 use ltp::system::{
@@ -613,15 +613,14 @@ fn cmd_list() {
         );
     }
     println!();
-    let cfg = ltp::dsm::SystemConfig::isca00();
     println!(
         "machine (paper Table 1): {} nodes, {}B blocks, memory {}, network {}, \
          round trip ≈{}",
-        cfg.nodes(),
-        cfg.block_bytes(),
-        cfg.mem_access(),
-        cfg.net_latency(),
-        cfg.remote_round_trip_estimate()
+        SystemConfig::isca00().nodes(),
+        SystemConfig::BLOCK_BYTES,
+        SystemConfig::MEM_ACCESS,
+        SystemConfig::NET_LATENCY,
+        SystemConfig::REMOTE_ROUND_TRIP_ESTIMATE
     );
     println!();
     println!("directory organizations (--dir, sweepable; any machine width):");
@@ -692,6 +691,11 @@ fn build_sweep(
     for &d in &opts.dirs {
         sweep = sweep.directory(d);
     }
+    // Each run's geometry is the one it will actually use (a trace source
+    // pins its recorded node count), so validate the directory against it.
+    for run in sweep.runs() {
+        check_directory(run.directory, run.workload.nodes)?;
+    }
     for spec in &opts.probes {
         sweep = sweep.probe_spec(probes, spec).map_err(|e| e.to_string())?;
     }
@@ -728,6 +732,11 @@ fn build_sweep(
                 ));
             }
         }
+        // Open each output before simulating, as `--json-lines` does, so an
+        // unwritable path fails now rather than after the run.
+        for record in &record_outputs {
+            File::create(record).map_err(|e| format!("record:{record}: {e}"))?;
+        }
     }
     if let Some(jobs) = opts.jobs {
         sweep = sweep.threads(jobs);
@@ -736,6 +745,12 @@ fn build_sweep(
         sweep = sweep.shards(shards);
     }
     Ok(sweep)
+}
+
+/// Rejects a `--dir` organization sized beyond a `nodes`-node machine.
+fn check_directory(kind: DirectoryKind, nodes: u16) -> Result<(), String> {
+    kind.validate_for(nodes)
+        .map_err(|e| format!("--dir {kind} on {nodes} nodes: {e}"))
 }
 
 /// Reads the sanitizer's `check` section out of every report and fails
@@ -872,6 +887,11 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
         geometries.retain(|(n, _, _)| opts.nodes.contains(n));
         if geometries.is_empty() {
             return Err("-n: no exhaustive geometry matches (available: 2, 3)".to_string());
+        }
+    }
+    for kind in &kinds {
+        for &(nodes, _, _) in &geometries {
+            check_directory(*kind, nodes)?;
         }
     }
     let started = Instant::now();

@@ -200,3 +200,70 @@ fn a_stuck_run_exits_1_with_its_diagnosis() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Runs `ltp` with `args` and requires a clean failure: exit 1, exactly
+/// one `error:` line, and no Rust panic. Returns stderr.
+fn fails_cleanly(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(args)
+        .output()
+        .expect("the ltp binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_eq!(
+        stderr.lines().filter(|l| l.starts_with("error:")).count(),
+        1,
+        "{args:?}: {stderr}"
+    );
+    stderr
+}
+
+#[test]
+fn a_directory_wider_than_the_machine_exits_1() {
+    let dir = std::env::temp_dir().join(format!("ltp-cli-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("em3d4.ltrace").display().to_string();
+    let store = dir.join("store").display().to_string();
+    let recorded = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(["record", "-b", "em3d", "-n", "4", "-i", "1", "-o", &trace])
+        .output()
+        .expect("the ltp binary runs");
+    assert!(recorded.status.success());
+
+    let stderr = fails_cleanly(&[
+        "run", "-b", "em3d", "-n", "4", "-i", "1", "-p", "ltp", "-d", "ptr:9",
+    ]);
+    assert!(stderr.contains("ptr:9 on 4 nodes"), "{stderr}");
+    // A trace replays at its recorded 4 nodes, whatever the default is.
+    let stderr = fails_cleanly(&["run", "-t", &trace, "-p", "ltp", "-d", "coarse:8"]);
+    assert!(stderr.contains("coarse:8 on 4 nodes"), "{stderr}");
+    let stderr = fails_cleanly(&[
+        "campaign", "-b", "em3d", "-n", "4", "-i", "1", "-p", "ltp", "-d", "ptr:9", "-o", &store,
+    ]);
+    assert!(stderr.contains("ptr:9 on 4 nodes"), "{stderr}");
+    assert!(!dir.join("store").exists(), "no store directory is created");
+    let stderr = fails_cleanly(&["check", "-d", "ptr:3", "-n", "2", "--ops", "1"]);
+    assert!(stderr.contains("ptr:3 on 2 nodes"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_unwritable_record_path_exits_1_before_the_run() {
+    let dir = std::env::temp_dir().join(format!("ltp-cli-record-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let probe = format!("record:{}", dir.display());
+    let stderr = fails_cleanly(&[
+        "run", "-b", "em3d", "-n", "4", "-i", "1", "-p", "ltp", "--probe", &probe,
+    ]);
+    assert!(stderr.starts_with(&format!("error: {probe}: ")), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_report_over_a_missing_store_exits_1_and_creates_nothing() {
+    let missing = std::env::temp_dir().join(format!("ltp-cli-report-{}", std::process::id()));
+    let stderr = fails_cleanly(&["report", &missing.display().to_string()]);
+    assert!(stderr.contains("not a campaign store"), "{stderr}");
+    assert!(!missing.exists(), "the store path is not created");
+}
