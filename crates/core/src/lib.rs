@@ -103,7 +103,7 @@ pub use perceptron::PerceptronPredictor;
 pub use policy::{
     FillInfo, FillKind, NullPolicy, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome,
 };
-pub use registry::{PolicyFactory, PolicyRegistry, PolicySpecError, SpecParams};
+pub use registry::{FnPolicyFactory, PolicyFactory, PolicyRegistry, PolicySpecError, SpecParams};
 pub use sharer::{SharerIter, SharerSet};
 pub use table::{GlobalTable, LastTouchTable, PerBlockTable, Probe, StorageStats};
 pub use tage::TagePredictor;

@@ -24,6 +24,11 @@
 //!
 //! # Built-in policies
 //!
+//! Each built-in is one [`PolicyRegistry::with_builtins`] entry: it parses
+//! the spec's parameters once and returns a [`FnPolicyFactory`] carrying
+//! the canonical spec formatted from the parsed values (so `ltp` resolves
+//! to `ltp:bits=13,capacity=16`) and a closure building the policy.
+//!
 //! | spec | policy | parameters (default) |
 //! |---|---|---|
 //! | `base` | no self-invalidation | — |
@@ -108,6 +113,62 @@ pub trait PolicyFactory: fmt::Debug + Send + Sync {
 
     /// Instantiates one policy object for one node.
     fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy>;
+}
+
+/// A [`PolicyFactory`] wrapping a build closure under its canonical spec
+/// string — how every built-in policy is defined. The family name is the
+/// spec up to its first `:` (`"ltp:bits=13,capacity=16"` is an `"ltp"`).
+///
+/// # Examples
+///
+/// ```
+/// use ltp_core::{FnPolicyFactory, NullPolicy, PolicyFactory, PredictorConfig};
+///
+/// let quiet = FnPolicyFactory::new("quiet:level=3", |_| Box::new(NullPolicy));
+/// assert_eq!(quiet.name(), "quiet");
+/// assert_eq!(quiet.spec(), "quiet:level=3");
+/// assert_eq!(quiet.build(PredictorConfig::default()).name(), "base");
+/// ```
+pub struct FnPolicyFactory {
+    spec: String,
+    build: Box<dyn Fn(PredictorConfig) -> Box<dyn SelfInvalidationPolicy> + Send + Sync>,
+}
+
+impl FnPolicyFactory {
+    /// Wraps `build` under the canonical `spec`.
+    pub fn new(
+        spec: impl Into<String>,
+        build: impl Fn(PredictorConfig) -> Box<dyn SelfInvalidationPolicy> + Send + Sync + 'static,
+    ) -> Self {
+        FnPolicyFactory {
+            spec: spec.into(),
+            build: Box::new(build),
+        }
+    }
+}
+
+impl fmt::Debug for FnPolicyFactory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FnPolicyFactory")
+            .field("spec", &self.spec)
+            .finish()
+    }
+}
+
+impl PolicyFactory for FnPolicyFactory {
+    fn name(&self) -> &str {
+        self.spec
+            .split_once(':')
+            .map_or(&self.spec, |(name, _)| name)
+    }
+
+    fn spec(&self) -> String {
+        self.spec.clone()
+    }
+
+    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
+        (self.build)(config)
+    }
 }
 
 /// Error produced while resolving a policy spec string or registering a
@@ -322,6 +383,14 @@ fn take_bits(
     }
 }
 
+/// The per-block signature-table capacity shared by the per-block
+/// predictors.
+fn take_capacity(params: &mut SpecParams) -> Result<usize, PolicySpecError> {
+    Ok(params
+        .take_u64_in("capacity", 1, 1 << 20)?
+        .unwrap_or(DEFAULT_PER_BLOCK_CAPACITY as u64) as usize)
+}
+
 type Constructor =
     Box<dyn Fn(&mut SpecParams) -> Result<Arc<dyn PolicyFactory>, PolicySpecError> + Send + Sync>;
 
@@ -371,21 +440,26 @@ impl PolicyRegistry {
     pub fn with_builtins() -> Self {
         let mut r = PolicyRegistry::empty();
         r.register("base", "no self-invalidation (the baseline DSM)", |_| {
-            Ok(Arc::new(BaseFactory))
+            Ok(Arc::new(FnPolicyFactory::new("base", |_| {
+                Box::new(NullPolicy)
+            })))
         })
         .expect("fresh registry");
         r.register("dsi", "Dynamic Self-Invalidation (Lebeck & Wood)", |_| {
-            Ok(Arc::new(DsiFactory))
+            Ok(Arc::new(FnPolicyFactory::new("dsi", |_| {
+                Box::new(DsiPolicy::new())
+            })))
         })
         .expect("fresh registry");
         r.register(
             "last-pc",
             "single-instruction last-touch predictor [capacity=16]",
             |p| {
-                let capacity = p.take_u64_in("capacity", 1, 1 << 20)?;
-                Ok(Arc::new(LastPcFactory {
-                    capacity: capacity.unwrap_or(DEFAULT_PER_BLOCK_CAPACITY as u64) as usize,
-                }))
+                let capacity = take_capacity(p)?;
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!("last-pc:capacity={capacity}"),
+                    move |config| Box::new(LastPc::with_config(capacity, config)),
+                )))
             },
         )
         .expect("fresh registry");
@@ -394,14 +468,17 @@ impl PolicyRegistry {
             "per-block trace LTP, the paper's base case [bits=13,capacity=16]",
             |p| {
                 let bits = take_bits(p, SignatureBits::PER_BLOCK_DEFAULT)?;
-                let capacity = p.take_u64_in("capacity", 1, 1 << 20)?;
-                Ok(Arc::new(PerBlockLtpFactory {
-                    bits,
-                    capacity: capacity.unwrap_or(DEFAULT_PER_BLOCK_CAPACITY as u64) as usize,
-                }))
+                let capacity = take_capacity(p)?;
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!("ltp:bits={},capacity={capacity}", bits.get()),
+                    move |config| Box::new(PerBlockLtp::new(bits, capacity, config)),
+                )))
             },
         )
         .expect("fresh registry");
+        // The PAg organization exists to cut storage, so its default table
+        // is sized well below the aggregate per-block capacity and competes
+        // for entries; 30-bit signatures are needed for usable accuracy.
         r.register(
             "ltp-global",
             "global-table trace LTP (PAg-like) [bits=30,sets=256,ways=2]",
@@ -409,7 +486,10 @@ impl PolicyRegistry {
                 let bits = take_bits(p, SignatureBits::BASE)?;
                 let sets = p.take_u64_in("sets", 1, 1 << 24)?.unwrap_or(256) as usize;
                 let ways = p.take_u64_in("ways", 1, 64)?.unwrap_or(2) as usize;
-                Ok(Arc::new(GlobalLtpFactory { bits, sets, ways }))
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!("ltp-global:bits={},sets={sets},ways={ways}", bits.get()),
+                    move |config| Box::new(GlobalLtp::new(bits, sets, ways, config)),
+                )))
             },
         )
         .expect("fresh registry");
@@ -419,19 +499,34 @@ impl PolicyRegistry {
             |p| {
                 let bits = take_bits(p, SignatureBits::PER_BLOCK_DEFAULT)?;
                 let rotation = p.take_u64_in("rot", 1, 31)?.unwrap_or(5) as u32;
-                let capacity = p.take_u64_in("capacity", 1, 1 << 20)?;
-                Ok(Arc::new(XorLtpFactory {
-                    bits,
-                    rotation,
-                    capacity: capacity.unwrap_or(DEFAULT_PER_BLOCK_CAPACITY as u64) as usize,
-                }))
+                let capacity = take_capacity(p)?;
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!(
+                        "ltp-xor:bits={},rot={rotation},capacity={capacity}",
+                        bits.get()
+                    ),
+                    move |config| {
+                        Box::new(TracePredictor::with_parts(
+                            XorRotate::new(bits, rotation),
+                            PerBlockTable::new(bits, capacity, config.initial_confidence),
+                            config,
+                            "ltp-xor",
+                        ))
+                    },
+                )))
             },
         )
         .expect("fresh registry");
+        // Unprimed until the offline evaluation path supplies ground truth,
+        // so the oracle never fires inside a live machine.
         r.register(
             "oracle",
             "ideal last-touch oracle, primed from ground truth (offline upper bound)",
-            |_| Ok(Arc::new(OracleFactory)),
+            |_| {
+                Ok(Arc::new(FnPolicyFactory::new("oracle", |_| {
+                    Box::new(OraclePolicy::new())
+                })))
+            },
         )
         .expect("fresh registry");
         r.register(
@@ -450,12 +545,12 @@ impl PolicyRegistry {
                 let theta = p
                     .take_u64_in("theta", 1, 1 << 20)?
                     .unwrap_or(PERCEPTRON_DEFAULT_THETA as u64) as i32;
-                Ok(Arc::new(PerceptronFactory {
-                    bits,
-                    hist,
-                    size,
-                    theta,
-                }))
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!("perceptron:bits={bits},hist={hist},size={size},theta={theta}"),
+                    move |config| {
+                        Box::new(PerceptronPredictor::new(bits, hist, size, theta, config))
+                    },
+                )))
             },
         )
         .expect("fresh registry");
@@ -469,7 +564,10 @@ impl PolicyRegistry {
                 let size = p
                     .take_u64_in("size", 1, 1 << 20)?
                     .unwrap_or(TAGE_DEFAULT_SIZE as u64) as usize;
-                Ok(Arc::new(TageFactory { tables, size }))
+                Ok(Arc::new(FnPolicyFactory::new(
+                    format!("tage:tables={tables},size={size}"),
+                    move |config| Box::new(TagePredictor::new(tables, size, config)),
+                )))
             },
         )
         .expect("fresh registry");
@@ -607,278 +705,6 @@ impl PolicyRegistry {
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
         self.entries.contains_key(name)
-    }
-}
-
-// ---- built-in factories ---------------------------------------------------
-
-/// Factory for the base system (no self-invalidation).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaseFactory;
-
-impl PolicyFactory for BaseFactory {
-    fn name(&self) -> &str {
-        "base"
-    }
-
-    fn build(&self, _config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(NullPolicy)
-    }
-}
-
-/// Factory for Dynamic Self-Invalidation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DsiFactory;
-
-impl PolicyFactory for DsiFactory {
-    fn name(&self) -> &str {
-        "dsi"
-    }
-
-    fn build(&self, _config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(DsiPolicy::new())
-    }
-}
-
-/// Factory for the single-PC strawman predictor.
-#[derive(Debug, Clone, Copy)]
-pub struct LastPcFactory {
-    /// Per-block signature-table capacity.
-    pub capacity: usize,
-}
-
-impl Default for LastPcFactory {
-    fn default() -> Self {
-        LastPcFactory {
-            capacity: DEFAULT_PER_BLOCK_CAPACITY,
-        }
-    }
-}
-
-impl PolicyFactory for LastPcFactory {
-    fn name(&self) -> &str {
-        "last-pc"
-    }
-
-    fn spec(&self) -> String {
-        format!("last-pc:capacity={}", self.capacity)
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(LastPc::with_config(self.capacity, config))
-    }
-}
-
-/// Factory for the paper's base-case per-block trace LTP.
-#[derive(Debug, Clone, Copy)]
-pub struct PerBlockLtpFactory {
-    /// Signature width (the paper sweeps 30/13/11/6).
-    pub bits: SignatureBits,
-    /// Per-block signature-table capacity.
-    pub capacity: usize,
-}
-
-impl Default for PerBlockLtpFactory {
-    fn default() -> Self {
-        PerBlockLtpFactory {
-            bits: SignatureBits::PER_BLOCK_DEFAULT,
-            capacity: DEFAULT_PER_BLOCK_CAPACITY,
-        }
-    }
-}
-
-impl PolicyFactory for PerBlockLtpFactory {
-    fn name(&self) -> &str {
-        "ltp"
-    }
-
-    fn spec(&self) -> String {
-        format!("ltp:bits={},capacity={}", self.bits.get(), self.capacity)
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(PerBlockLtp::new(self.bits, self.capacity, config))
-    }
-}
-
-/// Factory for the storage-reduced global-table LTP.
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalLtpFactory {
-    /// Signature width (30 needed for usable accuracy).
-    pub bits: SignatureBits,
-    /// Number of sets in the shared table.
-    pub sets: usize,
-    /// Associativity of the shared table.
-    pub ways: usize,
-}
-
-impl Default for GlobalLtpFactory {
-    /// The paper's global configuration: 30-bit signatures in a small
-    /// shared table — the whole point of the PAg organization is storage
-    /// reduction, so the default is sized well below the aggregate
-    /// per-block capacity and competes for entries.
-    fn default() -> Self {
-        GlobalLtpFactory {
-            bits: SignatureBits::BASE,
-            sets: 256,
-            ways: 2,
-        }
-    }
-}
-
-impl PolicyFactory for GlobalLtpFactory {
-    fn name(&self) -> &str {
-        "ltp-global"
-    }
-
-    fn spec(&self) -> String {
-        format!(
-            "ltp-global:bits={},sets={},ways={}",
-            self.bits.get(),
-            self.sets,
-            self.ways
-        )
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(GlobalLtp::new(self.bits, self.sets, self.ways, config))
-    }
-}
-
-/// Factory for the per-block LTP with the order-sensitive XOR-rotate
-/// encoder (the `ablation_encoding` variant).
-#[derive(Debug, Clone, Copy)]
-pub struct XorLtpFactory {
-    /// Signature width.
-    pub bits: SignatureBits,
-    /// Left-rotation applied before each fold.
-    pub rotation: u32,
-    /// Per-block signature-table capacity.
-    pub capacity: usize,
-}
-
-impl Default for XorLtpFactory {
-    fn default() -> Self {
-        XorLtpFactory {
-            bits: SignatureBits::PER_BLOCK_DEFAULT,
-            rotation: 5,
-            capacity: DEFAULT_PER_BLOCK_CAPACITY,
-        }
-    }
-}
-
-impl PolicyFactory for XorLtpFactory {
-    fn name(&self) -> &str {
-        "ltp-xor"
-    }
-
-    fn spec(&self) -> String {
-        format!(
-            "ltp-xor:bits={},rot={},capacity={}",
-            self.bits.get(),
-            self.rotation,
-            self.capacity
-        )
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(TracePredictor::with_parts(
-            XorRotate::new(self.bits, self.rotation),
-            PerBlockTable::new(self.bits, self.capacity, config.initial_confidence),
-            config,
-            "ltp-xor",
-        ))
-    }
-}
-
-/// Factory for the ideal last-touch oracle (unprimed until the offline
-/// evaluation path supplies ground truth; never fires inside a live
-/// machine).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OracleFactory;
-
-impl PolicyFactory for OracleFactory {
-    fn name(&self) -> &str {
-        "oracle"
-    }
-
-    fn build(&self, _config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(OraclePolicy::new())
-    }
-}
-
-/// Factory for the perceptron last-touch predictor.
-#[derive(Debug, Clone, Copy)]
-pub struct PerceptronFactory {
-    /// Weight width in bits (weights clamp at ±(2^(bits−1) − 1)).
-    pub bits: u32,
-    /// Touch-history depth (feature positions).
-    pub hist: usize,
-    /// Rows per weight table.
-    pub size: usize,
-    /// Firing threshold.
-    pub theta: i32,
-}
-
-impl Default for PerceptronFactory {
-    fn default() -> Self {
-        PerceptronFactory {
-            bits: PERCEPTRON_DEFAULT_BITS,
-            hist: PERCEPTRON_DEFAULT_HIST,
-            size: PERCEPTRON_DEFAULT_SIZE,
-            theta: PERCEPTRON_DEFAULT_THETA,
-        }
-    }
-}
-
-impl PolicyFactory for PerceptronFactory {
-    fn name(&self) -> &str {
-        "perceptron"
-    }
-
-    fn spec(&self) -> String {
-        format!(
-            "perceptron:bits={},hist={},size={},theta={}",
-            self.bits, self.hist, self.size, self.theta
-        )
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(PerceptronPredictor::new(
-            self.bits, self.hist, self.size, self.theta, config,
-        ))
-    }
-}
-
-/// Factory for the TAGE-style tagged geometric-history predictor.
-#[derive(Debug, Clone, Copy)]
-pub struct TageFactory {
-    /// Number of tagged tables (history lengths 2, 4, 8, …).
-    pub tables: usize,
-    /// Entries per table.
-    pub size: usize,
-}
-
-impl Default for TageFactory {
-    fn default() -> Self {
-        TageFactory {
-            tables: TAGE_DEFAULT_TABLES,
-            size: TAGE_DEFAULT_SIZE,
-        }
-    }
-}
-
-impl PolicyFactory for TageFactory {
-    fn name(&self) -> &str {
-        "tage"
-    }
-
-    fn spec(&self) -> String {
-        format!("tage:tables={},size={}", self.tables, self.size)
-    }
-
-    fn build(&self, config: PredictorConfig) -> Box<dyn SelfInvalidationPolicy> {
-        Box::new(TagePredictor::new(self.tables, self.size, config))
     }
 }
 
@@ -1079,12 +905,15 @@ mod tests {
         let f = registry.parse("every-n:n=4").unwrap();
         assert_eq!(f.spec(), "every-n:n=4");
         // Names stay unique.
+        let base = registry.parse("base").unwrap();
         assert!(matches!(
-            registry.register("ltp", "dup", |_| Ok(Arc::new(BaseFactory))),
+            registry.register("ltp", "dup", move |_| Ok(Arc::clone(&base))),
             Err(PolicySpecError::DuplicateName { .. })
         ));
         assert!(matches!(
-            registry.register_factory(Arc::new(BaseFactory)),
+            registry.register_factory(Arc::new(FnPolicyFactory::new("base", |_| {
+                Box::new(NullPolicy)
+            }))),
             Err(PolicySpecError::DuplicateName { .. })
         ));
     }

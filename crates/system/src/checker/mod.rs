@@ -33,7 +33,7 @@ use ltp_core::{BlockId, FxHashMap, JsonObject, JsonValue, NodeId, VerifyOutcome}
 use ltp_dsm::{DirBlockView, DirStateView, DirectoryKind, Line, Message, MsgKind};
 use ltp_sim::Cycle;
 
-use crate::probe::{MetricsSection, Probe, ProbeCtx, ProbeFactory, RunInfo, SimEvent};
+use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
 
 pub mod explore;
 mod shadow;
@@ -992,35 +992,6 @@ impl Probe for CoherenceChecker {
                     ),
                 )
                 .build(),
-        ))
-    }
-}
-
-/// Factory for the `check[:strict]` probe spec.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckerFactory {
-    /// Panic at the first violation instead of reporting counts.
-    pub strict: bool,
-}
-
-impl ProbeFactory for CheckerFactory {
-    fn name(&self) -> &str {
-        "check"
-    }
-
-    fn spec(&self) -> String {
-        if self.strict {
-            "check:strict".to_string()
-        } else {
-            "check".to_string()
-        }
-    }
-
-    fn build(&self, run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(CoherenceChecker::new(
-            run.workload.nodes,
-            run.directory,
-            self.strict,
         ))
     }
 }

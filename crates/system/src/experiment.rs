@@ -13,7 +13,9 @@
 
 use std::sync::Arc;
 
-use ltp_core::{PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig};
+use ltp_core::{
+    FnPolicyFactory, NullPolicy, PolicyFactory, PolicyRegistry, PolicySpecError, PredictorConfig,
+};
 use ltp_dsm::{DirectoryKind, SystemConfig};
 use ltp_sim::{Cycle, StopReason};
 use ltp_workloads::{RunEstimate, Trace, WorkloadParams, WorkloadSource};
@@ -78,7 +80,7 @@ impl ExperimentSpec {
         ExperimentBuilder {
             spec: ExperimentSpec {
                 source,
-                policy: Arc::new(ltp_core::registry::BaseFactory),
+                policy: Arc::new(FnPolicyFactory::new("base", |_| Box::new(NullPolicy))),
                 workload,
                 predictor: PredictorConfig::default(),
                 directory: DirectoryKind::Full,
@@ -318,7 +320,7 @@ impl ExperimentBuilder {
 
     /// Attaches a probe resolved from a spec string through the built-in
     /// [`ProbeRegistry`] (`"per-node"`, `"hist:self-inv-lead"`,
-    /// `"record:out.ltrace"`).
+    /// `"check:strict"`).
     ///
     /// For custom probes, resolve through your own registry and pass the
     /// factory to [`Self::probe`], or use [`Self::probe_spec_in`].
@@ -352,7 +354,7 @@ impl ExperimentBuilder {
         name: &str,
         make: impl Fn() -> Box<dyn Probe> + Send + Sync + 'static,
     ) -> Self {
-        self.probe(Arc::new(FnProbeFactory::new(name, make)))
+        self.probe(Arc::new(FnProbeFactory::new(name, move |_| make())))
     }
 
     /// Finishes the builder.

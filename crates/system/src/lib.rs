@@ -64,8 +64,7 @@ mod stuck;
 mod sweep;
 
 pub use checker::{
-    explore, CheckerFactory, CoherenceChecker, ExploreConfig, ExploreOutcome, MachineView,
-    Violation,
+    explore, CoherenceChecker, ExploreConfig, ExploreOutcome, MachineView, Violation,
 };
 pub use experiment::{ExperimentBuilder, ExperimentSpec};
 pub use machine::{Event, Machine};

@@ -21,9 +21,10 @@
 //! * [`ProbeFactory`] — builds one fresh probe per run (sweeps share
 //!   factories across worker threads, so factories are `Send + Sync`);
 //! * [`ProbeRegistry`] — resolves probe *spec strings* (`"per-node"`,
-//!   `"hist:self-inv-lead"`, `"record:out.ltrace"`) to factories, exactly
-//!   as [`ltp_core::PolicyRegistry`] does for policies, and is open to
-//!   external registrations.
+//!   `"hist:self-inv-lead"`, `"heat:16"`) to factories, exactly as
+//!   [`ltp_core::PolicyRegistry`] does for policies, and is open to
+//!   external registrations. Every built-in is one registry entry returning
+//!   an [`FnProbeFactory`].
 //!
 //! # Spec-string grammar
 //!
@@ -33,7 +34,7 @@
 //!
 //! The name selects a registered constructor; everything after the first
 //! `:` is passed to it verbatim (trimmed) as a free-form argument —
-//! histogram selectors, file paths, whatever the probe family needs.
+//! histogram selectors, counts, whatever the probe family needs.
 //!
 //! # Writing a probe
 //!
@@ -80,11 +81,10 @@ use std::sync::Arc;
 use ltp_core::{BlockId, JsonValue, NodeId, Pc, StorageStats, VerifyOutcome};
 use ltp_dsm::{DirectoryKind, Message};
 use ltp_sim::Cycle;
-use ltp_workloads::{Op, WorkloadParams};
+use ltp_workloads::WorkloadParams;
 
-use crate::probes::{
-    HeatProbe, MsgLatencyProbe, PerNodeProbe, SelfInvLeadProbe, TraceRecorderProbe,
-};
+use crate::checker::CoherenceChecker;
+use crate::probes::{HeatProbe, MsgLatencyProbe, PerNodeProbe, SelfInvLeadProbe};
 
 /// One observation from the running machine.
 ///
@@ -96,14 +96,11 @@ use crate::probes::{
 #[non_exhaustive]
 pub enum SimEvent {
     /// A processor fetched its next program operation (emitted at issue,
-    /// once per [`Op`] — spin retries and protocol traffic are *not* ops).
-    /// The per-node subsequence of these events is exactly the node's
-    /// program stream, which is what makes live trace recording a probe.
+    /// once per [`ltp_workloads::Op`] — spin retries and protocol traffic
+    /// are *not* ops).
     OpRetired {
         /// The fetching processor.
         node: NodeId,
-        /// The operation.
-        op: Op,
     },
     /// A shared-memory access hit in the node's network cache.
     CacheHit {
@@ -345,8 +342,7 @@ impl MetricsSection {
 /// Probes receive every [`SimEvent`] of one run in simulation order and
 /// fold them into whatever state they like; [`Probe::finish`] consumes the
 /// probe after the run drains and yields an optional [`MetricsSection`] for
-/// the report (side-effecting probes — the trace recorder writes a file —
-/// may return `None`).
+/// the report (`None` adds no section).
 ///
 /// Probes must be deterministic: reports are compared bit-for-bit across
 /// serial/parallel and record/replay runs. They run on sweep worker
@@ -378,19 +374,27 @@ pub trait ProbeFactory: fmt::Debug + Send + Sync {
     fn build(&self, run: &RunInfo) -> Box<dyn Probe>;
 }
 
-/// A [`ProbeFactory`] wrapping a closure — the quickest way to attach an
+/// A [`ProbeFactory`] wrapping a closure under its canonical spec string —
+/// how every built-in probe is defined, and the quickest way to attach an
 /// ad-hoc probe type to a single experiment (see
-/// [`crate::ExperimentBuilder::probe_fn`]).
+/// [`crate::ExperimentBuilder::probe_fn`]). The family name is the spec up
+/// to its first `:` (`"hist:msg-latency"` is a `"hist"`).
 pub struct FnProbeFactory {
-    name: String,
-    make: Box<dyn Fn() -> Box<dyn Probe> + Send + Sync>,
+    spec: String,
+    make: Box<MakeProbe>,
 }
 
+type MakeProbe = dyn Fn(&RunInfo) -> Box<dyn Probe> + Send + Sync;
+
 impl FnProbeFactory {
-    /// Wraps `make` under `name`.
-    pub fn new(name: &str, make: impl Fn() -> Box<dyn Probe> + Send + Sync + 'static) -> Self {
+    /// Wraps `make`, which builds one probe for the run it is told about,
+    /// under the canonical `spec`.
+    pub fn new(
+        spec: impl Into<String>,
+        make: impl Fn(&RunInfo) -> Box<dyn Probe> + Send + Sync + 'static,
+    ) -> Self {
         FnProbeFactory {
-            name: name.to_string(),
+            spec: spec.into(),
             make: Box::new(make),
         }
     }
@@ -399,18 +403,24 @@ impl FnProbeFactory {
 impl fmt::Debug for FnProbeFactory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FnProbeFactory")
-            .field("name", &self.name)
+            .field("spec", &self.spec)
             .finish()
     }
 }
 
 impl ProbeFactory for FnProbeFactory {
     fn name(&self) -> &str {
-        &self.name
+        self.spec
+            .split_once(':')
+            .map_or(&self.spec, |(name, _)| name)
     }
 
-    fn build(&self, _run: &RunInfo) -> Box<dyn Probe> {
-        (self.make)()
+    fn spec(&self) -> String {
+        self.spec.clone()
+    }
+
+    fn build(&self, run: &RunInfo) -> Box<dyn Probe> {
+        (self.make)(run)
     }
 }
 
@@ -544,10 +554,11 @@ impl ProbeRegistry {
     ///
     /// | spec | probe |
     /// |---|---|
+    /// | `check`, `check:strict` | online coherence sanitizer |
     /// | `per-node` | per-node accuracy/traffic breakdown |
     /// | `hist:self-inv-lead` | lead-time histogram of self-invalidations |
     /// | `hist:msg-latency` | directory queueing/service latency per message class |
-    /// | `record:<file>` | tee the as-simulated op stream to a trace file |
+    /// | `heat:<K>` | the K hottest blocks by access count |
     pub fn with_builtins() -> Self {
         let mut r = ProbeRegistry::empty();
         r.register(
@@ -555,14 +566,26 @@ impl ProbeRegistry {
             "online coherence sanitizer: replay the event stream against an \
              independent shadow directory and the invariant catalog \
              (check:strict panics at the first violation)",
-            |arg| match arg {
-                None => Ok(Arc::new(crate::checker::CheckerFactory { strict: false })),
-                Some("strict") => Ok(Arc::new(crate::checker::CheckerFactory { strict: true })),
-                Some(other) => Err(ProbeSpecError::InvalidArg {
-                    probe: "check".to_string(),
-                    arg: other.to_string(),
-                    expected: "no argument, or :strict".to_string(),
-                }),
+            |arg| {
+                let strict = match arg {
+                    None => false,
+                    Some("strict") => true,
+                    Some(other) => {
+                        return Err(ProbeSpecError::InvalidArg {
+                            probe: "check".to_string(),
+                            arg: other.to_string(),
+                            expected: "no argument, or :strict".to_string(),
+                        })
+                    }
+                };
+                let spec = if strict { "check:strict" } else { "check" };
+                Ok(Arc::new(FnProbeFactory::new(spec, move |run| {
+                    Box::new(CoherenceChecker::new(
+                        run.workload.nodes,
+                        run.directory,
+                        strict,
+                    ))
+                })))
             },
         )
         .expect("fresh registry");
@@ -570,7 +593,9 @@ impl ProbeRegistry {
             "per-node",
             "per-node accuracy and traffic breakdown (one record per node)",
             |arg| match arg {
-                None => Ok(Arc::new(PerNodeFactory)),
+                None => Ok(Arc::new(FnProbeFactory::new("per-node", |run| {
+                    Box::new(PerNodeProbe::new(run.workload.nodes))
+                }))),
                 Some(arg) => Err(ProbeSpecError::UnexpectedArg {
                     probe: "per-node".to_string(),
                     arg: arg.to_string(),
@@ -585,8 +610,16 @@ impl ProbeRegistry {
              hist:msg-latency = directory queueing/service latency per \
              message class",
             |arg| match arg {
-                Some("self-inv-lead") => Ok(Arc::new(SelfInvLeadFactory)),
-                Some("msg-latency") => Ok(Arc::new(MsgLatencyFactory)),
+                Some("self-inv-lead") => {
+                    Ok(Arc::new(FnProbeFactory::new("hist:self-inv-lead", |_| {
+                        Box::new(SelfInvLeadProbe::new())
+                    })))
+                }
+                Some("msg-latency") => {
+                    Ok(Arc::new(FnProbeFactory::new("hist:msg-latency", |_| {
+                        Box::new(MsgLatencyProbe::new())
+                    })))
+                }
                 Some(other) => Err(ProbeSpecError::InvalidArg {
                     probe: "hist".to_string(),
                     arg: other.to_string(),
@@ -605,7 +638,10 @@ impl ProbeRegistry {
              demand invalidations and directory-entry evictions (heat:<K>)",
             |arg| match arg {
                 Some(k) => match k.parse::<usize>() {
-                    Ok(k) if k >= 1 => Ok(Arc::new(HeatFactory { k })),
+                    Ok(k) if k >= 1 => Ok(Arc::new(FnProbeFactory::new(
+                        format!("heat:{k}"),
+                        move |_| Box::new(HeatProbe::new(k)),
+                    ))),
                     _ => Err(ProbeSpecError::InvalidArg {
                         probe: "heat".to_string(),
                         arg: k.to_string(),
@@ -615,20 +651,6 @@ impl ProbeRegistry {
                 None => Err(ProbeSpecError::MissingArg {
                     probe: "heat".to_string(),
                     expected: "a block count (heat:<K>)".to_string(),
-                }),
-            },
-        )
-        .expect("fresh registry");
-        r.register(
-            "record",
-            "tee the as-simulated op stream into a trace file (record:<FILE.ltrace>)",
-            |arg| match arg {
-                Some(path) => Ok(Arc::new(RecordFactory {
-                    path: path.to_string(),
-                })),
-                None => Err(ProbeSpecError::MissingArg {
-                    probe: "record".to_string(),
-                    expected: "an output path (record:<FILE.ltrace>)".to_string(),
                 }),
             },
         )
@@ -728,105 +750,6 @@ impl ProbeRegistry {
     }
 }
 
-// ---- built-in factories ---------------------------------------------------
-
-/// Factory for the per-node breakdown probe (`per-node`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PerNodeFactory;
-
-impl ProbeFactory for PerNodeFactory {
-    fn name(&self) -> &str {
-        "per-node"
-    }
-
-    fn build(&self, run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(PerNodeProbe::new(run.workload.nodes))
-    }
-}
-
-/// Factory for the self-invalidation lead-time histogram
-/// (`hist:self-inv-lead`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SelfInvLeadFactory;
-
-impl ProbeFactory for SelfInvLeadFactory {
-    fn name(&self) -> &str {
-        "hist"
-    }
-
-    fn spec(&self) -> String {
-        "hist:self-inv-lead".to_string()
-    }
-
-    fn build(&self, _run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(SelfInvLeadProbe::new())
-    }
-}
-
-/// Factory for the message latency histogram (`hist:msg-latency`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MsgLatencyFactory;
-
-impl ProbeFactory for MsgLatencyFactory {
-    fn name(&self) -> &str {
-        "hist"
-    }
-
-    fn spec(&self) -> String {
-        "hist:msg-latency".to_string()
-    }
-
-    fn build(&self, _run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(MsgLatencyProbe::new())
-    }
-}
-
-/// Factory for the per-block heat map (`heat:<K>`).
-#[derive(Debug, Clone, Copy)]
-pub struct HeatFactory {
-    /// How many of the hottest blocks the section keeps.
-    pub k: usize,
-}
-
-impl ProbeFactory for HeatFactory {
-    fn name(&self) -> &str {
-        "heat"
-    }
-
-    fn spec(&self) -> String {
-        format!("heat:{}", self.k)
-    }
-
-    fn build(&self, _run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(HeatProbe::new(self.k))
-    }
-}
-
-/// Factory for the live trace recorder (`record:<file>`).
-#[derive(Debug, Clone)]
-pub struct RecordFactory {
-    /// Output path of the `.ltrace` file.
-    pub path: String,
-}
-
-impl ProbeFactory for RecordFactory {
-    fn name(&self) -> &str {
-        "record"
-    }
-
-    fn spec(&self) -> String {
-        format!("record:{}", self.path)
-    }
-
-    fn build(&self, run: &RunInfo) -> Box<dyn Probe> {
-        Box::new(TraceRecorderProbe::new(
-            &self.path,
-            &run.workload_name,
-            run.workload,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -841,7 +764,7 @@ mod tests {
             ("hist:self-inv-lead", "hist:self-inv-lead"),
             (" hist : self-inv-lead ", "hist:self-inv-lead"),
             ("hist:msg-latency", "hist:msg-latency"),
-            ("record:/tmp/x.ltrace", "record:/tmp/x.ltrace"),
+            ("heat:016", "heat:16"),
             ("heat:16", "heat:16"),
         ] {
             let factory = registry
@@ -850,7 +773,7 @@ mod tests {
             assert_eq!(factory.spec(), canonical);
         }
         let names: Vec<&str> = registry.names().collect();
-        assert_eq!(names, ["check", "heat", "hist", "per-node", "record"]);
+        assert_eq!(names, ["check", "heat", "hist", "per-node"]);
     }
 
     #[test]
@@ -877,11 +800,11 @@ mod tests {
             Err(ProbeSpecError::UnexpectedArg { .. })
         ));
         assert!(matches!(
-            registry.parse("record"),
+            registry.parse("heat"),
             Err(ProbeSpecError::MissingArg { .. })
         ));
         assert!(matches!(
-            registry.parse("record:"),
+            registry.parse("heat:"),
             Err(ProbeSpecError::MissingArg { .. })
         ));
     }
@@ -890,7 +813,7 @@ mod tests {
     fn registration_is_open_and_names_stay_unique() {
         let mut registry = ProbeRegistry::with_builtins();
         registry
-            .register_factory(Arc::new(FnProbeFactory::new("noop", || {
+            .register_factory(Arc::new(FnProbeFactory::new("noop", |_| {
                 #[derive(Debug)]
                 struct Noop;
                 impl Probe for Noop {
@@ -908,6 +831,6 @@ mod tests {
             registry.register("per-node", "dup", |_| Err(ProbeSpecError::EmptySpec)),
             Err(ProbeSpecError::DuplicateName { .. })
         ));
-        assert_eq!(registry.entries().count(), 6);
+        assert_eq!(registry.entries().count(), 5);
     }
 }

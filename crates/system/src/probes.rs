@@ -1,5 +1,6 @@
 //! Built-in probes: the core metrics collector, the per-node breakdown,
-//! the self-invalidation lead-time histogram, and the live trace recorder.
+//! the self-invalidation lead-time and message-latency histograms, and the
+//! per-block heat map. (The coherence sanitizer lives in [`crate::checker`].)
 //!
 //! Every one of these is an ordinary [`Probe`] — nothing here has access
 //! the `examples/custom_probe.rs` out-of-tree probe does not.
@@ -10,7 +11,6 @@ use std::collections::VecDeque;
 use ltp_core::{JsonObject, JsonValue, StorageStats};
 use ltp_sim::stats::{Histogram, MeanAccumulator};
 use ltp_sim::Cycle;
-use ltp_workloads::{TraceWriter, WorkloadParams};
 
 use crate::metrics::Metrics;
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
@@ -264,7 +264,7 @@ impl PerNodeProbe {
 impl Probe for PerNodeProbe {
     fn on_event(&mut self, ctx: &ProbeCtx, event: &SimEvent) {
         match *event {
-            SimEvent::OpRetired { node, .. } => self.ops[node.index()] += 1,
+            SimEvent::OpRetired { node } => self.ops[node.index()] += 1,
             SimEvent::CacheHit { node, .. } => self.nodes[node.index()].hits += 1,
             SimEvent::CacheMiss { node, .. } => self.nodes[node.index()].misses += 1,
             SimEvent::Invalidated {
@@ -567,58 +567,6 @@ impl Probe for MsgLatencyProbe {
             .field("classes", JsonValue::Array(rows))
             .build();
         Some(MetricsSection::new("hist:msg-latency", data))
-    }
-}
-
-/// Tees the as-simulated op stream into a `.ltrace` file
-/// (`record:<file>`) — ROADMAP's "record from live simulation".
-///
-/// Unlike `ltp record` (which drains programs without simulating), this
-/// captures ops *as the machine issues them*, so workloads whose streams
-/// could ever depend on simulation state are recorded faithfully. For
-/// today's deterministic programs the two are bit-identical, which is what
-/// the record-tee tests pin down.
-#[derive(Debug)]
-pub struct TraceRecorderProbe {
-    path: String,
-    writer: TraceWriter,
-}
-
-impl TraceRecorderProbe {
-    /// A recorder writing to `path` at [`Probe::finish`] time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workload.nodes < 2` (no trace file may record fewer).
-    pub fn new(path: &str, workload_name: &str, workload: WorkloadParams) -> Self {
-        TraceRecorderProbe {
-            path: path.to_string(),
-            writer: TraceWriter::new(workload_name, workload),
-        }
-    }
-}
-
-impl Probe for TraceRecorderProbe {
-    fn on_event(&mut self, _ctx: &ProbeCtx, event: &SimEvent) {
-        if let SimEvent::OpRetired { node, op } = *event {
-            self.writer.push(node.index() as u16, op);
-        }
-    }
-
-    /// Writes the trace file.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written — a recording that silently
-    /// vanishes is worse than a crashed run (the same contract as the
-    /// JSON-lines report sink).
-    fn finish(self: Box<Self>) -> Option<MetricsSection> {
-        let path = self.path;
-        let trace = self.writer.finish();
-        trace
-            .save(&path)
-            .unwrap_or_else(|e| panic!("record:{path}: {e}"));
-        None
     }
 }
 

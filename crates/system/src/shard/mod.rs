@@ -700,7 +700,7 @@ impl Shard {
         };
         self.nodes[i].last_progress = now;
         self.nodes[i].ops_retired += 1;
-        self.emit_aux(now, || SimEvent::OpRetired { node: p, op });
+        self.emit_aux(now, || SimEvent::OpRetired { node: p });
         match op {
             Op::Think(c) => {
                 self.queue

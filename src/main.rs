@@ -31,10 +31,11 @@ use ltp::system::{
     explore, ExploreConfig, JsonLinesSink, NullSink, ProbeRegistry, RunReport, SweepSpec,
 };
 use ltp::workloads::{
-    random_trace, Benchmark, StreamingTrace, Trace, WorkloadParams, WorkloadSource,
+    random_trace, Benchmark, StreamingTrace, Trace, TraceWriter, WorkloadParams, WorkloadSource,
 };
 
-const USAGE: &str = "\
+/// `ltp help` before the option table.
+const USAGE_HEAD: &str = "\
 ltp — Last-Touch Prediction reproduction (Lai & Falsafi, ISCA 2000)
 
 USAGE:
@@ -43,51 +44,16 @@ USAGE:
     ltp list-probes
     ltp run        -b <b1,..|all> and/or -t <FILE> -p <spec1,..> [options]
     ltp check      [-d <kind,..>] [-n <N>] [--ops <N>]
-    ltp record     -b <benchmark> -o <FILE.ltrace> [options]
+    ltp record     (-b <benchmark> | -t <FILE>) -o <FILE.ltrace> [options]
     ltp gen-trace  -o <FILE.ltrace> [options]
     ltp trace-info <FILE.ltrace> [FILE..]
     ltp predict    -b <b1,..|all> and/or -t <FILE> [-p <spec1,..>] [options]
     ltp campaign   [SPEC.json] [-b .. -p .. -n .. -d ..] -o <DIR> [--resume] [--dry-run]
     ltp report     <DIR> [--fig all|1|2|6|7|9|t2|t3|t4] [-o <OUTDIR>]
+";
 
-OPTIONS:
-    -b, --benchmarks <names>  comma-separated benchmarks, or `all`
-    -p, --policies <specs>    comma-separated policy spec strings
-                              (grammar: name[:key=value,..]; see list-policies)
-    -t, --trace <FILE[,..]>   trace file(s) to replay as workloads, streamed
-                              from disk (mixable with -b)
-    -o, --output <FILE>       output trace file (record, gen-trace), store
-                              directory (campaign), artifact directory (report)
-        --ops <N>             ops per node to generate (gen-trace; default
-                              65536) or to explore (check)
-    -n, --nodes <N[,N..]>     machine size(s)          [default: 32]
-    -i, --iters <N>           iteration override       [default: per-benchmark]
-    -s, --seed <S>            workload seed            [default: 0x15CA2000]
-    -d, --dir <kind[,..]>     directory sharer organization(s)  [default: full]
-                              full | coarse:<K> (1 bit per K-node cluster)
-                                   | ptr:<I>    (Dir_I_B limited pointers)
-                                   | sparse:<E> (bounded entry cache, E entries)
-    -j, --jobs <N>            worker threads for runs or predict jobs
-                                                       [default: all cores]
-        --shards <N|auto>     threads per machine              [default: 1]
-                              splits each simulated machine across N threads,
-                              the calling thread included; reports stay
-                              bit-identical to --shards 1
-                              (`auto` = one thread per available core)
-        --probe <spec>        attach a probe to every run (repeatable)
-                              e.g. --probe per-node --probe hist:self-inv-lead
-                              (grammar: name[:argument]; see list-probes)
-        --check               (run) attach the coherence sanitizer to every
-                              run; exit 1 on violations
-        --report <FILE>       write the tournament markdown table to FILE (predict only)
-        --resume              (campaign) continue into a non-empty store
-        --dry-run             (campaign) print done/pending counts and exit
-        --fig <ids>           (report) comma-separated artifacts    [default: all]
-        --json                emit RunReports as JSON to stdout
-        --json-lines <FILE>   stream per-run JSON lines to FILE
-        --debug               print the sweep schedule (estimated ops + source)
-        --quiet               suppress the human-readable output
-
+/// `ltp help` after the option table.
+const USAGE_TAIL: &str = "\
 `run` simulates workloads × policies × geometries × directories. One run
 prints a detailed report; more print one table row per run, with its
 speedup over the `base` row of the same workload, geometry and directory.
@@ -95,6 +61,10 @@ speedup over the `base` row of the same workload, geometry and directory.
 `check` model-checks the protocol invariant catalog (docs/manual.md §12):
 it enumerates every message interleaving of 2–3-node configurations and
 prints a minimal counterexample on failure.
+
+`record` drains one workload's programs into a trace file without
+simulating: a benchmark at -n/-i/-s, or a trace file (a version-1 file is
+rewritten in the current format).
 
 `predict` replays workloads through the offline logical coherence model —
 no cycle simulation — and races predictor specs (default: the full zoo,
@@ -110,8 +80,8 @@ folds a campaign store into the paper's figures and tables (markdown +
 JSON) without re-running anything. See docs/manual.md §Campaigns.
 
 Each option applies only to the commands listed in docs/manual.md §3; any
-other command rejects it. Trace files replay at their recorded geometry
-(-n/-i/-s do not apply).
+other command rejects it. Trace files replay at their recorded geometry:
+without -b, a -n/-i/-s that differs from the recording is an error.
 Every table and figure of the paper is regenerated by `ltp campaign` + `ltp report`.
 Full manual: docs/manual.md";
 
@@ -134,20 +104,28 @@ const COMMANDS: &[&str] = &[
 ];
 
 /// One option: its spellings (space-separated, the canonical long name
-/// first), whether it takes a value, and the comma-separated commands it
-/// applies to. Every other command rejects the option.
+/// first), its value placeholder (empty for a switch), the comma-separated
+/// commands it applies to, and its `ltp help` text (one line per `\n`).
+/// Every other command rejects the option.
 #[derive(Debug)]
 struct OptionSpec {
     names: &'static str,
-    takes_value: bool,
+    value: &'static str,
     commands: &'static str,
+    help: &'static str,
 }
 
-const fn opt(names: &'static str, takes_value: bool, commands: &'static str) -> OptionSpec {
+const fn opt(
+    names: &'static str,
+    value: &'static str,
+    commands: &'static str,
+    help: &'static str,
+) -> OptionSpec {
     OptionSpec {
         names,
-        takes_value,
+        value,
         commands,
+        help,
     }
 }
 
@@ -157,36 +135,108 @@ impl OptionSpec {
         self.names.split(' ').next().unwrap_or(self.names)
     }
 
+    fn takes_value(&self) -> bool {
+        !self.value.is_empty()
+    }
+
     fn applies_to(&self, command: &str) -> bool {
         self.commands.split(',').any(|c| c == command)
     }
 }
 
-/// The option table (manual §3 mirrors it).
+/// The option table: parsing, per-command checks and the OPTIONS block of
+/// `ltp help` all read it (manual §3 mirrors it).
 #[rustfmt::skip]
 const OPTIONS: &[OptionSpec] = &[
-    opt("--benchmarks -b --benchmark", true, "run,record,predict,campaign"),
-    opt("--policies -p --policy", true, "run,predict,campaign"),
-    opt("--trace -t --traces", true, "run,trace-info,predict,campaign"),
-    opt("--output -o", true, "record,gen-trace,campaign,report"),
-    opt("--ops", true, "gen-trace,check"),
-    opt("--nodes -n", true, "run,check,record,gen-trace,predict,campaign"),
-    opt("--iters -i", true, "run,record,predict,campaign"),
-    opt("--seed -s", true, "run,record,gen-trace,predict,campaign"),
-    opt("--dir -d --dirs", true, "run,check,campaign"),
-    opt("--jobs -j", true, "run,predict,campaign"),
-    opt("--shards", true, "run,campaign"),
-    opt("--probe --probes", true, "run,campaign"),
-    opt("--check", false, "run"),
-    opt("--report", true, "predict"),
-    opt("--resume", false, "campaign"),
-    opt("--dry-run", false, "campaign"),
-    opt("--fig --figs", true, "report"),
-    opt("--json", false, "run,predict"),
-    opt("--json-lines", true, "run"),
-    opt("--debug", false, "run"),
-    opt("--quiet", false, "run,check,record,gen-trace,predict,campaign,report"),
+    opt("--benchmarks -b --benchmark", "<names>", "run,record,predict,campaign",
+        "comma-separated benchmarks, or `all`"),
+    opt("--policies -p --policy", "<specs>", "run,predict,campaign",
+        "comma-separated policy spec strings\n\
+         (grammar: name[:key=value,..]; see list-policies)"),
+    opt("--trace -t --traces", "<FILE[,..]>", "run,record,trace-info,predict,campaign",
+        "trace file(s) to replay as workloads, streamed\n\
+         from disk (mixable with -b), or the one trace\n\
+         `record` rewrites"),
+    opt("--output -o", "<FILE>", "record,gen-trace,campaign,report",
+        "output trace file (record, gen-trace), store\n\
+         directory (campaign), artifact directory (report)"),
+    opt("--ops", "<N>", "gen-trace,check",
+        "ops per node to generate (gen-trace; default\n\
+         65536) or to explore (check)"),
+    opt("--nodes -n", "<N[,N..]>", "run,check,record,gen-trace,predict,campaign",
+        "machine size(s)          [default: 32]"),
+    opt("--iters -i", "<N>", "run,record,predict,campaign",
+        "iteration override       [default: per-benchmark]"),
+    opt("--seed -s", "<S>", "run,record,gen-trace,predict,campaign",
+        "workload seed            [default: 0x15CA2000]"),
+    opt("--dir -d --dirs", "<kind[,..]>", "run,check,campaign",
+        "directory sharer organization(s)  [default: full]\n\
+         full | coarse:<K> (1 bit per K-node cluster)\n\
+         \x20    | ptr:<I>    (Dir_I_B limited pointers)\n\
+         \x20    | sparse:<E> (bounded entry cache, E entries)"),
+    opt("--jobs -j", "<N>", "run,predict,campaign",
+        "worker threads for runs or predict jobs\n\
+         \x20                        [default: all cores]"),
+    opt("--shards", "<N|auto>", "run,campaign",
+        "threads per machine              [default: 1]\n\
+         splits each simulated machine across N threads,\n\
+         the calling thread included; reports stay\n\
+         bit-identical to --shards 1\n\
+         (`auto` = one thread per available core)"),
+    opt("--probe --probes", "<spec>", "run,campaign",
+        "attach a probe to every run (repeatable)\n\
+         e.g. --probe per-node --probe hist:self-inv-lead;\n\
+         `run` exits 1 if a --probe check finds a violation\n\
+         (grammar: name[:argument]; see list-probes)"),
+    opt("--report", "<FILE>", "predict",
+        "write the tournament markdown table to FILE (predict only)"),
+    opt("--resume", "", "campaign",
+        "(campaign) continue into a non-empty store"),
+    opt("--dry-run", "", "campaign",
+        "(campaign) print done/pending counts and exit"),
+    opt("--fig --figs", "<ids>", "report",
+        "(report) comma-separated artifacts    [default: all]"),
+    opt("--json", "", "run,predict",
+        "emit RunReports as JSON to stdout"),
+    opt("--json-lines", "<FILE>", "run",
+        "stream per-run JSON lines to FILE"),
+    opt("--debug", "", "run",
+        "print the sweep schedule (estimated ops + source)"),
+    opt("--quiet", "", "run,check,record,gen-trace,predict,campaign,report",
+        "suppress the human-readable output"),
 ];
+
+/// The full `ltp help` text, its OPTIONS block rendered from [`OPTIONS`]:
+/// every spelling, the value placeholder, then the help text in a column.
+fn usage() -> String {
+    const COLUMN: usize = 26;
+    let mut out = format!("{USAGE_HEAD}\nOPTIONS:\n");
+    for o in OPTIONS {
+        let (short, long): (Vec<&str>, Vec<&str>) =
+            o.names.split(' ').partition(|n| !n.starts_with("--"));
+        let mut left = match short[..] {
+            [] => format!("    {}", long[0]),
+            _ => format!("{}, {}", short.join(", "), long[0]),
+        };
+        if o.takes_value() {
+            left = format!("{left} {}", o.value);
+        }
+        let mut help: Vec<String> = o.help.lines().map(str::to_string).collect();
+        if long.len() > 1 {
+            help.push(format!("(also {})", long[1..].join(", ")));
+        }
+        if left.len() + 2 > COLUMN {
+            out.push_str(&format!("    {left}\n"));
+            left.clear();
+        }
+        for line in &help {
+            out.push_str(format!("    {left:<COLUMN$}{line}").trim_end());
+            out.push('\n');
+            left.clear();
+        }
+    }
+    format!("{out}\n{USAGE_TAIL}")
+}
 
 /// The [`OPTIONS`] entry spelled `name`.
 fn option_spec(name: &str) -> Option<&'static OptionSpec> {
@@ -213,7 +263,6 @@ struct Options {
     jobs: Option<usize>,
     shards: Option<usize>,
     probes: Vec<String>,
-    check: bool,
     report: Option<String>,
     resume: bool,
     dry_run: bool,
@@ -285,7 +334,6 @@ impl Options {
                 });
             }
             "--probe" => self.probes.push(value.to_string()),
-            "--check" => self.check = true,
             "--report" => self.report = Some(value.to_string()),
             "--resume" => self.resume = true,
             "--dry-run" => self.dry_run = true,
@@ -309,7 +357,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             continue;
         }
         let spec = option_spec(arg).ok_or_else(|| format!("unknown option `{arg}`"))?;
-        let value = if spec.takes_value {
+        let value = if spec.takes_value() {
             it.next()
                 .ok_or_else(|| format!("{} needs a value", spec.name()))?
         } else {
@@ -367,19 +415,34 @@ fn parse_sources(opts: &Options) -> Result<Vec<WorkloadSource>, String> {
         return Err("no workloads: give --benchmarks and/or --trace".to_string());
     }
     // Traces replay at their recorded geometry. When benchmarks are mixed
-    // in, -n applies to them and the traces pin (as documented); with only
-    // traces, an explicit conflicting --nodes can only be a mistake —
+    // in, -n/-i/-s apply to them and the traces pin (as documented); with
+    // only traces, an explicit conflicting value can only be a mistake —
     // reject it with a clean one-line error instead of silently ignoring
     // the flag.
-    if opts.benchmarks.is_none() && !opts.nodes.is_empty() {
+    if opts.benchmarks.is_none() {
         for source in &sources {
-            let recorded = source.effective_params(WorkloadParams::default()).nodes;
-            if let Some(&bad) = opts.nodes.iter().find(|&&n| n != recorded) {
-                return Err(format!(
-                    "trace `{}` was recorded on {recorded} nodes; --nodes {bad} does not \
-                     apply (traces replay at their recorded geometry — drop --nodes)",
+            let recorded = source.effective_params(WorkloadParams::default());
+            let reject = |recorded_with: String, flag: &str, bad: String| {
+                Err(format!(
+                    "trace `{}` was recorded {recorded_with}; {flag} {bad} does not apply \
+                     (traces replay at their recorded geometry — drop {flag})",
                     source.name()
-                ));
+                ))
+            };
+            if let Some(&bad) = opts.nodes.iter().find(|&&n| n != recorded.nodes) {
+                let on = format!("on {} nodes", recorded.nodes);
+                return reject(on, "--nodes", bad.to_string());
+            }
+            if let Some(bad) = opts.iters.filter(|&i| Some(i) != recorded.iterations) {
+                let with = recorded.iterations.map_or_else(
+                    || "with the default iteration count".to_string(),
+                    |i| format!("with {i} iterations"),
+                );
+                return reject(with, "--iters", bad.to_string());
+            }
+            if let Some(bad) = opts.seed.filter(|&s| s != recorded.seed) {
+                let with = format!("with seed {:#x}", recorded.seed);
+                return reject(with, "--seed", format!("{bad:#x}"));
             }
         }
     }
@@ -460,27 +523,6 @@ fn single_geometry(command: &str, opts: &Options) -> Result<WorkloadParams, Stri
     match geometries(opts)[..] {
         [params] => Ok(params),
         _ => Err(format!("{command} takes a single --nodes value")),
-    }
-}
-
-/// Whether `record` names the same file as the (existing) input `trace`
-/// path — the `record:` probe's self-overwrite guard. The record file
-/// usually does not exist yet, so its parent directory is canonicalized
-/// instead.
-fn same_output_as_input(record: &str, trace: &str) -> bool {
-    let record_path = std::path::Path::new(record);
-    let trace_canon = std::fs::canonicalize(trace).ok();
-    let record_canon = std::fs::canonicalize(record_path).ok().or_else(|| {
-        let dir = match record_path.parent() {
-            Some(d) if !d.as_os_str().is_empty() => d,
-            _ => std::path::Path::new("."),
-        };
-        let name = record_path.file_name()?;
-        Some(std::fs::canonicalize(dir).ok()?.join(name))
-    });
-    match (trace_canon, record_canon) {
-        (Some(a), Some(b)) => a == b,
-        _ => record == trace,
     }
 }
 
@@ -660,7 +702,6 @@ fn cmd_list_probes(probes: &ProbeRegistry) {
     println!();
     println!("examples:");
     println!("  ltp run -b em3d -p ltp --probe per-node --probe hist:self-inv-lead");
-    println!("  ltp run -b em3d -p ltp --probe record:em3d-live.ltrace");
     println!("  ltp run -b all -p base,ltp --probe per-node --json-lines out.jsonl");
     println!();
     println!("probe output lands in the report's `sections` (JSON) / the");
@@ -669,9 +710,7 @@ fn cmd_list_probes(probes: &ProbeRegistry) {
     println!("ProbeRegistry (see examples/custom_probe.rs).");
 }
 
-/// Builds the sweep behind `run` and `campaign`, refusing a trace
-/// recording that would not tee exactly one run before anything executes
-/// or is written.
+/// Builds the sweep behind `run` and `campaign`.
 fn build_sweep(
     sources: Vec<WorkloadSource>,
     policies: Vec<Arc<dyn PolicyFactory>>,
@@ -699,45 +738,6 @@ fn build_sweep(
     for spec in &opts.probes {
         sweep = sweep.probe_spec(probes, spec).map_err(|e| e.to_string())?;
     }
-    if opts.check && !opts.probes.iter().any(|s| s.trim().starts_with("check")) {
-        sweep = sweep
-            .probe_spec(probes, "check")
-            .map_err(|e| e.to_string())?;
-    }
-    // Trace recording (`--probe record:<file>`) tees exactly one run:
-    // concurrent runs would race their saves to the one output file, and
-    // overwriting the trace being replayed destroys the input mid-read.
-    // `sweep.len()` is the single source of truth for the run count.
-    let record_outputs: Vec<&str> = opts
-        .probes
-        .iter()
-        .filter_map(|spec| {
-            let (name, arg) = spec.split_once(':')?;
-            (name.trim() == "record").then_some(arg.trim())
-        })
-        .collect();
-    if !record_outputs.is_empty() {
-        if sweep.len() != 1 {
-            return Err(format!(
-                "trace recording captures exactly one run, but this invocation makes {}; \
-                 narrow -b/-p/-n/-d to a single combination",
-                sweep.len()
-            ));
-        }
-        for record in &record_outputs {
-            if let Some(input) = opts.traces.iter().find(|t| same_output_as_input(record, t)) {
-                return Err(format!(
-                    "recording to {record} would overwrite the trace being replayed \
-                     ({input}); choose a different output path"
-                ));
-            }
-        }
-        // Open each output before simulating, as `--json-lines` does, so an
-        // unwritable path fails now rather than after the run.
-        for record in &record_outputs {
-            File::create(record).map_err(|e| format!("record:{record}: {e}"))?;
-        }
-    }
     if let Some(jobs) = opts.jobs {
         sweep = sweep.threads(jobs);
     }
@@ -754,8 +754,9 @@ fn check_directory(kind: DirectoryKind, nodes: u16) -> Result<(), String> {
 }
 
 /// Reads the sanitizer's `check` section out of every report and fails
-/// with the collected evidence when any run saw a violation.
-fn scan_check_sections(reports: &[RunReport]) -> Result<(), String> {
+/// with the collected evidence when any run saw a violation. Returns how
+/// many runs were checked.
+fn scan_check_sections(reports: &[RunReport]) -> Result<usize, String> {
     fn field<'v>(value: &'v JsonValue, key: &str) -> Option<&'v JsonValue> {
         match value {
             JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -763,12 +764,18 @@ fn scan_check_sections(reports: &[RunReport]) -> Result<(), String> {
         }
     }
     let mut total = 0u64;
+    let mut checked = 0;
     let mut evidence: Vec<String> = Vec::new();
     for report in reports {
-        for section in &report.sections {
-            if section.name != "check" && section.name != "check:strict" {
-                continue;
-            }
+        let mut sections = report
+            .sections
+            .iter()
+            .filter(|s| s.name == "check" || s.name == "check:strict")
+            .peekable();
+        if sections.peek().is_some() {
+            checked += 1;
+        }
+        for section in sections {
             let Some(&JsonValue::U64(violations)) = field(&section.data, "violations") else {
                 continue;
             };
@@ -791,7 +798,7 @@ fn scan_check_sections(reports: &[RunReport]) -> Result<(), String> {
         }
     }
     if total == 0 {
-        return Ok(());
+        return Ok(checked);
     }
     Err(format!(
         "coherence check failed: {total} violation(s)\n{}",
@@ -850,15 +857,10 @@ fn cmd_run(
             started.elapsed().as_secs_f64()
         );
     }
-    if opts.check {
-        scan_check_sections(&reports)?;
-    }
+    let checked = scan_check_sections(&reports)?;
     emit(&reports, opts);
-    if opts.check && !opts.json && !opts.quiet {
-        println!(
-            "coherence check passed: {} run(s), 0 violations",
-            reports.len()
-        );
+    if checked > 0 && !opts.json && !opts.quiet {
+        println!("coherence check passed: {checked} run(s), 0 violations");
     }
     Ok(())
 }
@@ -949,16 +951,28 @@ fn cmd_check(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// `ltp record`: drains one workload's programs — a benchmark, or a trace
+/// file — into a trace in the current format, without simulating.
 fn cmd_record(opts: &Options) -> Result<(), String> {
-    let benchmarks = parse_benchmarks(opts)?;
     let Some(output) = opts.output.as_deref() else {
         return Err("record needs --output <FILE.ltrace>".to_string());
     };
-    let [benchmark] = benchmarks[..] else {
-        return Err("record captures exactly one benchmark per file".to_string());
+    let [source] = &parse_sources(opts)?[..] else {
+        return Err("record captures exactly one workload (-b or -t) per file".to_string());
     };
-    let params = single_geometry("record", opts)?;
-    let trace = Trace::record(benchmark, &params);
+    let params = source.effective_params(single_geometry("record", opts)?);
+    let mut writer = TraceWriter::new(source.name(), params);
+    for (node, program) in source
+        .programs(&params)
+        .map_err(|e| e.to_string())?
+        .iter_mut()
+        .enumerate()
+    {
+        writer.record_program(node as u16, program.as_mut());
+    }
+    // The input is fully drained before the output is created, so
+    // re-recording a trace onto its own path rewrites it in place.
+    let trace = writer.finish();
     save_trace(&trace, output)?;
     if !opts.quiet {
         report_written("recorded", &trace, output);
@@ -1306,7 +1320,7 @@ fn main() -> ExitCode {
     let probes = ProbeRegistry::with_builtins();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
-        println!("{USAGE}");
+        println!("{}", usage());
         return ExitCode::FAILURE;
     };
     let result = parse_options(rest).and_then(|opts| {
@@ -1334,7 +1348,7 @@ fn main() -> ExitCode {
             "report" => cmd_report(&opts),
             // help, --help, -h
             _ => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 Ok(())
             }
         }

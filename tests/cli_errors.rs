@@ -21,39 +21,6 @@ fn unknown_flag_exits_1_with_a_short_message() {
     );
 }
 
-#[test]
-fn a_campaign_cannot_tee_many_runs_into_one_trace() {
-    let dir = std::env::temp_dir().join(format!("ltp-cli-campaign-{}", std::process::id()));
-    let record = dir.with_extension("ltrace");
-    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
-        .args([
-            "campaign",
-            "-b",
-            "em3d,ocean,tomcatv",
-            "-p",
-            "base,ltp",
-            "-n",
-            "4",
-            "-i",
-            "2",
-        ])
-        .arg("--probe")
-        .arg(format!("record:{}", record.display()))
-        .arg("-o")
-        .arg(&dir)
-        .output()
-        .expect("the ltp binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("exactly one run"), "stderr: {stderr}");
-    assert!(
-        stderr.lines().count() <= 2,
-        "more than two stderr lines:\n{stderr}"
-    );
-    assert!(!record.exists(), "no trace file is written");
-    assert!(!dir.exists(), "no store directory is created");
-}
-
 /// Runs `ltp` with `args` and requires the one-line option error: exit 1,
 /// an `error:` line naming `flag`, and the usage hint.
 fn rejects_option(args: &[&str], flag: &str) {
@@ -249,21 +216,140 @@ fn a_directory_wider_than_the_machine_exits_1() {
 }
 
 #[test]
-fn an_unwritable_record_path_exits_1_before_the_run() {
-    let dir = std::env::temp_dir().join(format!("ltp-cli-record-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let probe = format!("record:{}", dir.display());
-    let stderr = fails_cleanly(&[
-        "run", "-b", "em3d", "-n", "4", "-i", "1", "-p", "ltp", "--probe", &probe,
-    ]);
-    assert!(stderr.starts_with(&format!("error: {probe}: ")), "{stderr}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn a_report_over_a_missing_store_exits_1_and_creates_nothing() {
     let missing = std::env::temp_dir().join(format!("ltp-cli-report-{}", std::process::id()));
     let stderr = fails_cleanly(&["report", &missing.display().to_string()]);
     assert!(stderr.contains("not a campaign store"), "{stderr}");
     assert!(!missing.exists(), "the store path is not created");
+}
+
+/// The committed 4-node, 3-iteration em3d recording at the default seed.
+fn fixture() -> String {
+    concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/em3d-4node-3iter.v1.ltrace"
+    )
+    .to_string()
+}
+
+#[test]
+fn a_trace_only_invocation_rejects_a_conflicting_iters_or_seed() {
+    let trace = fixture();
+    let dir = std::env::temp_dir().join(format!("ltp-cli-geometry-{}", std::process::id()));
+    let (store, out) = (dir.join("store"), dir.join("out.ltrace"));
+    let (store, out) = (store.to_str().unwrap(), out.to_str().unwrap());
+    for (args, flag) in [
+        (
+            vec!["run", "-t", &trace, "-p", "ltp", "-i", "5"],
+            "--iters 5",
+        ),
+        (
+            vec!["run", "-t", &trace, "-p", "ltp", "-s", "7"],
+            "--seed 0x7",
+        ),
+        (vec!["predict", "-t", &trace, "-i", "9"], "--iters 9"),
+        (
+            vec![
+                "campaign", "-t", &trace, "-p", "ltp", "-i", "5", "-o", store,
+            ],
+            "--iters 5",
+        ),
+        (
+            vec!["record", "-t", &trace, "-s", "7", "-o", out],
+            "--seed 0x7",
+        ),
+    ] {
+        let stderr = fails_cleanly(&args);
+        assert!(
+            stderr.contains(&format!("{flag} does not apply")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(!dir.exists(), "no store or trace file is written");
+    // Values equal to the recording's are accepted.
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(["run", "-t", &trace, "-p", "base", "-n", "4", "-i", "3"])
+        .args(["-s", "0x15CA2000", "--quiet"])
+        .output()
+        .expect("the ltp binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn record_takes_exactly_one_workload_at_its_geometry() {
+    let trace = fixture();
+    let out = std::env::temp_dir().join(format!("ltp-cli-record-{}.ltrace", std::process::id()));
+    let out = out.to_str().unwrap();
+    let stderr = fails_cleanly(&["record", "-b", "em3d", "-t", &trace, "-o", out]);
+    assert!(stderr.contains("exactly one workload"), "{stderr}");
+    let stderr = fails_cleanly(&["record", "-t", &trace, "-n", "8", "-o", out]);
+    assert!(stderr.contains("--nodes 8 does not apply"), "{stderr}");
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "no trace file is written"
+    );
+}
+
+#[test]
+fn a_check_probe_prints_the_pass_line_and_check_is_not_an_option() {
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(["run", "-b", "em3d", "-p", "base,ltp", "-n", "4", "-i", "1"])
+        .args(["--probe", "check"])
+        .output()
+        .expect("the ltp binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("coherence check passed: 2 run(s), 0 violations"),
+        "{stdout}"
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args([
+            "run", "-b", "em3d", "-p", "ltp", "-n", "4", "-i", "1", "--check",
+        ])
+        .output()
+        .expect("the ltp binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown option `--check`"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn help_lists_every_option_spelling() {
+    // The spellings are the first argument of each `opt(...)` entry of the
+    // OPTIONS table in the binary's source.
+    let source = include_str!("../src/main.rs");
+    let table = source
+        .split_once("const OPTIONS: &[OptionSpec] = &[")
+        .and_then(|(_, rest)| rest.split_once("\n];"))
+        .expect("the OPTIONS table")
+        .0;
+    let spellings: Vec<&str> = table
+        .split("opt(\"")
+        .skip(1)
+        .flat_map(|entry| entry.split('"').next().unwrap_or("").split(' '))
+        .collect();
+    assert!(spellings.len() > 20, "{spellings:?}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .arg("help")
+        .output()
+        .expect("the ltp binary runs");
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    let words: Vec<&str> = help
+        .split(|c: char| c.is_whitespace() || c == ',' || c == '(' || c == ')')
+        .collect();
+    for spelling in spellings {
+        assert!(words.contains(&spelling), "`ltp help` misses {spelling}");
+    }
+    assert!(!words.contains(&"--check"), "{help}");
 }

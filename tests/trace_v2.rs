@@ -2,9 +2,11 @@
 //! target density, streamed replay reproduces the recording and the
 //! synthetic run with bounded decoder memory, random valid traces
 //! round-trip through a file exactly, malformed v2 inputs are rejected
-//! precisely, and the committed v1 golden file keeps loading forever.
+//! precisely, the committed v1 golden file keeps loading forever, and
+//! `ltp record -t` re-records a trace file without simulating.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 use ltp::system::ExperimentSpec;
@@ -224,4 +226,74 @@ fn corrupt_and_truncated_v2_files_are_rejected() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Runs the `ltp` binary and requires success; returns stdout.
+fn ltp(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(args)
+        .output()
+        .expect("the ltp binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{args:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+fn path_str(path: &Path) -> &str {
+    path.to_str().expect("utf-8 temp path")
+}
+
+#[test]
+fn record_from_a_v1_trace_writes_the_same_streams_as_v2() {
+    let out = scratch("record-v1");
+    let golden = golden_v1_path();
+    ltp(&[
+        "record",
+        "-t",
+        path_str(&golden),
+        "-o",
+        path_str(&out),
+        "--quiet",
+    ]);
+    let streaming = StreamingTrace::open(&out).expect("re-recording validates");
+    assert_eq!(streaming.version(), TRACE_VERSION);
+    let rerecorded = Trace::load(&out).expect("re-recording loads");
+    std::fs::remove_file(&out).ok();
+    let original = Trace::load(&golden).expect("golden v1 file loads");
+    assert_eq!(rerecorded.name(), original.name());
+    assert_eq!(rerecorded.workload(), original.workload());
+    assert_eq!(rerecorded.streams(), original.streams(), "op for op");
+}
+
+#[test]
+fn record_from_a_v2_trace_reproduces_it_byte_for_byte() {
+    let (input, output) = (scratch("record-v2-in"), scratch("record-v2-out"));
+    Trace::record(Benchmark::Ocean, &WorkloadParams::quick(4, 2))
+        .save(&input)
+        .expect("writes v2");
+    ltp(&["record", "-t", path_str(&input), "-o", path_str(&output)]);
+    let (a, b) = (
+        std::fs::read(&input).unwrap(),
+        std::fs::read(&output).unwrap(),
+    );
+    std::fs::remove_file(&input).ok();
+    std::fs::remove_file(&output).ok();
+    assert_eq!(a, b);
+}
+
+#[test]
+fn record_onto_its_own_input_rewrites_it_in_place() {
+    let path = scratch("record-in-place");
+    std::fs::copy(golden_v1_path(), &path).expect("copies the fixture");
+    let run = |path: &Path| ltp(&["run", "-t", path_str(path), "-p", "ltp", "--json"]);
+    let before = run(&path);
+    ltp(&["record", "-t", path_str(&path), "-o", path_str(&path)]);
+    let version = StreamingTrace::open(&path).expect("still valid").version();
+    let after = run(&path);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(version, TRACE_VERSION, "upgraded in place");
+    assert_eq!(
+        after, before,
+        "the rewritten file replays to the same report"
+    );
 }
