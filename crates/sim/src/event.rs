@@ -18,6 +18,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::RangeInclusive;
 
 use crate::time::Cycle;
 
@@ -166,6 +167,29 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
             Some(slot) => self.ring[slot].front().map(|e| e.at),
             None => self.overflow.peek().map(|e| e.at),
         }
+    }
+
+    /// Whether an event keyed within `keys` is pending at the last popped
+    /// event's cycle (before the first pop: cycle zero).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ltp_sim::{Cycle, KeyedEventQueue};
+    ///
+    /// let mut q = KeyedEventQueue::new();
+    /// q.schedule(Cycle::new(4), 1u8, ());
+    /// q.schedule(Cycle::new(4), 5u8, ());
+    /// q.schedule(Cycle::new(5), 3u8, ());
+    /// assert!(q.pop().is_some()); // (4, 1): cycle 4 is now current
+    /// assert!(q.pending_now(2..=5));
+    /// assert!(!q.pending_now(2..=4), "key 3 waits at cycle 5, not now");
+    /// ```
+    pub fn pending_now(&self, keys: RangeInclusive<K>) -> bool {
+        // The base's bucket holds exactly the events at the base cycle.
+        let bucket = &self.ring[slot_of(self.base)];
+        let i = bucket.partition_point(|e| e.key < *keys.start());
+        bucket.get(i).is_some_and(|e| e.key <= *keys.end())
     }
 
     /// Returns the number of pending events.
@@ -384,6 +408,25 @@ mod tests {
         assert!(q.ring.iter().all(|b| b.capacity() <= BUCKET_KEEP));
     }
 
+    #[test]
+    fn pending_now_sees_only_the_current_cycle() {
+        let mut q = KeyedEventQueue::new();
+        q.schedule(Cycle::new(2), 1u8, ());
+        q.schedule(Cycle::new(2), 4u8, ());
+        q.schedule(Cycle::new(3), 2u8, ());
+        assert_eq!(q.pop().map(|(t, k, ())| (t.as_u64(), k)), Some((2, 1)));
+        // An event at the base cycle, inside and outside the range.
+        assert!(q.pending_now(3..=4));
+        assert!(!q.pending_now(5..=9));
+        // An event one cycle later is not "now".
+        assert!(!q.pending_now(2..=2));
+        // An emptied bucket: cycle 2 is still current, with nothing left.
+        assert_eq!(q.pop().map(|(t, k, ())| (t.as_u64(), k)), Some((2, 4)));
+        assert!(!q.pending_now(0..=255));
+        assert_eq!(q.pop().map(|(t, k, ())| (t.as_u64(), k)), Some((3, 2)));
+        assert!(!q.pending_now(0..=255));
+    }
+
     /// A sorted-`Vec` reference model of `(at, key, seq)` order.
     #[derive(Default)]
     struct Model {
@@ -402,6 +445,12 @@ mod tests {
 
         fn pop_before(&mut self, end: u64) -> Option<(u64, u8, u64)> {
             (self.pending.first()?.0 < end).then(|| self.pending.remove(0))
+        }
+
+        fn pending_now(&self, now: u64, keys: RangeInclusive<u8>) -> bool {
+            self.pending
+                .iter()
+                .any(|&(at, key, _)| at == now && keys.contains(&key))
         }
     }
 
@@ -457,6 +506,13 @@ mod tests {
                     q.peek_time().map(Cycle::as_u64),
                     model.pending.first().map(|e| e.0)
                 );
+                for keys in [0..=0, 1..=2, 3..=3, 2..=250, 0..=255] {
+                    assert_eq!(
+                        q.pending_now(keys.clone()),
+                        model.pending_now(now, keys.clone()),
+                        "seed {seed}, step {step}, keys {keys:?}"
+                    );
+                }
             }
             // Drain both, which also jumps any empty stretch of the ring.
             while pop_both(&mut q, &mut model, u64::MAX).is_some() {}

@@ -113,6 +113,22 @@ impl EventKey {
         }
     }
 
+    /// Every `Arrive` key at `dst`, whatever its sender and sequence.
+    fn arrivals(dst: NodeId) -> std::ops::RangeInclusive<Self> {
+        let actor = dst.index() as u16;
+        EventKey {
+            class: 1,
+            actor,
+            src: 0,
+            seq: 0,
+        }..=EventKey {
+            class: 1,
+            actor,
+            src: u16::MAX,
+            seq: u64::MAX,
+        }
+    }
+
     /// `EngineDrain` at home `h`. Duplicate same-cycle drains are idempotent
     /// (the engine dequeues nothing), so the insertion-sequence fallback
     /// never orders observable work.
@@ -181,7 +197,8 @@ enum ExecState {
     /// continuation keeps its *state* changes (lock transitions, sync
     /// flushes) at the same timestamp as the messages they emit — running
     /// them early would let an invalidation arriving in between observe a
-    /// cache the flush has already mutated.
+    /// cache the flush has already mutated. Most hits skip this state: see
+    /// [`Shard::finishes_in_place`].
     Completing(BlockId, Continuation, bool),
     /// Waiting at a barrier.
     InBarrier(u32),
@@ -283,6 +300,10 @@ pub(crate) struct Shard {
     /// serial emission order.
     cur_at: Cycle,
     cur_key: EventKey,
+    /// End (exclusive) of the window being run.
+    window_end: Cycle,
+    /// Simulated events: queue pops plus the `CpuStep`s run in place (see
+    /// [`Shard::finishes_in_place`] and [`Shard::sched_cpu`]).
     events_handled: u64,
     last_event_time: Cycle,
     finished_local: usize,
@@ -361,6 +382,7 @@ impl Shard {
             core: None,
             cur_at: Cycle::ZERO,
             cur_key: EventKey::cpu(NodeId::new(lo)),
+            window_end: Cycle::ZERO,
             events_handled: 0,
             last_event_time: Cycle::ZERO,
             finished_local: 0,
@@ -382,6 +404,7 @@ impl Shard {
     pub fn run_window(&mut self, start: Cycle, end: Cycle) {
         let _ = start;
         let t0 = std::time::Instant::now();
+        self.window_end = end;
         while let Some((at, key, ev)) = self.queue.pop_before(end) {
             debug_assert!(at >= start, "event at {at} predates window start {start}");
             self.cur_at = at;
@@ -777,7 +800,15 @@ impl Shard {
                 if fire {
                     self.self_invalidate(now, p, block);
                 }
-                self.complete_access(now + SystemConfig::CPU_HIT, p, block, cont, false);
+                let resume_at = now + SystemConfig::CPU_HIT;
+                if self.finishes_in_place(p, cont, resume_at) {
+                    // The `Completing` step this skips still counts.
+                    self.events_handled += 1;
+                    self.last_event_time = self.last_event_time.max(resume_at);
+                    self.finish_access(resume_at, p, block, cont, false);
+                } else {
+                    self.complete_access(resume_at, p, block, cont, false);
+                }
             }
             AccessOutcome::Miss(kind) => {
                 self.emit(
@@ -874,6 +905,43 @@ impl Shard {
             .map_or(0, |l| l.token)
             % 2
             == 1
+    }
+
+    /// Whether a hit by `p` at cycle `t` may run its continuation at once,
+    /// as of `resume_at = t + CPU_HIT`, instead of as a
+    /// [`ExecState::Completing`] `CpuStep` at `(resume_at, cpu(p))`. The two
+    /// are indistinguishable when:
+    ///
+    /// * **The continuation is private.** `Plain`, `LockTest`,
+    ///   `LockConfirm` and `FlagWait` touch only `p`'s own `exec`, cached
+    ///   line, `lock_failures` and `flag_waited` entries, and schedule `p`'s
+    ///   next `CpuStep`; they emit and route nothing. `LockTas` and
+    ///   `LockRelease` emit and may flush, so they keep their event.
+    /// * **Nothing that runs in between touches that state.** Between
+    ///   `(t, cpu(p))` and `(resume_at, cpu(p))` only events at `t` with
+    ///   a larger key and class-0 events (`CpuStep`s, barrier resumes) of
+    ///   nodes `q < p` at `resume_at` run. Of these, only an `Arrive` at `p`
+    ///   reaches `p`'s state. None can be created during cycle `t`: a
+    ///   directory send departs at `done ≥ t + DIR_CONTROL`, a remote send
+    ///   crosses an NI and the network (≥ 88 cycles), and a cross-shard
+    ///   message lands at or after the window end. The one same-cycle
+    ///   arrival is `p`'s own self-invalidation to its own home, already
+    ///   queued by the time this runs, so the `pending_now` query sees it.
+    ///   Arrivals at `resume_at` key after `cpu(p)` (class 1 > class 0).
+    /// * **The window boundary sees the same machine.** `resume_at` lies
+    ///   inside the current window, so the barrier fold, the horizon stop
+    ///   and the stuck report never observe the skipped `Completing` state.
+    fn finishes_in_place(&self, p: NodeId, cont: Continuation, resume_at: Cycle) -> bool {
+        // `pending_now` looks at the last popped cycle: the hit's own.
+        debug_assert_eq!(resume_at, self.cur_at + SystemConfig::CPU_HIT);
+        matches!(
+            cont,
+            Continuation::Plain
+                | Continuation::LockTest(_)
+                | Continuation::LockConfirm(_)
+                | Continuation::FlagWait(_)
+        ) && resume_at < self.window_end
+            && !self.queue.pending_now(EventKey::arrivals(p))
     }
 
     /// Finishes an access (hit or fill) once its latency elapses: parks the
@@ -1003,9 +1071,19 @@ impl Shard {
         }
     }
 
+    /// Schedules `p`'s next `CpuStep` at `at`. A step at the cycle and key
+    /// being handled — a continuation resuming its own node at once — would
+    /// be the very next pop: nothing this handler schedules keys below
+    /// `cpu(p)`, and `p` has no other step pending. So it runs in place,
+    /// under the same `(cur_at, cur_key)` tag, and counts as one event.
     #[inline(always)]
     fn sched_cpu(&mut self, at: Cycle, p: NodeId) {
-        self.queue.schedule(at, EventKey::cpu(p), Event::CpuStep(p));
+        if at == self.cur_at && self.cur_key == EventKey::cpu(p) {
+            self.events_handled += 1;
+            self.cpu_step(at, p);
+        } else {
+            self.queue.schedule(at, EventKey::cpu(p), Event::CpuStep(p));
+        }
     }
 
     fn barrier_arrive(&mut self, now: Cycle, p: NodeId, id: u32) {
@@ -1316,6 +1394,97 @@ mod tests {
                 < EventKey::arrive(NodeId::new(0), NodeId::new(1), 6),
             "same-edge arrivals order by FIFO sequence"
         );
+    }
+
+    const BLOCK: BlockId = BlockId::new(7);
+
+    /// A 2-node, 1-shard slice after node 0 read [`BLOCK`] and finished:
+    /// the line is cached and the queue has drained. Returns the queue's
+    /// current cycle.
+    fn shard_with_cached_line() -> (Shard, Cycle) {
+        let cfg = SystemConfig::builder().nodes(2).build().expect("valid");
+        let read = Op::Read {
+            pc: Pc::new(0x40),
+            block: BLOCK,
+        };
+        let programs: Vec<Box<dyn Program>> = vec![
+            Box::new(ltp_workloads::LoopedScript::new(vec![read], Vec::new(), 0)),
+            Box::new(ltp_workloads::LoopedScript::new(Vec::new(), Vec::new(), 0)),
+        ];
+        let policies: Vec<Box<dyn SelfInvalidationPolicy>> = (0..2)
+            .map(|_| Box::new(ltp_core::NullPolicy) as Box<dyn SelfInvalidationPolicy>)
+            .collect();
+        let mut shard = Shard::new(cfg, Partition::new(2, 1), 0, policies, programs);
+        shard.run_window(Cycle::ZERO, Cycle::new(1 << 20));
+        assert!(shard.cached_line(NodeId::new(0), BLOCK).is_some());
+        assert_eq!(shard.next_event_time(), None);
+        let now = shard.last_event_time();
+        (shard, now)
+    }
+
+    /// Node 0 read-hits [`BLOCK`] as the event `(now, cpu(0))` of a window
+    /// ending at `end`.
+    fn hit(shard: &mut Shard, now: Cycle, end: Cycle, cont: Continuation) {
+        let p = NodeId::new(0);
+        shard.cur_at = now;
+        shard.cur_key = EventKey::cpu(p);
+        shard.window_end = end;
+        shard.issue_access(now, p, Pc::new(0x40), BLOCK, false, cont);
+    }
+
+    #[test]
+    fn a_private_hit_inside_the_window_finishes_in_place() {
+        let (mut shard, now) = shard_with_cached_line();
+        let events = shard.events_handled();
+        let resume_at = now + SystemConfig::CPU_HIT;
+        hit(
+            &mut shard,
+            now,
+            resume_at + Cycle::new(1),
+            Continuation::Plain,
+        );
+        assert!(matches!(shard.nodes[0].exec, ExecState::Ready));
+        assert_eq!(
+            shard.events_handled(),
+            events + 1,
+            "the skipped step counts"
+        );
+        assert_eq!(shard.last_event_time(), resume_at);
+        assert_eq!(shard.next_event_time(), Some(resume_at), "the next CpuStep");
+    }
+
+    #[test]
+    fn a_hit_keeps_its_completing_step_where_fusing_is_not_exact() {
+        let completing = |shard: &Shard| matches!(shard.nodes[0].exec, ExecState::Completing(..));
+        // The resume cycle is the window end: the boundary must see the
+        // node completing.
+        let (mut shard, now) = shard_with_cached_line();
+        hit(
+            &mut shard,
+            now,
+            now + SystemConfig::CPU_HIT,
+            Continuation::Plain,
+        );
+        assert!(completing(&shard));
+        // An arrival at the node is pending in the hit's cycle.
+        let (mut shard, now) = shard_with_cached_line();
+        let (p, q) = (NodeId::new(0), NodeId::new(1));
+        let inv = Message::new(q, p, BLOCK, MsgKind::Inv);
+        shard
+            .queue
+            .schedule(now, EventKey::arrive(p, q, 0), Event::Arrive(inv));
+        hit(&mut shard, now, now + Cycle::new(8), Continuation::Plain);
+        assert!(completing(&shard));
+        // A lock release emits and may flush.
+        let (mut shard, now) = shard_with_cached_line();
+        let lock = Lock::library(BLOCK, 0x80);
+        hit(
+            &mut shard,
+            now,
+            now + Cycle::new(8),
+            Continuation::LockRelease(lock),
+        );
+        assert!(completing(&shard));
     }
 
     #[test]

@@ -23,9 +23,11 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ltp::core::{parse_json, JsonValue, PolicyFactory, PolicyRegistry};
+use ltp::core::{parse_json, Fingerprint, JsonValue, PolicyFactory, PolicyRegistry};
 use ltp::dsm::{DirectoryKind, SystemConfig};
-use ltp::system::campaign::{generate_reports, Campaign, FigureId, RunStatus};
+use ltp::system::campaign::{
+    generate_reports, run_fingerprint, Campaign, CampaignStore, FigureId, RunStatus, StoredRun,
+};
 use ltp::system::predict::{render_json, render_report, PredictSpec, DEFAULT_ZOO};
 use ltp::system::{
     explore, ExploreConfig, JsonLinesSink, NullSink, ProbeRegistry, RunReport, SweepSpec,
@@ -753,48 +755,41 @@ fn check_directory(kind: DirectoryKind, nodes: u16) -> Result<(), String> {
         .map_err(|e| format!("--dir {kind} on {nodes} nodes: {e}"))
 }
 
-/// Reads the sanitizer's `check` section out of every report and fails
-/// with the collected evidence when any run saw a violation. Returns how
-/// many runs were checked.
-fn scan_check_sections(reports: &[RunReport]) -> Result<usize, String> {
-    fn field<'v>(value: &'v JsonValue, key: &str) -> Option<&'v JsonValue> {
-        match value {
-            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
+/// Whether a report section is the sanitizer's (`--probe check[:strict]`).
+fn is_check_section(name: &str) -> bool {
+    name == "check" || name == "check:strict"
+}
+
+/// Fails with the collected evidence when any run's sanitizer section saw
+/// a violation. Each run is its label and its `check` sections' data, from
+/// a [`RunReport`] (`ltp run`) or a stored run document (`ltp campaign`).
+/// Returns how many runs were checked.
+fn scan_check_sections<'a>(
+    runs: impl IntoIterator<Item = (String, Vec<&'a JsonValue>)>,
+) -> Result<usize, String> {
     let mut total = 0u64;
     let mut checked = 0;
     let mut evidence: Vec<String> = Vec::new();
-    for report in reports {
-        let mut sections = report
-            .sections
-            .iter()
-            .filter(|s| s.name == "check" || s.name == "check:strict")
-            .peekable();
-        if sections.peek().is_some() {
-            checked += 1;
+    for (what, sections) in runs {
+        if sections.is_empty() {
+            continue;
         }
-        for section in sections {
-            let Some(&JsonValue::U64(violations)) = field(&section.data, "violations") else {
+        checked += 1;
+        for data in sections {
+            let violations = data.get("violations").and_then(JsonValue::as_u64);
+            let Some(violations) = violations.filter(|&v| v > 0) else {
                 continue;
             };
-            if violations == 0 {
-                continue;
-            }
             total += violations;
-            let what = format!(
-                "{} / {} / {} nodes / {}",
-                report.benchmark, report.policy_spec, report.workload.nodes, report.directory
-            );
             evidence.push(format!("{what}: {violations} violation(s)"));
-            if let Some(JsonValue::Array(first)) = field(&section.data, "first") {
-                for line in first {
-                    if let JsonValue::Str(s) = line {
-                        evidence.push(format!("  {s}"));
-                    }
-                }
-            }
+            let first = data.get("first").and_then(JsonValue::as_array);
+            evidence.extend(
+                first
+                    .unwrap_or_default()
+                    .iter()
+                    .filter_map(JsonValue::as_str)
+                    .map(|line| format!("  {line}")),
+            );
         }
     }
     if total == 0 {
@@ -804,6 +799,18 @@ fn scan_check_sections(reports: &[RunReport]) -> Result<usize, String> {
         "coherence check failed: {total} violation(s)\n{}",
         evidence.join("\n")
     ))
+}
+
+/// The label a failed check names its run by.
+fn run_label(benchmark: &str, policy_spec: &str, nodes: u64, directory: &str) -> String {
+    format!("{benchmark} / {policy_spec} / {nodes} nodes / {directory}")
+}
+
+/// Prints the sanitizer's verdict line after the runs' own output.
+fn print_check_passed(checked: usize, opts: &Options) {
+    if checked > 0 && !opts.json && !opts.quiet {
+        println!("coherence check passed: {checked} run(s), 0 violations");
+    }
 }
 
 /// `ltp run`: simulates the cross product and prints it (see [`emit`]).
@@ -857,11 +864,18 @@ fn cmd_run(
             started.elapsed().as_secs_f64()
         );
     }
-    let checked = scan_check_sections(&reports)?;
+    let checked = scan_check_sections(reports.iter().map(|r| {
+        let what = run_label(
+            &r.benchmark,
+            &r.policy_spec,
+            u64::from(r.workload.nodes),
+            &r.directory.to_string(),
+        );
+        let sections = r.sections.iter().filter(|s| is_check_section(&s.name));
+        (what, sections.map(|s| &s.data).collect())
+    }))?;
     emit(&reports, opts);
-    if checked > 0 && !opts.json && !opts.quiet {
-        println!("coherence check passed: {checked} run(s), 0 violations");
-    }
+    print_check_passed(checked, opts);
     Ok(())
 }
 
@@ -1144,6 +1158,7 @@ fn cmd_campaign(
     let sources = parse_sources(&opts)?;
     let policies = parse_policies(registry, &opts)?;
     let sweep = build_sweep(sources, policies, probes, &opts)?;
+    let fingerprints: Vec<Fingerprint> = sweep.runs().iter().map(run_fingerprint).collect();
     let campaign = Campaign::new(sweep, &dir);
     let status = campaign.status().map_err(|e| e.to_string())?;
     if opts.dry_run {
@@ -1197,6 +1212,30 @@ fn cmd_campaign(
             std::path::Path::new(&dir).join("campaign.jsonl").display()
         );
     }
+    // The sanitizer's verdict covers every run of the campaign, including
+    // those an earlier invocation stored.
+    let store = CampaignStore::open(&dir).map_err(|e| e.to_string())?;
+    let stored = fingerprints
+        .iter()
+        .map(|&hash| store.load_run(hash))
+        .collect::<Result<Vec<StoredRun>, _>>()
+        .map_err(|e| e.to_string())?;
+    let checked = scan_check_sections(stored.iter().map(|run| {
+        let report = &run.body;
+        let text = |key: &str| report.get(key).and_then(JsonValue::as_str).unwrap_or("?");
+        let nodes = report.get("workload").and_then(|w| w.get("nodes"));
+        let what = run_label(
+            text("benchmark"),
+            text("policy_spec"),
+            nodes.and_then(JsonValue::as_u64).unwrap_or(0),
+            text("directory"),
+        );
+        let sections = report.get("sections").and_then(JsonValue::as_object);
+        let sections = sections.unwrap_or_default().iter();
+        let checks = sections.filter(|(name, _)| is_check_section(name));
+        (what, checks.map(|(_, data)| data).collect())
+    }))?;
+    print_check_passed(checked, &opts);
     Ok(())
 }
 

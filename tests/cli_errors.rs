@@ -323,6 +323,49 @@ fn a_check_probe_prints_the_pass_line_and_check_is_not_an_option() {
 }
 
 #[test]
+fn a_campaign_with_a_check_probe_reports_its_verdict() {
+    let dir = std::env::temp_dir().join(format!("ltp-cli-campaign-check-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.display().to_string();
+    let campaign = [
+        "campaign", "-b", "em3d", "-p", "ltp", "-n", "4", "-i", "2", "--probe", "check", "-o",
+        &store,
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_ltp"))
+        .args(campaign)
+        .output()
+        .expect("the ltp binary runs");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("coherence check passed: 1 run(s), 0 violations"),
+        "{stdout}"
+    );
+
+    // The verdict reads the store, so a resumed campaign that executes
+    // nothing still fails on a stored violation.
+    let runs: Vec<_> = std::fs::read_dir(dir.join("runs"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(runs.len(), 1);
+    let doc = std::fs::read_to_string(&runs[0]).unwrap();
+    assert!(doc.contains(r#""violations":0"#), "{doc}");
+    std::fs::write(
+        &runs[0],
+        doc.replace(r#""violations":0"#, r#""violations":2"#),
+    )
+    .unwrap();
+    let stderr = fails_cleanly(&[&campaign[..], &["--resume"]].concat());
+    assert!(
+        stderr.contains("coherence check failed: 2 violation(s)"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("em3d / ltp:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn help_lists_every_option_spelling() {
     // The spellings are the first argument of each `opt(...)` entry of the
     // OPTIONS table in the binary's source.

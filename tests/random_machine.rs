@@ -10,11 +10,13 @@
 //! Generation is driven by the repository's own seeded [`SimRng`], so every
 //! "random" case is reproducible from its printed seed.
 
+use std::sync::Arc;
+
 use ltp::core::{BlockId, Pc, PolicyRegistry, PredictorConfig, SelfInvalidationPolicy};
 use ltp::dsm::SystemConfig;
 use ltp::sim::{Cycle, SimRng, StopReason};
-use ltp::system::Machine;
-use ltp::workloads::{Lock, LoopedScript, Op, Program};
+use ltp::system::{ExperimentSpec, Machine};
+use ltp::workloads::{random_trace, Lock, LoopedScript, Op, Program, WorkloadParams};
 
 /// A compact generator-friendly description of one memory op.
 #[derive(Debug, Clone, Copy)]
@@ -167,4 +169,44 @@ fn deterministic_replay() {
         let b = run("ltp", &per_node, iters);
         assert_eq!(a, b, "case {case}");
     }
+}
+
+/// Random traces pin the racy lock, flag and barrier interleavings byte for
+/// byte: the golden holds the `--json` report of every run, in run order, as
+/// written by
+///
+/// ```sh
+/// for s in 1 2 3; do ltp gen-trace -n 8 --ops 4000 -s $s -o r$s.ltrace; done
+/// ltp run -t r1.ltrace,r2.ltrace,r3.ltrace -p base,ltp,tage -d full,sparse:16 \
+///     --json > tests/data/golden_random_8.jsonl
+/// ```
+#[test]
+fn random_traces_match_their_golden_reports() {
+    let golden = include_str!("data/golden_random_8.jsonl");
+    let mut expected = golden.lines();
+    for seed in 1..=3 {
+        let params = WorkloadParams {
+            nodes: 8,
+            seed,
+            iterations: None,
+        };
+        let trace = Arc::new(random_trace(&params, 4000));
+        for policy in ["base", "ltp", "tage"] {
+            for dir in ["full", "sparse:16"] {
+                let json = ExperimentSpec::replay(Arc::clone(&trace))
+                    .policy_spec(policy)
+                    .expect("builtin spec")
+                    .directory(dir.parse().expect("directory spec"))
+                    .build()
+                    .run()
+                    .to_json();
+                assert_eq!(
+                    Some(json.as_str()),
+                    expected.next(),
+                    "seed {seed}, -p {policy}, -d {dir}"
+                );
+            }
+        }
+    }
+    assert_eq!(expected.next(), None, "the golden has extra runs");
 }
