@@ -81,6 +81,48 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using [`FxHasher`] — drop-in for `std::collections::HashSet`.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
+/// FNV-1a's 64-bit offset basis: the state before any byte is mixed.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME^k` (wrapping) for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// Mixes `v`'s eight little-endian bytes into each FNV-1a state in `h`,
+/// bit-identical to the byte-wise `h = (h ^ byte) * P` loop.
+///
+/// A zero byte's step is a bare `h *= P`, and wrapping multiplication is
+/// associative, so `v`'s high zero bytes fold into one multiply by `P^k`.
+/// The predictors hash PCs (`u32` widened), table ids and history
+/// positions, so most of the eight steps per value collapse; full-width
+/// values such as `u64::MAX` take all eight. The states in `h` share the
+/// byte extraction (TAGE hashes its row and tag seeds in one pass).
+#[inline]
+pub(crate) fn fnv1a_fold<const N: usize>(mut h: [u64; N], v: u64) -> [u64; N] {
+    let significant = 8 - (v.leading_zeros() / 8) as usize;
+    let mut rest = v;
+    for _ in 0..significant {
+        let byte = rest & 0xff;
+        for s in &mut h {
+            *s = (*s ^ byte).wrapping_mul(FNV_PRIME);
+        }
+        rest >>= 8;
+    }
+    let zeros = FNV_PRIME_POW[8 - significant];
+    for s in &mut h {
+        *s = s.wrapping_mul(zeros);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -279,9 +279,14 @@ struct MaskEntry {
 /// conflicting access.
 #[derive(Debug)]
 pub struct VerdictEngine {
+    /// Per block, the unresolved mask entries in firing order. A block's
+    /// emptied list stays, so its next fire reuses the allocation; an
+    /// empty list counts nothing at [`VerdictEngine::finish`].
     masks: FxHashMap<u64, Vec<MaskEntry>>,
     stats: Vec<PredictStats>,
     clock: u64,
+    /// The verdicts of the latest [`VerdictEngine::on_request`].
+    resolved: Vec<VerdictRecord>,
 }
 
 impl VerdictEngine {
@@ -291,6 +296,7 @@ impl VerdictEngine {
             masks: FxHashMap::default(),
             stats: vec![PredictStats::default(); nodes as usize],
             clock: 0,
+            resolved: Vec::new(),
         }
     }
 
@@ -339,47 +345,41 @@ impl VerdictEngine {
         requester: NodeId,
         block: BlockId,
         write_request: bool,
-    ) -> Vec<VerdictRecord> {
+    ) -> &[VerdictRecord] {
+        self.resolved.clear();
         let Some(entries) = self.masks.get_mut(&block.index()) else {
-            return Vec::new();
+            return &self.resolved;
         };
-        let clock = self.clock;
-        let mut premature = Vec::new();
-        let mut correct = Vec::new();
+        let (clock, stats, out) = (self.clock, &mut self.stats, &mut self.resolved);
+        // One pass: premature verdicts are inserted ahead of the correct
+        // ones, each group keeping firing order.
+        let mut premature = 0;
         entries.retain(|entry| {
+            let s = &mut stats[entry.node.index()];
             if entry.node == requester {
-                premature.push(*entry);
+                s.premature += 1;
+                let verdict = VerdictRecord {
+                    node: entry.node,
+                    block,
+                    outcome: VerifyOutcome::Premature,
+                };
+                out.insert(premature, verdict);
+                premature += 1;
                 false
             } else if entry.relinquished_exclusive || write_request {
-                correct.push(*entry);
+                s.correct += 1;
+                s.lead_events += clock - entry.fired_at;
+                out.push(VerdictRecord {
+                    node: entry.node,
+                    block,
+                    outcome: VerifyOutcome::Correct,
+                });
                 false
             } else {
                 true
             }
         });
-        if entries.is_empty() {
-            self.masks.remove(&block.index());
-        }
-        let mut out = Vec::with_capacity(premature.len() + correct.len());
-        for entry in premature {
-            self.stats[entry.node.index()].premature += 1;
-            out.push(VerdictRecord {
-                node: entry.node,
-                block,
-                outcome: VerifyOutcome::Premature,
-            });
-        }
-        for entry in correct {
-            let s = &mut self.stats[entry.node.index()];
-            s.correct += 1;
-            s.lead_events += clock - entry.fired_at;
-            out.push(VerdictRecord {
-                node: entry.node,
-                block,
-                outcome: VerifyOutcome::Correct,
-            });
-        }
-        out
+        &self.resolved
     }
 
     /// Tallies unresolved mask entries and returns the per-node stats.
@@ -420,14 +420,6 @@ pub fn replay_capture(
     // (node, block) -> copy holds write permission; presence filters sync
     // flushes of blocks no longer cached and supplies relinquished_exclusive.
     let mut held: FxHashMap<(NodeId, BlockId), bool> = FxHashMap::default();
-    let deliver = |recs: Vec<VerdictRecord>,
-                   policies: &mut [Box<dyn SelfInvalidationPolicy>],
-                   verdicts: &mut Vec<VerdictRecord>| {
-        for r in recs {
-            policies[r.node.index()].on_verification(r.block, r.outcome);
-            verdicts.push(r);
-        }
-    };
     for event in events {
         engine.tick();
         match event {
@@ -436,8 +428,10 @@ pub fn replay_capture(
                 if let Some(fill) = touch.fill {
                     let write_request =
                         touch.exclusive || matches!(fill.kind, crate::policy::FillKind::Upgrade);
-                    let recs = engine.on_request(*node, touch.block, write_request);
-                    deliver(recs, policies, &mut verdicts);
+                    for r in engine.on_request(*node, touch.block, write_request) {
+                        policies[r.node.index()].on_verification(r.block, r.outcome);
+                        verdicts.push(*r);
+                    }
                 }
                 engine.note_touch(*node);
                 let fire = policies[node.index()].on_touch(*touch);
@@ -498,7 +492,8 @@ pub fn verdicts_by_site(
 
 /// A FIFO of per-block pending items keyed by block — shared plumbing for
 /// predictors that must match [`SelfInvalidationPolicy::on_verification`]'s
-/// per-block FIFO delivery order.
+/// per-block FIFO delivery order. A block's emptied queue stays, so its
+/// next push reuses the allocation.
 #[derive(Debug)]
 pub(crate) struct PendingFifo<T> {
     queues: FxHashMap<u64, VecDeque<T>>,
@@ -519,12 +514,7 @@ impl<T> PendingFifo<T> {
     }
 
     pub(crate) fn pop(&mut self, block: BlockId) -> Option<T> {
-        let q = self.queues.get_mut(&block.index())?;
-        let item = q.pop_front();
-        if q.is_empty() {
-            self.queues.remove(&block.index());
-        }
-        item
+        self.queues.get_mut(&block.index())?.pop_front()
     }
 }
 
@@ -597,6 +587,32 @@ mod tests {
         let recs = e.on_request(NodeId::new(1), BlockId::new(3), false);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].outcome, VerifyOutcome::Correct);
+    }
+
+    #[test]
+    fn requester_premature_precedes_correct_in_firing_order() {
+        let mut e = VerdictEngine::new(3);
+        e.on_fire(NodeId::new(1), BlockId::new(4), true);
+        e.on_fire(NodeId::new(0), BlockId::new(4), false);
+        e.on_fire(NodeId::new(2), BlockId::new(4), false);
+        let recs: Vec<(usize, VerifyOutcome)> = e
+            .on_request(NodeId::new(0), BlockId::new(4), true)
+            .iter()
+            .map(|r| (r.node.index(), r.outcome))
+            .collect();
+        assert_eq!(
+            recs,
+            [
+                (0, VerifyOutcome::Premature),
+                (1, VerifyOutcome::Correct),
+                (2, VerifyOutcome::Correct)
+            ]
+        );
+        // The emptied mask resolves nothing more and counts nothing.
+        assert!(e
+            .on_request(NodeId::new(1), BlockId::new(4), true)
+            .is_empty());
+        assert!(e.finish().iter().all(|s| s.unresolved == 0));
     }
 
     #[test]

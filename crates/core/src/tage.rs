@@ -21,7 +21,7 @@
 //!
 //! Spec string: `tage[:tables=4][,size=512]`.
 
-use crate::fast_hash::FxHashMap;
+use crate::fast_hash::{fnv1a_fold, FxHashMap, FNV_OFFSET};
 
 use crate::confidence::TwoBitCounter;
 use crate::ltp::PredictorConfig;
@@ -37,6 +37,11 @@ pub const TAGE_DEFAULT_TABLES: usize = 4;
 pub const TAGE_DEFAULT_SIZE: usize = 512;
 /// Partial-tag width stored per entry.
 const TAG_BITS: usize = 16;
+/// Most tagged tables a predictor has (`tables` is clamped to 1..=8).
+const MAX_TABLES: usize = 8;
+/// Seed XORed into FNV-1a's offset basis for the tag hash (the row hash
+/// uses seed 0).
+const TAG_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
@@ -52,12 +57,15 @@ struct Table {
     entries: Vec<Entry>,
 }
 
-/// One touch's lookup, snapshotted for later training: per-table (row,
-/// tag) plus the provider table, if any.
-#[derive(Debug, Clone)]
+/// One touch's lookup, snapshotted for later training: per-table row and
+/// tag (the first `tables.len()` of each are meaningful) plus the provider
+/// table, if any. Rows and tags sit in separate arrays, with no padding
+/// between them: `last_lookup` holds one snapshot per tracked block.
+#[derive(Debug, Clone, Copy)]
 struct Lookup {
-    slots: Vec<(usize, u16)>,
-    provider: Option<usize>,
+    rows: [usize; MAX_TABLES],
+    tags: [u16; MAX_TABLES],
+    provider: Option<u8>,
 }
 
 /// The TAGE-style predictor (see the module docs).
@@ -79,7 +87,7 @@ impl TagePredictor {
     /// Builds a predictor with `tables` tagged tables (1..=8, history
     /// lengths 2, 4, 8, …) of `size` entries each.
     pub fn new(tables: usize, size: usize, config: PredictorConfig) -> Self {
-        let tables = tables.clamp(1, 8);
+        let tables = tables.clamp(1, MAX_TABLES);
         let size = size.max(1);
         TagePredictor {
             tables: (0..tables)
@@ -99,48 +107,12 @@ impl TagePredictor {
         self.tables.last().map_or(2, |t| t.len)
     }
 
-    /// FNV-1a with a per-purpose seed over (table id, block, the last `len`
-    /// history PCs).
-    fn hash(seed: u64, table: usize, block: BlockId, history: &[Pc], len: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(table as u64);
-        mix(block.index());
-        let start = history.len().saturating_sub(len);
-        for pc in &history[start..] {
-            mix(u64::from(pc.value()));
-        }
-        h
-    }
-
-    fn lookup(&self, block: BlockId, history: &[Pc]) -> Lookup {
-        let mut slots = Vec::with_capacity(self.tables.len());
-        let mut provider = None;
-        for (i, table) in self.tables.iter().enumerate() {
-            let row =
-                (Self::hash(0, i, block, history, table.len) % table.entries.len() as u64) as usize;
-            let tag = (Self::hash(0x9e37_79b9_7f4a_7c15, i, block, history, table.len)
-                >> (64 - TAG_BITS)) as u16;
-            let entry = table.entries[row];
-            if entry.valid && entry.tag == tag {
-                provider = Some(i); // tables iterate shortest→longest; keep last
-            }
-            slots.push((row, tag));
-        }
-        Lookup { slots, provider }
-    }
-
     /// Allocates `lookup`'s slot in the weakest candidate: invalid entries
     /// first, then weakest counter, then shortest history — fully
     /// deterministic, overwriting on total conflict.
     fn allocate(&mut self, lookup: &Lookup) {
         let mut best: Option<(usize, u8, bool)> = None; // (table, ctr value, valid)
-        for (i, &(row, _tag)) in lookup.slots.iter().enumerate() {
+        for (i, &row) in lookup.rows[..self.tables.len()].iter().enumerate() {
             let entry = self.tables[i].entries[row];
             let key = (entry.valid, entry.ctr.value(), i);
             let better = match best {
@@ -152,7 +124,7 @@ impl TagePredictor {
             }
         }
         if let Some((i, _, _)) = best {
-            let (row, tag) = lookup.slots[i];
+            let (row, tag) = (lookup.rows[i], lookup.tags[i]);
             self.tables[i].entries[row] = Entry {
                 valid: true,
                 tag,
@@ -164,12 +136,50 @@ impl TagePredictor {
     /// Applies `f` to the provider's entry if its tag still matches (it may
     /// have been stolen by an aliasing block since the snapshot).
     fn with_provider(&mut self, lookup: &Lookup, f: impl FnOnce(&mut Entry)) {
-        let Some(i) = lookup.provider else { return };
-        let (row, tag) = lookup.slots[i];
+        let Some(i) = lookup.provider.map(usize::from) else {
+            return;
+        };
+        let (row, tag) = (lookup.rows[i], lookup.tags[i]);
         let entry = &mut self.tables[i].entries[row];
         if entry.valid && entry.tag == tag {
             f(entry);
         }
+    }
+}
+
+/// Table `table`'s (row, tag) hashes for `block` under the history
+/// `window` (its last Lᵢ PCs): FNV-1a over (table id, block, window) with
+/// seeds 0 and [`TAG_SEED`], hashed together in one pass.
+fn table_hashes(table: usize, block: BlockId, window: &[Pc]) -> [u64; 2] {
+    let mut h = fnv1a_fold([FNV_OFFSET, FNV_OFFSET ^ TAG_SEED], table as u64);
+    h = fnv1a_fold(h, block.index());
+    for pc in window {
+        h = fnv1a_fold(h, u64::from(pc.value()));
+    }
+    h
+}
+
+/// Looks `block` up under `history` in every table.
+fn lookup(tables: &[Table], block: BlockId, history: &[Pc]) -> Lookup {
+    let mut rows = [0; MAX_TABLES];
+    let mut tags = [0; MAX_TABLES];
+    let mut provider = None;
+    for (i, table) in tables.iter().enumerate() {
+        let window = &history[history.len().saturating_sub(table.len)..];
+        let [row_hash, tag_hash] = table_hashes(i, block, window);
+        let row = (row_hash % table.entries.len() as u64) as usize;
+        let tag = (tag_hash >> (64 - TAG_BITS)) as u16;
+        let entry = table.entries[row];
+        if entry.valid && entry.tag == tag {
+            provider = Some(i as u8); // tables iterate shortest→longest; keep last
+        }
+        rows[i] = row;
+        tags[i] = tag;
+    }
+    Lookup {
+        rows,
+        tags,
+        provider,
     }
 }
 
@@ -189,12 +199,11 @@ impl SelfInvalidationPolicy for TagePredictor {
         if keep > 0 {
             history.drain(..keep);
         }
-        let history = history.clone();
-        let lookup = self.lookup(touch.block, &history);
-        let confident = lookup.provider.is_some_and(|i| {
-            let (row, _) = lookup.slots[i];
-            self.tables[i].entries[row].ctr.is_saturated()
-        });
+        let lookup = lookup(&self.tables, touch.block, history);
+        let confident = lookup
+            .provider
+            .map(usize::from)
+            .is_some_and(|i| self.tables[i].entries[lookup.rows[i]].ctr.is_saturated());
         let fire = confident && (self.config.self_invalidate_shared || touch.exclusive);
         if fire {
             self.histories.remove(&touch.block.index());
@@ -254,6 +263,72 @@ impl SelfInvalidationPolicy for TagePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltp_sim::SimRng;
+
+    /// The byte-wise FNV-1a the folded hashes must equal: seeded offset
+    /// basis, then every little-endian byte of (table id, block, window).
+    fn bytewise_hash(seed: u64, table: usize, block: BlockId, window: &[Pc]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ seed;
+        let mut mix = |v: u64| {
+            for byte in v.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        mix(table as u64);
+        mix(block.index());
+        for pc in window {
+            mix(u64::from(pc.value()));
+        }
+        h
+    }
+
+    /// A value of random magnitude: zero, small, `u32`-wide or full-width.
+    fn any_width(rng: &mut SimRng) -> u64 {
+        match rng.below(6) {
+            0 => 0,
+            1 => u64::MAX,
+            2 => rng.below(256),
+            3 => rng.next_u64() >> 32,
+            4 => (1 << 32) + rng.below(1 << 40),
+            _ => rng.next_u64() >> rng.below(64),
+        }
+    }
+
+    #[test]
+    fn folded_hashes_equal_bytewise_fnv1a() {
+        for seed in 0..8 {
+            let mut rng = SimRng::from_seed(seed);
+            for _ in 0..200 {
+                let tables = 1 + rng.below(MAX_TABLES as u64) as usize;
+                let size = 1 + rng.below(4096) as usize;
+                let t = TagePredictor::new(tables, size, PredictorConfig::default());
+                let block = BlockId::new(any_width(&mut rng));
+                let history: Vec<Pc> = (0..rng.below(257))
+                    .map(|_| Pc::new(any_width(&mut rng) as u32))
+                    .collect();
+                let l = lookup(&t.tables, block, &history);
+                for (i, table) in t.tables.iter().enumerate() {
+                    let window = &history[history.len().saturating_sub(table.len)..];
+                    let row_hash = bytewise_hash(0, i, block, window);
+                    let tag_hash = bytewise_hash(TAG_SEED, i, block, window);
+                    assert_eq!(table_hashes(i, block, window), [row_hash, tag_hash]);
+                    let row = (row_hash % size as u64) as usize;
+                    assert_eq!(
+                        (l.rows[i], l.tags[i]),
+                        (row, (tag_hash >> (64 - TAG_BITS)) as u16)
+                    );
+                }
+                // The fold itself, from an arbitrary state.
+                let (h, v) = (rng.next_u64(), any_width(&mut rng));
+                let mut expect = h;
+                for byte in v.to_le_bytes() {
+                    expect = (expect ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                assert_eq!(fnv1a_fold([h], v), [expect], "v = {v:#x}");
+            }
+        }
+    }
 
     fn touch(block: u64, pc: u32, demand: bool) -> Touch {
         Touch {

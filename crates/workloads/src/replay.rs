@@ -22,11 +22,21 @@
 //!
 //! * **Locks** — a free lock is acquired immediately with the machine's
 //!   test-and-test-and-set touch sequence (two spin-PC loads, one TAS
-//!   store); contenders block without spinning and retry each round, so
-//!   waiters wake in node order. No backoff, no wasted spin touches.
+//!   store); contenders block without spinning and retry, so waiters wake
+//!   in node order. No backoff, no wasted spin touches.
 //! * **Flags** — [`Op::FlagWait`] consumes one signal generation
 //!   (`writes > waited`), touching the flag block once on success;
 //!   blocked waiters emit no touches.
+//! * **Parked contenders** — a node whose lock or flag attempt fails is
+//!   parked on the block and skipped until the block is written (a flag
+//!   set, the releasing store, any store) — the only events that can
+//!   change the attempt's outcome, since a lock is released only by its
+//!   releasing store. The schedule is the one a retry every round gives: a
+//!   failed attempt changes nothing the replay reports, and a woken node
+//!   retries at its own turn in node order — nodes after the waker in the
+//!   same round, nodes before it in the next. A parked node still counts
+//!   as runnable for the barrier, and a round in which every unfinished
+//!   node is parked or at the barrier is the deadlock.
 //! * **Barriers** — a node arriving at [`Op::Barrier`] blocks until every
 //!   unfinished node arrives; all are released in node order, each
 //!   receiving its [`SyncKind::Barrier`] boundary (and flushing whatever
@@ -135,6 +145,19 @@ struct BlockState {
     version: u32,
     /// Writes ever performed — the flag-generation token.
     writes: u64,
+    /// Nodes parked on this block: a failed [`Op::Lock`] or
+    /// [`Op::FlagWait`] on it, waiting for the next write or release.
+    waiters: Vec<u16>,
+}
+
+impl BlockState {
+    /// Unparks every node waiting on this block: a write or a lock release
+    /// is all that can change the outcome of their failed attempts.
+    fn wake(&mut self, parked: &mut [bool]) {
+        for p in self.waiters.drain(..) {
+            parked[p as usize] = false;
+        }
+    }
 }
 
 struct Replayer<'a> {
@@ -150,6 +173,10 @@ struct Replayer<'a> {
     touch_seq: FxHashMap<(u16, u64), u64>,
     /// Per node: recorded last-touch marks (when recording).
     marks: Option<Vec<Vec<(BlockId, u64)>>>,
+    /// Per node: parked on a block's `waiters` (see the scheduling model).
+    parked: Vec<bool>,
+    /// Scratch for a write miss's victims, reused across writes.
+    victims: Vec<u16>,
 }
 
 impl Replayer<'_> {
@@ -159,12 +186,20 @@ impl Replayer<'_> {
             .is_some_and(|s| s.owner == Some(p) || s.sharers.contains(p))
     }
 
-    /// Delivers verdicts returned by the engine to their policies.
-    fn deliver(&mut self, recs: Vec<VerdictRecord>) {
+    /// Sends `p`'s request for `block` to the verdict engine and delivers
+    /// the verdicts it resolves to their policies.
+    fn request(&mut self, p: u16, block: BlockId, write_request: bool) {
+        let recs = self.engine.on_request(NodeId::new(p), block, write_request);
         for r in recs {
             self.policies[r.node.index()].on_verification(r.block, r.outcome);
-            self.verdicts.push(r);
         }
+        self.verdicts.extend_from_slice(recs);
+    }
+
+    /// Parks `p` on block `b` after a failed lock or flag attempt.
+    fn park(&mut self, p: u16, b: u64) {
+        self.blocks.entry(b).or_default().waiters.push(p);
+        self.parked[p as usize] = true;
     }
 
     /// An external invalidation of `victim`'s copy of `b` (it holds one).
@@ -229,8 +264,7 @@ impl Replayer<'_> {
                 return;
             }
         }
-        let recs = self.engine.on_request(NodeId::new(p), block, false);
-        self.deliver(recs);
+        self.request(p, block, false);
         // Migratory-favoring §2: a read invalidates the writer entirely.
         if let Some(owner) = self.blocks.entry(b).or_default().owner {
             self.invalidate(owner, b);
@@ -260,6 +294,7 @@ impl Replayer<'_> {
         let block = BlockId::new(b);
         let state = self.blocks.entry(b).or_default();
         state.writes += 1;
+        state.wake(&mut self.parked);
         let owner_hit = state.owner == Some(p);
         let holds_shared = state.sharers.contains(p);
         if owner_hit {
@@ -275,19 +310,22 @@ impl Replayer<'_> {
             );
             return;
         }
-        let recs = self.engine.on_request(NodeId::new(p), block, true);
-        self.deliver(recs);
+        self.request(p, block, true);
         let state = self.blocks.get(&b).expect("entry exists");
-        let victims: Vec<u16> = state
-            .sharers
-            .iter()
-            .filter(|&s| s != p)
-            .chain(state.owner.into_iter().filter(|&o| o != p))
-            .collect();
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        victims.extend(
+            state
+                .sharers
+                .iter()
+                .filter(|&s| s != p)
+                .chain(state.owner.into_iter().filter(|&o| o != p)),
+        );
         let migratory = holds_shared && victims.is_empty();
-        for v in victims {
+        for &v in &victims {
             self.invalidate(v, b);
         }
+        self.victims = victims;
         let state = self.blocks.get_mut(&b).expect("entry exists");
         state.sharers.clear();
         state.version += 1;
@@ -331,7 +369,8 @@ impl Replayer<'_> {
 /// Outcome of attempting one operation.
 enum Exec {
     Done,
-    Blocked,
+    /// A lock or flag wait failed on this block.
+    Blocked(u64),
     EnteredBarrier(u32),
 }
 
@@ -357,6 +396,8 @@ pub fn replay(
         waited: FxHashMap::default(),
         touch_seq: FxHashMap::default(),
         marks: record_ground_truth.then(|| vec![Vec::new(); n]),
+        parked: vec![false; n],
+        victims: Vec::new(),
     };
     let mut pending: Vec<Option<Op>> = (0..n).map(|_| None).collect();
     let mut finished = vec![false; n];
@@ -393,7 +434,7 @@ pub fn replay(
     loop {
         let mut progress = false;
         for p in 0..n {
-            if finished[p] || in_barrier[p] {
+            if finished[p] || in_barrier[p] || r.parked[p] {
                 continue;
             }
             let Some(op) = pending[p].take().or_else(|| programs[p].next_op()) else {
@@ -421,13 +462,15 @@ pub fn replay(
                 }
                 Op::Lock(lock) => {
                     if r.locks_held.contains(&lock.block.index()) {
-                        Exec::Blocked
+                        Exec::Blocked(lock.block.index())
                     } else {
                         acquire(&mut r, p as u16, lock);
                         Exec::Done
                     }
                 }
                 Op::Unlock(lock) => {
+                    // The releasing store wakes the lock's waiters; they
+                    // retry after this op, with the lock free.
                     r.write(p as u16, lock.release_pc, lock.block.index());
                     r.locks_held.remove(&lock.block.index());
                     if lock.exposed {
@@ -444,7 +487,7 @@ pub fn replay(
                         r.read(p as u16, pc, b);
                         Exec::Done
                     } else {
-                        Exec::Blocked
+                        Exec::Blocked(b)
                     }
                 }
                 Op::Barrier(id) => Exec::EnteredBarrier(id),
@@ -454,8 +497,9 @@ pub fn replay(
                     ops += 1;
                     progress = true;
                 }
-                Exec::Blocked => {
+                Exec::Blocked(b) => {
                     pending[p] = Some(op);
+                    r.park(p as u16, b);
                 }
                 Exec::EnteredBarrier(id) => {
                     ops += 1;
@@ -556,6 +600,39 @@ mod tests {
             let total: u64 = report.stats.iter().map(|s| s.touches).sum();
             assert!(total > 0, "{bench:?} touched blocks");
         }
+    }
+
+    fn script(ops: Vec<Op>) -> Box<dyn Program> {
+        Box::new(crate::LoopedScript::new(ops, Vec::new(), 0))
+    }
+
+    #[test]
+    #[should_panic(expected = "logical replay deadlocked")]
+    fn a_lock_never_released_deadlocks() {
+        let lock = Lock::library(BlockId::new(3), 0x100);
+        let programs = vec![
+            script(vec![Op::Lock(lock)]),
+            script(vec![Op::Think(1), Op::Lock(lock)]),
+        ];
+        replay(programs, &mut policies("ltp", 2), false);
+    }
+
+    #[test]
+    #[should_panic(expected = "logical replay deadlocked")]
+    fn a_flag_never_set_deadlocks() {
+        let (pc, block) = (ltp_core::Pc::new(0x200), BlockId::new(5));
+        let programs = vec![
+            script(vec![Op::FlagWait { pc, block }]),
+            // Writes to other blocks keep the round busy without waking.
+            script(vec![
+                Op::Write {
+                    pc,
+                    block: BlockId::new(6),
+                };
+                8
+            ]),
+        ];
+        replay(programs, &mut policies("ltp", 2), false);
     }
 
     #[test]
