@@ -100,6 +100,22 @@ impl MsgKind {
     pub fn is_request(self) -> bool {
         matches!(self, MsgKind::GetS | MsgKind::GetX | MsgKind::Upgrade)
     }
+
+    /// Whether this kind travels to the block's directory (requests,
+    /// self-invalidations and invalidation acks). Every other kind is a
+    /// directory's reply to a cache, so only a directory sends it.
+    #[inline]
+    pub fn to_directory(self) -> bool {
+        matches!(
+            self,
+            MsgKind::GetS
+                | MsgKind::GetX
+                | MsgKind::Upgrade
+                | MsgKind::SelfInvClean
+                | MsgKind::SelfInvDirty { .. }
+                | MsgKind::InvAck { .. }
+        )
+    }
 }
 
 /// One protocol message in flight.
@@ -162,6 +178,25 @@ mod tests {
         assert!(MsgKind::Upgrade.is_request());
         assert!(!MsgKind::Inv.is_request());
         assert!(!MsgKind::SelfInvClean.is_request());
+    }
+
+    #[test]
+    fn direction_classification() {
+        assert!(MsgKind::GetS.to_directory());
+        assert!(MsgKind::SelfInvDirty { token: 1 }.to_directory());
+        assert!(MsgKind::InvAck {
+            had_copy: false,
+            dirty_token: None
+        }
+        .to_directory());
+        assert!(!MsgKind::Inv.to_directory());
+        assert!(!MsgKind::VerifyCorrect { timely: true }.to_directory());
+        assert!(!MsgKind::UpgradeAck {
+            version: 0,
+            migratory: false,
+            verify: None
+        }
+        .to_directory());
     }
 
     #[test]

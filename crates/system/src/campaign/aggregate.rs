@@ -463,11 +463,21 @@ fn render(figure: FigureId, rows: &[Row], stuck: &[StuckRow]) -> (String, String
             // Per-policy averages over benchmarks (the paper's headline
             // "LTP predicts 79% on average" numbers).
             append_policy_averages(&mut md, &mut json_rows, rows, |r| {
-                percent(r.predicted, r.invalidation_events())
+                Some(percent(r.predicted, r.invalidation_events()))
             });
         }
         FigureId::Fig7 | FigureId::Fig9 => {
             let speedup = figure == FigureId::Fig9;
+            // A row is shown only against a base run of its geometry.
+            let measured = |r: &Row| -> Option<(u64, f64)> {
+                let base = base_exec(r).filter(|&b| b != 0 && r.exec_cycles != 0)?;
+                let value = if speedup {
+                    base as f64 / r.exec_cycles as f64
+                } else {
+                    r.exec_cycles as f64 / base as f64
+                };
+                Some((base, value))
+            };
             if speedup {
                 md.push_str("| benchmark | policy | nodes | dir | speedup vs base |\n");
             } else {
@@ -475,14 +485,8 @@ fn render(figure: FigureId, rows: &[Row], stuck: &[StuckRow]) -> (String, String
             }
             md.push_str("|---|---|---:|---|---:|\n");
             for r in rows.iter().filter(|r| r.policy != "base") {
-                let Some(base) = base_exec(r) else { continue };
-                if base == 0 || r.exec_cycles == 0 {
+                let Some((base, value)) = measured(r) else {
                     continue;
-                }
-                let value = if speedup {
-                    base as f64 / r.exec_cycles as f64
-                } else {
-                    r.exec_cycles as f64 / base as f64
                 };
                 let _ = writeln!(
                     md,
@@ -506,13 +510,7 @@ fn render(figure: FigureId, rows: &[Row], stuck: &[StuckRow]) -> (String, String
             }
             if speedup {
                 append_policy_averages(&mut md, &mut json_rows, rows, |r| {
-                    base_exec(r).map_or(0.0, |base| {
-                        if r.exec_cycles == 0 {
-                            0.0
-                        } else {
-                            base as f64 / r.exec_cycles as f64
-                        }
-                    })
+                    measured(r).map(|(_, value)| value)
                 });
             }
         }
@@ -659,20 +657,20 @@ fn fixed(x: f64, prec: u32) -> f64 {
     (x * scale).round() / scale
 }
 
-/// Appends a per-policy arithmetic-mean block (over the non-base rows'
-/// `value`) to both renderings.
+/// Appends a per-policy arithmetic-mean block to both renderings. The mean
+/// runs over the non-base rows the figure shows: those where `value` is
+/// `Some`.
 fn append_policy_averages(
     md: &mut String,
     json_rows: &mut Vec<JsonValue>,
     rows: &[Row],
-    value: impl Fn(&Row) -> f64,
+    value: impl Fn(&Row) -> Option<f64>,
 ) {
     let mut specs: Vec<&str> = rows
         .iter()
-        .filter(|r| r.policy != "base")
+        .filter(|r| r.policy != "base" && value(r).is_some())
         .map(|r| r.policy_spec.as_str())
         .collect();
-    specs.dedup();
     specs.sort_unstable();
     specs.dedup();
     if specs.is_empty() {
@@ -683,11 +681,8 @@ fn append_policy_averages(
         let values: Vec<f64> = rows
             .iter()
             .filter(|r| r.policy_spec == spec)
-            .map(&value)
+            .filter_map(&value)
             .collect();
-        if values.is_empty() {
-            continue;
-        }
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let _ = writeln!(md, "- `{spec}`: {mean:.2}");
         json_rows.push(
@@ -771,6 +766,62 @@ mod tests {
                 "{path} drifted on regeneration"
             );
         }
+        fs::remove_dir_all(&store).unwrap();
+        fs::remove_dir_all(&out).unwrap();
+    }
+
+    #[test]
+    fn fig9_averages_only_the_rows_it_shows() {
+        // The 8-node em3d row has no base run of its geometry: the table
+        // leaves it out, so the per-policy average must too (and with no
+        // row shown there is no average block at all).
+        let registry = PolicyRegistry::with_builtins();
+        let paired = SweepSpec::new()
+            .benchmarks([Benchmark::Em3d, Benchmark::Tomcatv])
+            .policy_specs(&registry, &["base", "ltp"])
+            .unwrap()
+            .quick_geometry(4, 2);
+        let unpaired = SweepSpec::new()
+            .benchmark(Benchmark::Em3d)
+            .policy_specs(&registry, &["ltp"])
+            .unwrap()
+            .quick_geometry(8, 2);
+        let store = std::env::temp_dir().join(format!(
+            "ltp-aggregate-unpaired-store-{}",
+            std::process::id()
+        ));
+        let out =
+            std::env::temp_dir().join(format!("ltp-aggregate-unpaired-out-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&store);
+        let _ = fs::remove_dir_all(&out);
+        Campaign::new(unpaired, &store).run().unwrap();
+        generate_reports(&store, &out, &[FigureId::Fig9]).unwrap();
+        let fig9 = fs::read_to_string(out.join("fig9.md")).unwrap();
+        assert!(!fig9.contains("Per-policy averages"), "{fig9}");
+
+        Campaign::new(paired, &store).run().unwrap();
+        generate_reports(&store, &out, &[FigureId::Fig9]).unwrap();
+        let fig9 = fs::read_to_string(out.join("fig9.md")).unwrap();
+        let last_number = |line: &str| -> f64 {
+            line.trim_end_matches(['|', ' '])
+                .rsplit([' ', '|'])
+                .next()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no number in {line:?}"))
+        };
+        let shown: Vec<f64> = fig9
+            .lines()
+            .filter(|l| l.starts_with("| ") && l.contains("`ltp"))
+            .map(last_number)
+            .collect();
+        assert_eq!(shown.len(), 2, "{fig9}");
+        let average = last_number(
+            fig9.lines()
+                .find(|l| l.starts_with("- `ltp"))
+                .expect("an average line"),
+        );
+        let mean = shown.iter().sum::<f64>() / shown.len() as f64;
+        assert!((average - mean).abs() < 0.006, "{fig9}");
         fs::remove_dir_all(&store).unwrap();
         fs::remove_dir_all(&out).unwrap();
     }

@@ -4,10 +4,12 @@
 //! [`NodeCache`] and [`Directory`] components, modeled per-edge FIFO
 //! channels and per-home service queues — over *every* interleaving of
 //! processor issue, self-invalidation, message delivery, and directory
-//! service. The invariant catalog (module docs of [`crate::checker`]) is
-//! asserted in every discovered state; a violation yields the shortest
-//! event trace that reaches it (BFS order), printed as a replayable
-//! counterexample.
+//! service. Each discovered state is snapshotted into a [`MachineView`]
+//! and checked against the catalog of [`crate::checker`]: its ground rows
+//! after every transition, the whole end-of-run audit
+//! ([`quiescence_violations`]) at every state with no transition left. A
+//! violation yields the shortest event trace that reaches it (BFS order),
+//! printed as a replayable counterexample.
 //!
 //! This is deliberately a zero-dependency mini-Murphi: exhaustive up to the
 //! configured op budget, deterministic, and fast enough for CI because the
@@ -22,7 +24,7 @@ use ltp_dsm::{
     AccessOutcome, DirStateView, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache,
 };
 
-use super::shadow::rep_admits;
+use super::{ground_violations, quiescence_violations, MachineView};
 
 /// The configuration a [`explore`] run enumerates.
 #[derive(Debug, Clone, Copy)]
@@ -103,6 +105,28 @@ struct State {
     runs: Vec<Run>,
 }
 
+impl State {
+    /// Empty caches and directories, idle channels, full op budgets.
+    fn initial(cfg: &ExploreConfig) -> State {
+        State {
+            caches: (0..cfg.nodes)
+                .map(|n| NodeCache::new(NodeId::new(n)))
+                .collect(),
+            dirs: (0..cfg.nodes)
+                .map(|n| Directory::with_kind(NodeId::new(n), cfg.directory, cfg.nodes))
+                .collect(),
+            edges: BTreeMap::new(),
+            engines: (0..cfg.nodes).map(|_| VecDeque::new()).collect(),
+            runs: (0..cfg.nodes)
+                .map(|_| Run {
+                    remaining: cfg.ops_per_node,
+                    blocked: None,
+                })
+                .collect(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Choice {
     /// Node issues a read (`false`) or write (`true`) to a block.
@@ -180,18 +204,6 @@ fn push_edge(st: &mut State, msg: Message) {
         .push_back(msg);
 }
 
-fn directory_bound(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::GetS
-            | MsgKind::GetX
-            | MsgKind::Upgrade
-            | MsgKind::SelfInvClean
-            | MsgKind::SelfInvDirty { .. }
-            | MsgKind::InvAck { .. }
-    )
-}
-
 /// Applies one transition. `Err` is a transition-level violation (a message
 /// that cannot legally be delivered in the source state).
 fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static str, String)> {
@@ -233,7 +245,7 @@ fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static s
                 }
                 m
             };
-            if directory_bound(msg.kind) {
+            if msg.kind.to_directory() {
                 next.engines[usize::from(d)].push_back(msg);
             } else {
                 match msg.kind {
@@ -288,175 +300,31 @@ fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static s
     Ok(next)
 }
 
-// --- invariant catalog over a full explorer state -------------------------
-
-#[allow(clippy::too_many_lines)]
-fn check_state(cfg: &ExploreConfig, st: &State) -> Option<(&'static str, String)> {
-    // Holder map: block -> [(node, line)].
-    let mut holders: BTreeMap<BlockId, Vec<(NodeId, Line)>> = BTreeMap::new();
-    for (n, cache) in st.caches.iter().enumerate() {
-        for (b, line) in cache.lines() {
-            holders
-                .entry(b)
-                .or_default()
-                .push((NodeId::new(n as u16), line));
-        }
-    }
-
-    // SWMR: a writable copy excludes every other copy.
-    for (b, hs) in &holders {
-        let writers: Vec<NodeId> = hs
+/// Snapshots `st` for the shared catalog. Queued and in-flight messages
+/// count as engine backlog.
+fn view(cfg: &ExploreConfig, st: &State) -> MachineView {
+    let mut view = MachineView {
+        nodes: cfg.nodes,
+        directory: cfg.directory,
+        engine_backlog: st
+            .engines
             .iter()
-            .filter(|(_, l)| l.exclusive)
-            .map(|&(n, _)| n)
-            .collect();
-        if writers.len() > 1 {
-            return Some((
-                "swmr",
-                format!(
-                    "b{} held exclusive by {writers:?} simultaneously",
-                    b.index()
-                ),
-            ));
-        }
-        if writers.len() == 1 && hs.len() > 1 {
-            return Some((
-                "swmr",
-                format!(
-                    "b{} held exclusive by {} alongside {} other cop(ies)",
-                    b.index(),
-                    writers[0],
-                    hs.len() - 1
-                ),
-            ));
-        }
-    }
+            .chain(st.edges.values())
+            .map(VecDeque::len)
+            .sum(),
+        ..MachineView::default()
+    };
+    view.add(&st.dirs, &st.caches);
+    view
+}
 
-    // Cache/directory agreement, per tracked record at the block's home.
-    for dir in &st.dirs {
-        for (b, rec) in dir.blocks_view() {
-            let hs = holders.get(&b).map_or(&[][..], Vec::as_slice);
-            match &rec.state {
-                DirStateView::Idle => {
-                    if let Some(&(n, _)) = hs.first() {
-                        return Some((
-                            "agreement",
-                            format!("b{} Idle at home yet cached by {n}", b.index()),
-                        ));
-                    }
-                }
-                DirStateView::Shared { sharers, broadcast } => {
-                    for &(n, line) in hs {
-                        if line.exclusive {
-                            return Some((
-                                "swmr",
-                                format!("b{} Shared at home yet exclusive at {n}", b.index()),
-                            ));
-                        }
-                        if !rep_admits(cfg.directory, sharers, *broadcast, n) {
-                            return Some((
-                                "agreement",
-                                format!(
-                                    "b{} cached by {n} but the sharer rep does not admit it",
-                                    b.index()
-                                ),
-                            ));
-                        }
-                        if line.token != rec.token {
-                            return Some((
-                                "freshness",
-                                format!(
-                                    "b{}: {n} reads token {} while home serialized {}",
-                                    b.index(),
-                                    line.token,
-                                    rec.token
-                                ),
-                            ));
-                        }
-                    }
-                }
-                DirStateView::Exclusive(owner) => {
-                    for &(n, line) in hs {
-                        if n != *owner {
-                            return Some((
-                                "swmr",
-                                format!("b{} owned by {owner} yet also cached by {n}", b.index()),
-                            ));
-                        }
-                        // A read-only copy at the owner is legal only in the
-                        // sole-sharer upgrade window (UpgradeAck in flight),
-                        // where the token still matches the home's.
-                        if line.exclusive {
-                            if line.token < rec.token {
-                                return Some((
-                                    "freshness",
-                                    format!(
-                                        "b{}: owner {owner} holds token {} below home's {}",
-                                        b.index(),
-                                        line.token,
-                                        rec.token
-                                    ),
-                                ));
-                            }
-                        } else if line.token != rec.token {
-                            return Some((
-                                "agreement",
-                                format!(
-                                    "b{}: upgrading owner {owner} holds token {} != home's {}",
-                                    b.index(),
-                                    line.token,
-                                    rec.token
-                                ),
-                            ));
-                        }
-                    }
-                }
-                DirStateView::Busy {
-                    requester, waiting, ..
-                } => {
-                    for &(n, _) in hs {
-                        if n != *requester && !waiting.contains(n) {
-                            return Some((
-                                "agreement",
-                                format!("b{} Busy at home yet cached by bystander {n}", b.index()),
-                            ));
-                        }
-                    }
-                }
-                DirStateView::Evicting { waiting } => {
-                    // Mid-eviction the only legal copies are at holders whose
-                    // invalidation is still in flight.
-                    for &(n, _) in hs {
-                        if !waiting.contains(n) {
-                            return Some((
-                                "agreement",
-                                format!(
-                                    "b{} Evicting at home yet cached by bystander {n}",
-                                    b.index()
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-            for m in &rec.mask {
-                if holders
-                    .get(&b)
-                    .is_some_and(|hs| hs.iter().any(|&(n, _)| n == m.node))
-                {
-                    return Some((
-                        "mask",
-                        format!(
-                            "b{}: {} is in the verification mask yet holds a copy",
-                            b.index(),
-                            m.node
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    None
+/// The first ground-row violation in `st`, if any.
+fn ground_violation(cfg: &ExploreConfig, st: &State) -> Option<(&'static str, String)> {
+    let mut first = None;
+    ground_violations(&view(cfg, st), &mut |invariant, detail| {
+        first.get_or_insert((invariant, detail));
+    });
+    first
 }
 
 // --- canonical state encoding (the visited-set key) -----------------------
@@ -644,16 +512,16 @@ fn encode(st: &State) -> Vec<u8> {
 
 // --- the search -----------------------------------------------------------
 
-const ROOT: u32 = u32::MAX;
-
 struct Meta {
     parent: u32,
     label: String,
 }
 
+/// The labels of the transitions from the initial state (id 0) to state
+/// `id`, then `last`.
 fn trace_to(meta: &[Meta], mut id: u32, last: Option<String>) -> Vec<String> {
     let mut trace = Vec::new();
-    while id != ROOT {
+    while id != 0 {
         let m = &meta[id as usize];
         trace.push(m.label.clone());
         id = m.parent;
@@ -667,23 +535,7 @@ fn trace_to(meta: &[Meta], mut id: u32, last: Option<String>) -> Vec<String> {
 /// reachable state. Deterministic: identical configs yield identical
 /// outcomes (state and transition counts included).
 pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
-    let initial = State {
-        caches: (0..cfg.nodes)
-            .map(|n| NodeCache::new(NodeId::new(n)))
-            .collect(),
-        dirs: (0..cfg.nodes)
-            .map(|n| Directory::with_kind(NodeId::new(n), cfg.directory, cfg.nodes))
-            .collect(),
-        edges: BTreeMap::new(),
-        engines: (0..cfg.nodes).map(|_| VecDeque::new()).collect(),
-        runs: (0..cfg.nodes)
-            .map(|_| Run {
-                remaining: cfg.ops_per_node,
-                blocked: None,
-            })
-            .collect(),
-    };
-
+    let initial = State::initial(cfg);
     let mut index: FxHashMap<Vec<u8>, u32> = FxHashMap::default();
     let mut meta: Vec<Meta> = Vec::new();
     let mut frontier: VecDeque<(State, u32)> = VecDeque::new();
@@ -692,102 +544,65 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     index.insert(encode(&initial), 0);
     meta.push(Meta {
-        parent: ROOT,
+        parent: 0,
         label: String::new(),
     });
-    if let Some((invariant, detail)) = check_state(cfg, &initial) {
-        return ExploreOutcome {
-            states: 1,
-            transitions: 0,
-            violation: Some(CounterExample {
-                invariant,
-                detail,
-                trace: Vec::new(),
-            }),
-            truncated: false,
-        };
-    }
-    frontier.push_back((initial, 0));
-
-    while let Some((st, id)) = frontier.pop_front() {
-        let cs = choices(cfg, &st);
-        if cs.is_empty() {
-            // Terminal state: legal only when every program ran to
-            // completion with nothing in flight.
-            let stuck = st
-                .runs
-                .iter()
-                .any(|r| r.remaining > 0 || r.blocked.is_some());
-            if stuck {
-                return ExploreOutcome {
-                    states: index.len(),
-                    transitions,
-                    violation: Some(CounterExample {
-                        invariant: "conservation",
-                        detail: "deadlock: blocked program with no deliverable message".into(),
-                        trace: trace_to(&meta, id, None),
-                    }),
-                    truncated,
-                };
-            }
-            continue;
+    let found = |(invariant, detail), trace| {
+        Some(CounterExample {
+            invariant,
+            detail,
+            trace,
+        })
+    };
+    let violation = 'search: {
+        if let Some(v) = ground_violation(cfg, &initial) {
+            break 'search found(v, Vec::new());
         }
-        for c in cs {
-            transitions += 1;
-            let lbl = label(&st, c);
-            let next = match step(cfg, &st, c) {
-                Ok(next) => next,
-                Err((invariant, detail)) => {
-                    return ExploreOutcome {
-                        states: index.len(),
-                        transitions,
-                        violation: Some(CounterExample {
-                            invariant,
-                            detail,
-                            trace: trace_to(&meta, id, Some(lbl)),
-                        }),
-                        truncated,
-                    };
+        frontier.push_back((initial, 0));
+        while let Some((st, id)) = frontier.pop_front() {
+            let cs = choices(cfg, &st);
+            if cs.is_empty() {
+                // Terminal state: the end-of-run audit must pass. A program
+                // blocked with nothing deliverable is an outstanding miss.
+                if let Some(v) = quiescence_violations(&view(cfg, &st)).into_iter().next() {
+                    break 'search found((v.invariant, v.detail), trace_to(&meta, id, None));
                 }
-            };
-            let key = encode(&next);
-            if index.contains_key(&key) {
                 continue;
             }
-            let next_id = meta.len() as u32;
-            index.insert(key, next_id);
-            meta.push(Meta {
-                parent: id,
-                label: lbl,
-            });
-            if let Some((invariant, detail)) = check_state(cfg, &next) {
-                return ExploreOutcome {
-                    states: index.len(),
-                    transitions,
-                    violation: Some(CounterExample {
-                        invariant,
-                        detail,
-                        trace: trace_to(&meta, next_id, None),
-                    }),
-                    truncated,
+            for c in cs {
+                transitions += 1;
+                let lbl = label(&st, c);
+                let next = match step(cfg, &st, c) {
+                    Ok(next) => next,
+                    Err(v) => break 'search found(v, trace_to(&meta, id, Some(lbl))),
                 };
+                let key = encode(&next);
+                if index.contains_key(&key) {
+                    continue;
+                }
+                let next_id = meta.len() as u32;
+                index.insert(key, next_id);
+                meta.push(Meta {
+                    parent: id,
+                    label: lbl,
+                });
+                if let Some(v) = ground_violation(cfg, &next) {
+                    break 'search found(v, trace_to(&meta, next_id, None));
+                }
+                if index.len() >= cfg.max_states {
+                    truncated = true;
+                    break 'search None;
+                }
+                frontier.push_back((next, next_id));
             }
-            if index.len() >= cfg.max_states {
-                truncated = true;
-                frontier.clear();
-                break;
-            }
-            frontier.push_back((next, next_id));
         }
-        if truncated {
-            break;
-        }
-    }
+        None
+    };
 
     ExploreOutcome {
         states: index.len(),
         transitions,
-        violation: None,
+        violation,
         truncated,
     }
 }
@@ -823,5 +638,27 @@ mod tests {
         let b = explore(&cfg);
         assert_eq!(a.states, b.states);
         assert_eq!(a.transitions, b.transitions);
+    }
+
+    #[test]
+    fn untracked_copy_breaks_agreement() {
+        // A read-only copy installed behind the home's back: the directory
+        // never recorded the block, so the copy cannot be accounted for.
+        let cfg = ExploreConfig::default();
+        let mut st = State::initial(&cfg);
+        let block = BlockId::new(0);
+        let cache = &mut st.caches[1];
+        assert!(matches!(cache.access(block, false), AccessOutcome::Miss(_)));
+        cache.apply_reply(
+            block,
+            MsgKind::DataS {
+                version: 0,
+                token: 0,
+                verify: None,
+            },
+        );
+        let (invariant, detail) = ground_violation(&cfg, &st).expect("untracked copy passed");
+        assert_eq!(invariant, "agreement", "{detail}");
+        assert!(detail.contains("untracked"), "{detail}");
     }
 }

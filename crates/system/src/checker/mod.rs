@@ -15,6 +15,16 @@
 //!   the same catalog in each state, printing a minimal counterexample
 //!   trace on violation.
 //!
+//! The ground-state rows live in one place. A [`MachineView`] snapshots
+//! every directory record and cached line; `ground_violations` checks the
+//! rows that hold in **every** reachable state, messages in flight
+//! included, and [`quiescence_violations`] (the end-of-run audit) adds the
+//! rows that hold only once nothing is queued or outstanding. The explorer
+//! runs the first after every transition and the second at every terminal
+//! state; `Machine::view` feeds the second at the end of a run. The
+//! sanitizer's rows are event rows: they check each `SimEvent` as it
+//! happens.
+//!
 //! # The invariant catalog
 //!
 //! | invariant | meaning |
@@ -30,7 +40,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, JsonObject, JsonValue, NodeId, VerifyOutcome};
-use ltp_dsm::{DirBlockView, DirStateView, DirectoryKind, Line, Message, MsgKind};
+use ltp_dsm::{
+    DirBlockView, DirStateView, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache,
+};
 use ltp_sim::Cycle;
 
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
@@ -61,7 +73,7 @@ impl std::fmt::Display for Violation {
 
 /// A deterministic snapshot of the machine-wide ground state (every
 /// directory record and cached line), produced by
-/// [`crate::Machine::view`].
+/// [`crate::Machine::view`] and by the explorer for each state it reaches.
 #[derive(Debug, Clone, Default)]
 pub struct MachineView {
     /// Machine size.
@@ -78,9 +90,166 @@ pub struct MachineView {
     pub cache_pending: usize,
 }
 
-/// Checks the ground-state invariant catalog against a *quiescent* machine
-/// (a finished run): no transient directory state, no queued work, and full
-/// cache/directory agreement. Returns every violation found.
+impl MachineView {
+    /// Appends the records of `dirs` and the lines and outstanding misses
+    /// of `caches`, keeping both lists sorted.
+    pub(crate) fn add<'a>(
+        &mut self,
+        dirs: &'a [Directory],
+        caches: impl IntoIterator<Item = &'a NodeCache>,
+    ) {
+        for dir in dirs {
+            let home = dir.home();
+            self.dir_blocks
+                .extend(dir.blocks_view().map(|(b, rec)| (home, b, rec)));
+        }
+        for cache in caches {
+            let p = cache.node();
+            self.cache_lines
+                .extend(cache.lines().map(|(b, line)| (p, b, line)));
+            self.cache_pending += cache.pending_misses();
+        }
+        self.dir_blocks.sort_by_key(|&(home, b, _)| (home, b));
+        self.cache_lines.sort_by_key(|&(p, b, _)| (p, b));
+    }
+}
+
+/// Checks the ground rows of the catalog: the ones that hold in **every**
+/// reachable state, messages in flight included. Calls `fail` once per
+/// violated row instance, in a deterministic order.
+pub(crate) fn ground_violations(view: &MachineView, fail: &mut impl FnMut(&'static str, String)) {
+    let dirs: FxHashMap<BlockId, &DirBlockView> = view
+        .dir_blocks
+        .iter()
+        .map(|(_, b, rec)| (*b, rec))
+        .collect();
+    // Per block: (copies, writable copies, first writer).
+    let mut copies: BTreeMap<BlockId, (usize, usize, NodeId)> = BTreeMap::new();
+    for &(p, b, line) in &view.cache_lines {
+        let c = copies.entry(b).or_insert((0, 0, p));
+        c.0 += 1;
+        if line.exclusive {
+            if c.1 == 0 {
+                c.2 = p;
+            }
+            c.1 += 1;
+        }
+    }
+
+    for (b, &(total, writers, writer)) in &copies {
+        if writers > 1 {
+            fail(
+                "swmr",
+                format!("{b} held writable by {writers} nodes at once"),
+            );
+        } else if writers == 1 && total > 1 {
+            fail(
+                "swmr",
+                format!(
+                    "{b} held writable by {writer} alongside {} other cop(ies)",
+                    total - 1
+                ),
+            );
+        }
+    }
+
+    for &(p, b, line) in &view.cache_lines {
+        let Some(rec) = dirs.get(&b) else {
+            fail("agreement", format!("{p} caches untracked block {b}"));
+            continue;
+        };
+        match &rec.state {
+            DirStateView::Idle => fail("agreement", format!("{b} Idle at home yet cached by {p}")),
+            DirStateView::Shared { .. } if line.exclusive => {
+                fail("swmr", format!("{b} Shared at home yet writable at {p}"));
+            }
+            DirStateView::Shared { sharers, broadcast }
+                if !rep_admits(view.directory, sharers, *broadcast, p) =>
+            {
+                fail(
+                    "agreement",
+                    format!("{b} cached by {p} but the sharer rep does not admit it"),
+                );
+            }
+            DirStateView::Exclusive(owner) if *owner != p => fail(
+                "swmr",
+                format!("{b} owned by {owner} yet also cached by {p}"),
+            ),
+            DirStateView::Busy {
+                requester, waiting, ..
+            } if *requester != p && !waiting.contains(p) => fail(
+                "agreement",
+                format!("{b} Busy at home yet cached by bystander {p}"),
+            ),
+            // Mid-eviction the only legal copies are at holders whose
+            // invalidation is still in flight.
+            DirStateView::Evicting { waiting } if !waiting.contains(p) => fail(
+                "agreement",
+                format!("{b} Evicting at home yet cached by bystander {p}"),
+            ),
+            _ => {}
+        }
+        // Tokens, whatever the home's state. A read-only copy at the owner
+        // is the sole-sharer upgrade window (UpgradeAck in flight), where
+        // the token still matches the home's.
+        if line.exclusive {
+            if line.token < rec.token {
+                fail(
+                    "freshness",
+                    format!(
+                        "{p}'s writable {b} token {} below home's {}",
+                        line.token, rec.token
+                    ),
+                );
+            }
+        } else if line.token != rec.token {
+            if rec.state == DirStateView::Exclusive(p) {
+                fail(
+                    "agreement",
+                    format!(
+                        "upgrading owner {p} holds {b} token {} != home's {}",
+                        line.token, rec.token
+                    ),
+                );
+            } else {
+                fail(
+                    "freshness",
+                    format!(
+                        "{p}'s shared {b} token {} differs from home's {}",
+                        line.token, rec.token
+                    ),
+                );
+            }
+        }
+    }
+
+    for (home, b, rec) in &view.dir_blocks {
+        for m in &rec.mask {
+            if holds(view, m.node, *b).is_some() {
+                fail(
+                    "mask",
+                    format!(
+                        "{home}: {} is masked for {b} yet still holds a copy",
+                        m.node
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// `p`'s cached copy of `b` in `view`, if any.
+fn holds(view: &MachineView, p: NodeId, b: BlockId) -> Option<Line> {
+    view.cache_lines
+        .binary_search_by_key(&(p, b), |&(q, qb, _)| (q, qb))
+        .ok()
+        .map(|i| view.cache_lines[i].2)
+}
+
+/// Checks the whole catalog against a *quiescent* machine (a finished run,
+/// or an explorer state with no transition left): nothing queued or
+/// outstanding, then `ground_violations`, then the rows that hold only
+/// once every transaction has settled. Returns every violation found.
 pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |invariant: &'static str, detail: String| {
@@ -103,61 +272,7 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
         );
     }
 
-    let dirs: FxHashMap<BlockId, &DirBlockView> = view
-        .dir_blocks
-        .iter()
-        .map(|(_, b, rec)| (*b, rec))
-        .collect();
-    let lines: FxHashMap<(NodeId, BlockId), Line> = view
-        .cache_lines
-        .iter()
-        .map(|&(p, b, l)| ((p, b), l))
-        .collect();
-
-    for &(p, b, line) in &view.cache_lines {
-        let Some(rec) = dirs.get(&b) else {
-            fail("agreement", format!("{p} caches untracked block {b}"));
-            continue;
-        };
-        if line.exclusive {
-            if rec.state != DirStateView::Exclusive(p) {
-                fail(
-                    "swmr",
-                    format!(
-                        "{p} holds {b} exclusive but the directory says {:?}",
-                        rec.state
-                    ),
-                );
-            }
-            if line.token < rec.token {
-                fail(
-                    "freshness",
-                    format!(
-                        "{p}'s exclusive {b} token {} below home's {}",
-                        line.token, rec.token
-                    ),
-                );
-            }
-        } else {
-            match &rec.state {
-                DirStateView::Shared { sharers, broadcast }
-                    if rep_admits(view.directory, sharers, *broadcast, p) => {}
-                other => fail(
-                    "agreement",
-                    format!("{p} holds {b} shared but the directory says {other:?}"),
-                ),
-            }
-            if line.token != rec.token {
-                fail(
-                    "freshness",
-                    format!(
-                        "{p}'s shared {b} token {} differs from home's {}",
-                        line.token, rec.token
-                    ),
-                );
-            }
-        }
-    }
+    ground_violations(view, &mut fail);
 
     for (home, b, rec) in &view.dir_blocks {
         match &rec.state {
@@ -169,7 +284,7 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
                 "conservation",
                 format!("{home}: {b} still Evicting at quiescence"),
             ),
-            DirStateView::Exclusive(owner) => match lines.get(&(*owner, *b)) {
+            DirStateView::Exclusive(owner) => match holds(view, *owner, *b) {
                 Some(l) if l.exclusive => {}
                 Some(_) => fail(
                     "agreement",
@@ -200,44 +315,8 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
                 ),
             );
         }
-        for m in &rec.mask {
-            if lines.contains_key(&(m.node, *b)) {
-                fail(
-                    "mask",
-                    format!(
-                        "{home}: {} is masked for {b} yet still holds a copy",
-                        m.node
-                    ),
-                );
-            }
-        }
     }
     out
-}
-
-/// Which wire kinds only a directory originates (the two sets are disjoint,
-/// which is what lets the sanitizer attribute every `MessageSent`).
-fn dir_origin(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::Inv
-            | MsgKind::DataS { .. }
-            | MsgKind::DataX { .. }
-            | MsgKind::UpgradeAck { .. }
-            | MsgKind::VerifyCorrect { .. }
-    )
-}
-
-fn directory_bound(kind: MsgKind) -> bool {
-    matches!(
-        kind,
-        MsgKind::GetS
-            | MsgKind::GetX
-            | MsgKind::Upgrade
-            | MsgKind::SelfInvClean
-            | MsgKind::SelfInvDirty { .. }
-            | MsgKind::InvAck { .. }
-    )
 }
 
 /// FIFO lane a message travels on. Cross-node traffic serializes through the
@@ -257,7 +336,7 @@ struct LaneState {
 
 fn edge_lane(msg: &Message) -> EdgeLane {
     let lane = if msg.src == msg.dst {
-        Some((msg.block, directory_bound(msg.kind)))
+        Some((msg.block, msg.kind.to_directory()))
     } else {
         None
     };
@@ -486,7 +565,7 @@ impl CoherenceChecker {
     fn on_delivered(&mut self, at: Cycle, msg: Message) {
         // A directory reinjection is a second delivery of the same message
         // with no second send: exempt from the edge bookkeeping.
-        if directory_bound(msg.kind) {
+        if msg.kind.to_directory() {
             let h = msg.dst.index();
             if let Some(i) = self.pre_served[h].iter().position(|m| *m == msg) {
                 // The service already replayed (same-cycle key inversion);
@@ -551,7 +630,7 @@ impl CoherenceChecker {
         }
         self.last_arrival = Some((at, msg.dst, msg.src));
 
-        if directory_bound(msg.kind) {
+        if msg.kind.to_directory() {
             self.dir_inbox[msg.dst.index()].push_back(msg);
             return;
         }
@@ -590,7 +669,7 @@ impl CoherenceChecker {
             .or_default()
             .fifo
             .push_back((at, msg));
-        if dir_origin(msg.kind) {
+        if !msg.kind.to_directory() {
             let h = msg.src.index();
             match self.expected_sends[h].pop_front() {
                 Some(want) if want == msg => {}
@@ -639,7 +718,7 @@ impl CoherenceChecker {
                 }
             }
             MsgKind::SelfInvClean | MsgKind::SelfInvDirty { .. } => {}
-            _ => unreachable!("dir-origin kinds handled above"),
+            _ => unreachable!("directory replies handled above"),
         }
     }
 

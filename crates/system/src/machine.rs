@@ -426,8 +426,6 @@ impl Machine {
         for s in &self.shards {
             lock(s).view_into(&mut view);
         }
-        view.dir_blocks.sort_by_key(|&(home, b, _)| (home, b));
-        view.cache_lines.sort_by_key(|&(p, b, _)| (p, b));
         view
     }
 

@@ -560,18 +560,7 @@ impl Shard {
     /// Appends this shard's slice of the machine-wide ground state to a
     /// [`crate::checker::MachineView`].
     pub fn view_into(&self, view: &mut crate::checker::MachineView) {
-        for dir in &self.dirs {
-            let home = dir.home();
-            for (b, rec) in dir.blocks_view() {
-                view.dir_blocks.push((home, b, rec));
-            }
-        }
-        for n in &self.nodes {
-            for (b, line) in n.cache.lines() {
-                view.cache_lines.push((n.id, b, line));
-            }
-            view.cache_pending += n.cache.pending_misses();
-        }
+        view.add(&self.dirs, self.nodes.iter().map(|n| &n.cache));
         view.engine_backlog += self
             .engines
             .iter()
@@ -654,18 +643,6 @@ impl Shard {
         } else {
             self.outbox[dst_shard].push(Stamped { deliver, seq, msg });
         }
-    }
-
-    fn is_directory_bound(kind: MsgKind) -> bool {
-        matches!(
-            kind,
-            MsgKind::GetS
-                | MsgKind::GetX
-                | MsgKind::Upgrade
-                | MsgKind::SelfInvClean
-                | MsgKind::SelfInvDirty { .. }
-                | MsgKind::InvAck { .. }
-        )
     }
 
     // ---- CPU execution ---------------------------------------------------
@@ -1144,7 +1121,7 @@ impl Shard {
 
     fn arrive(&mut self, now: Cycle, msg: Message) {
         self.emit(now, SimEvent::MessageDelivered { msg });
-        if Self::is_directory_bound(msg.kind) {
+        if msg.kind.to_directory() {
             let h = self.li(msg.dst);
             if self.engines[h].enqueue(now, msg) {
                 let at = self.engines[h].next_ready(now);

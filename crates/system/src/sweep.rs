@@ -41,7 +41,7 @@ use ltp_workloads::{Benchmark, RunEstimate, Trace, WorkloadParams, WorkloadSourc
 use crate::experiment::ExperimentSpec;
 use crate::pool;
 use crate::probe::{ProbeFactory, ProbeRegistry, ProbeSpecError};
-use crate::report::{MemorySink, ReportSink, RunReport};
+use crate::report::{NullSink, ReportSink, RunReport};
 use crate::stuck::{RunOutcome, StuckReport};
 
 /// A cross product of workload sources × policies × machine geometries ×
@@ -360,14 +360,14 @@ impl SweepSpec {
         result.map(|()| reports)
     }
 
-    /// Executes every run into a [`MemorySink`], returning the reports.
+    /// Executes every run and returns the reports in cross-product order.
     ///
     /// # Panics
     ///
     /// Panics with the rendered diagnosis if a run hits the cycle horizon,
     /// and re-raises the panic of any run that panics.
     pub fn collect(&self) -> Vec<RunReport> {
-        self.execute(&mut MemorySink::new())
+        self.execute(&mut NullSink)
             .unwrap_or_else(|stuck| panic!("{}", stuck.render_human()))
     }
 

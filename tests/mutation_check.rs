@@ -10,6 +10,12 @@
 //! The machine is driven directly rather than through `ExperimentSpec`:
 //! `DropInvAck` deadlocks its victim transaction, so the run must be
 //! allowed to stop without `all_finished()` holding.
+//!
+//! The exhaustive explorer shares the ground rows of the catalog, and
+//! `explorer_flags_skip_eviction_inv` proves it fires on the mutant that
+//! breaks one. `WidenCoarseDecode` only over-invalidates, which is safe:
+//! the explorer finds no violation for it (the shadow directory is what
+//! catches it), so no explorer case exists for it.
 
 #![cfg(feature = "mutate")]
 
@@ -19,7 +25,7 @@ use ltp::core::{JsonValue, PolicyRegistry, PredictorConfig, SelfInvalidationPoli
 use ltp::dsm::mutation::{set_active, Mutant};
 use ltp::dsm::{DirectoryKind, SystemConfig};
 use ltp::sim::Cycle;
-use ltp::system::{CoherenceChecker, Machine};
+use ltp::system::{explore, CoherenceChecker, ExploreConfig, Machine};
 use ltp::workloads::{Benchmark, WorkloadParams};
 
 /// The mutant switch is process-global; tests must not interleave.
@@ -184,4 +190,31 @@ fn reorder_arrival_is_flagged() {
         DirectoryKind::Full,
         2,
     );
+}
+
+#[test]
+fn explorer_flags_skip_eviction_inv() {
+    // Three blocks on two nodes co-home a pair, so a one-entry sparse
+    // directory evicts; the freed entry's holder keeps its copy while the
+    // home's record says Idle.
+    let _guard = MUTANT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = ExploreConfig {
+        nodes: 2,
+        blocks: 3,
+        ops_per_node: 1,
+        directory: DirectoryKind::Sparse { entries: 1 },
+        max_states: 100_000,
+    };
+    set_active(Some(Mutant::SkipEvictionInv));
+    let out = explore(&cfg);
+    set_active(None);
+    let v = out.violation.expect("SkipEvictionInv went undetected");
+    assert_eq!(v.invariant, "agreement", "{v:?}");
+    assert!(
+        !v.trace.is_empty() && v.trace.iter().all(|step| !step.is_empty()),
+        "{v:?}"
+    );
+
+    let clean = explore(&cfg);
+    assert!(clean.violation.is_none(), "{:?}", clean.violation);
 }
