@@ -122,19 +122,6 @@ pub struct DirStep {
     pub events: Vec<DirEvent>,
 }
 
-impl DirStep {
-    fn control() -> Self {
-        DirStep::default()
-    }
-
-    fn data() -> Self {
-        DirStep {
-            data_service: true,
-            ..DirStep::default()
-        }
-    }
-}
-
 /// The per-block sharer representation: bit semantics depend on the
 /// directory's [`DirectoryKind`] (node bits for `full`/`ptr`, cluster bits
 /// for `coarse`), plus the limited-pointer broadcast flag.
@@ -526,42 +513,64 @@ impl Directory {
         self.blocks.iter().map(|(&b, rec)| (b, view_block(rec)))
     }
 
-    /// Processes one incoming message; see module docs.
+    /// Processes one incoming message; see module docs. A thin wrapper of
+    /// [`Directory::process_into`] that returns a fresh [`DirStep`].
     ///
     /// # Panics
     ///
     /// Panics if `msg.dst` is not this directory's home or if a cache reply
     /// kind (`DataS` etc.) is delivered to the directory.
     pub fn process(&mut self, msg: Message) -> DirStep {
+        let mut step = DirStep::default();
+        self.process_into(msg, &mut step);
+        step
+    }
+
+    /// Processes one incoming message into `step`, which is cleared first,
+    /// so a caller servicing many messages reuses one set of buffers. Sends
+    /// come in service order: a sparse eviction's invalidations first, then
+    /// the request's own traffic, then the mask's `VerifyCorrect`
+    /// notifications.
+    ///
+    /// # Panics
+    ///
+    /// As [`Directory::process`].
+    pub fn process_into(&mut self, msg: Message, step: &mut DirStep) {
         assert_eq!(msg.dst, self.home, "message routed to the wrong home");
+        step.sends.clear();
+        step.reinject.clear();
+        step.events.clear();
+        step.data_service = false;
         self.tick += 1;
         let tick = self.tick;
         self.blocks.entry(msg.block).or_default().last_use = tick;
         match msg.kind {
-            MsgKind::GetS | MsgKind::GetX | MsgKind::Upgrade => self.process_request(msg),
-            MsgKind::SelfInvClean => self.process_self_inv(msg, None),
-            MsgKind::SelfInvDirty { token } => self.process_self_inv(msg, Some(token)),
+            MsgKind::GetS | MsgKind::GetX | MsgKind::Upgrade => self.process_request(msg, step),
+            MsgKind::SelfInvClean => self.process_self_inv(msg, None, step),
+            MsgKind::SelfInvDirty { token } => self.process_self_inv(msg, Some(token), step),
             MsgKind::InvAck {
                 had_copy,
                 dirty_token,
-            } => self.process_inv_ack(msg, had_copy, dirty_token),
+            } => self.process_inv_ack(msg, had_copy, dirty_token, step),
             other => panic!("directory received non-protocol message {other:?}"),
         }
     }
 
     /// Resolves the verification mask against an arriving request. Returns
     /// the verdict to piggyback for the requester (if it was itself in the
-    /// mask) plus zero-latency `VerifyCorrect` notifications for others.
+    /// mask) and appends zero-latency `VerifyCorrect` notifications for
+    /// others to `sends`, returning how many.
     fn resolve_mask(
         &mut self,
         block: BlockId,
         requester: NodeId,
         write_request: bool,
-    ) -> (Option<VerifyOutcome>, Vec<Message>) {
+        sends: &mut Vec<Message>,
+    ) -> (Option<VerifyOutcome>, usize) {
         let home = self.home;
         let entry = self.blocks.entry(block).or_default();
         let mut verify_for_requester = None;
-        let mut notifications = Vec::new();
+        let before = sends.len();
         entry.mask.retain(|m| {
             if m.node == requester {
                 // The self-invalidator itself came back first: premature.
@@ -570,7 +579,7 @@ impl Directory {
             } else if m.relinquished_exclusive || write_request {
                 // A conflicting access by another node: the relinquished copy
                 // would have been invalidated anyway — correct.
-                notifications.push(Message::new(
+                sends.push(Message::new(
                     home,
                     m.node,
                     block,
@@ -582,7 +591,7 @@ impl Directory {
                 true
             }
         });
-        (verify_for_requester, notifications)
+        (verify_for_requester, sends.len() - before)
     }
 
     /// Sparse replacement: if servicing a request for the untracked `block`
@@ -654,7 +663,7 @@ impl Directory {
         true
     }
 
-    fn process_request(&mut self, msg: Message) -> DirStep {
+    fn process_request(&mut self, msg: Message, step: &mut DirStep) {
         let block = msg.block;
         // Shelve requests for Busy/Evicting blocks (the pipelined engine
         // holds off conflicting transactions rather than NACKing).
@@ -667,25 +676,28 @@ impl Directory {
                 .expect("just inserted")
                 .pending
                 .push_back(msg);
-            return DirStep::control();
+            return;
         }
 
-        let mut prelude = DirStep::control();
-        self.evict_for(block, &mut prelude);
+        // An eviction prelude's invalidations and events precede the
+        // request's own traffic within the same service.
+        self.evict_for(block, step);
 
         let write_request = matches!(msg.kind, MsgKind::GetX | MsgKind::Upgrade);
-        let (verify, mut notifications) = self.resolve_mask(block, msg.src, write_request);
+        let notified = step.sends.len();
+        let (verify, notifications) =
+            self.resolve_mask(block, msg.src, write_request, &mut step.sends);
         let home = self.home;
         let kind = self.kind;
         let total = self.nodes;
         let entry = self.blocks.get_mut(&block).expect("resolved above");
 
-        let mut step = match (&mut entry.state, msg.kind) {
+        match (&mut entry.state, msg.kind) {
             // ---- reads ----------------------------------------------------
             (DirState::Idle, MsgKind::GetS) => {
                 entry.state = DirState::Shared(rep_of(kind, msg.src));
-                let mut s = DirStep::data();
-                s.sends.push(Message::new(
+                step.data_service = true;
+                step.sends.push(Message::new(
                     home,
                     msg.src,
                     block,
@@ -695,15 +707,14 @@ impl Directory {
                         verify,
                     },
                 ));
-                s
             }
             (DirState::Shared(sharers), MsgKind::GetS) => {
                 let overflowed = rep_insert(kind, sharers, msg.src);
-                let mut s = DirStep::data();
+                step.data_service = true;
                 if overflowed {
-                    s.events.push(DirEvent::BroadcastOverflow);
+                    step.events.push(DirEvent::BroadcastOverflow);
                 }
-                s.sends.push(Message::new(
+                step.sends.push(Message::new(
                     home,
                     msg.src,
                     block,
@@ -713,7 +724,6 @@ impl Directory {
                         verify,
                     },
                 ));
-                s
             }
             (DirState::Exclusive(owner), MsgKind::GetS) => {
                 // Migratory-favoring protocol (§2): a read invalidates the
@@ -727,10 +737,9 @@ impl Directory {
                     waiting: SharerSet::from_node(owner),
                     verify,
                 });
-                let mut s = DirStep::control();
-                s.events.push(DirEvent::InvalidationSent { to: owner });
-                s.sends.push(Message::new(home, owner, block, MsgKind::Inv));
-                s
+                step.events.push(DirEvent::InvalidationSent { to: owner });
+                step.sends
+                    .push(Message::new(home, owner, block, MsgKind::Inv));
             }
 
             // ---- writes ---------------------------------------------------
@@ -739,8 +748,8 @@ impl Directory {
                 // the upgrade was in flight; serve it as a full write miss.
                 entry.version += 1;
                 entry.state = DirState::Exclusive(msg.src);
-                let mut s = DirStep::data();
-                s.sends.push(Message::new(
+                step.data_service = true;
+                step.sends.push(Message::new(
                     home,
                     msg.src,
                     block,
@@ -750,7 +759,6 @@ impl Directory {
                         verify,
                     },
                 ));
-                s
             }
             (DirState::Shared(sharers), MsgKind::Upgrade)
                 if rep_exact_now(kind, sharers) && sharers.set.contains(msg.src) =>
@@ -761,8 +769,7 @@ impl Directory {
                     // Sole sharer upgrading: the migratory pattern.
                     entry.version += 1;
                     entry.state = DirState::Exclusive(msg.src);
-                    let mut s = DirStep::control();
-                    s.sends.push(Message::new(
+                    step.sends.push(Message::new(
                         home,
                         msg.src,
                         block,
@@ -772,13 +779,11 @@ impl Directory {
                             verify,
                         },
                     ));
-                    s
                 } else {
                     let waiting = inv_targets(kind, total, sharers, msg.src);
-                    let mut s = DirStep::control();
                     for n in &waiting {
-                        s.events.push(DirEvent::InvalidationSent { to: n });
-                        s.sends.push(Message::new(home, n, block, MsgKind::Inv));
+                        step.events.push(DirEvent::InvalidationSent { to: n });
+                        step.sends.push(Message::new(home, n, block, MsgKind::Inv));
                     }
                     entry.state = DirState::Busy(Busy {
                         requester: msg.src,
@@ -787,7 +792,6 @@ impl Directory {
                         waiting,
                         verify,
                     });
-                    s
                 }
             }
             (DirState::Shared(sharers), MsgKind::GetX | MsgKind::Upgrade) => {
@@ -800,8 +804,8 @@ impl Directory {
                 if waiting.is_empty() {
                     entry.version += 1;
                     entry.state = DirState::Exclusive(msg.src);
-                    let mut s = DirStep::data();
-                    s.sends.push(Message::new(
+                    step.data_service = true;
+                    step.sends.push(Message::new(
                         home,
                         msg.src,
                         block,
@@ -811,12 +815,10 @@ impl Directory {
                             verify,
                         },
                     ));
-                    s
                 } else {
-                    let mut s = DirStep::control();
                     for n in &waiting {
-                        s.events.push(DirEvent::InvalidationSent { to: n });
-                        s.sends.push(Message::new(home, n, block, MsgKind::Inv));
+                        step.events.push(DirEvent::InvalidationSent { to: n });
+                        step.sends.push(Message::new(home, n, block, MsgKind::Inv));
                     }
                     entry.state = DirState::Busy(Busy {
                         requester: msg.src,
@@ -825,7 +827,6 @@ impl Directory {
                         waiting,
                         verify,
                     });
-                    s
                 }
             }
             (DirState::Exclusive(owner), MsgKind::GetX | MsgKind::Upgrade) => {
@@ -838,27 +839,20 @@ impl Directory {
                     waiting: SharerSet::from_node(owner),
                     verify,
                 });
-                let mut s = DirStep::control();
-                s.events.push(DirEvent::InvalidationSent { to: owner });
-                s.sends.push(Message::new(home, owner, block, MsgKind::Inv));
-                s
+                step.events.push(DirEvent::InvalidationSent { to: owner });
+                step.sends
+                    .push(Message::new(home, owner, block, MsgKind::Inv));
             }
             (DirState::Busy(_) | DirState::Evicting { .. }, _) => {
                 unreachable!("busy/evicting handled above")
             }
             (state, kind) => unreachable!("unhandled request {kind:?} in {state:?}"),
-        };
-        step.sends.append(&mut notifications);
-        // An eviction prelude's invalidations/events precede the request's
-        // own traffic within the same service.
-        prelude.sends.append(&mut step.sends);
-        prelude.events.append(&mut step.events);
-        prelude.reinject.append(&mut step.reinject);
-        prelude.data_service |= step.data_service;
-        prelude
+        }
+        // The mask notifications go last.
+        step.sends[notified..].rotate_left(notifications);
     }
 
-    fn process_self_inv(&mut self, msg: Message, writeback: Option<u64>) -> DirStep {
+    fn process_self_inv(&mut self, msg: Message, writeback: Option<u64>, step: &mut DirStep) {
         let block = msg.block;
         let home = self.home;
         let kind = self.kind;
@@ -876,7 +870,6 @@ impl Directory {
                     relinquished_exclusive: false,
                     timely: true,
                 });
-                DirStep::control()
             }
             DirState::Exclusive(owner) if *owner == msg.src => {
                 let token = writeback.expect("exclusive owner must write back");
@@ -888,7 +881,7 @@ impl Directory {
                     relinquished_exclusive: true,
                     timely: true,
                 });
-                DirStep::data()
+                step.data_service = true;
             }
             DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
                 // The self-invalidation crossed the Inv we sent: it serves as
@@ -904,11 +897,7 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                let mut step = if relinq_ex {
-                    DirStep::data()
-                } else {
-                    DirStep::control()
-                };
+                step.data_service = relinq_ex;
                 // Verified immediately: the in-service request is the
                 // conflicting access. (It cannot be the self-invalidator
                 // itself — a node with a cached copy does not request.)
@@ -919,8 +908,7 @@ impl Directory {
                     block,
                     MsgKind::VerifyCorrect { timely: false },
                 ));
-                self.finish_busy_if_ready(block, &mut step);
-                step
+                self.finish_busy_if_ready(block, step);
             }
             DirState::Evicting { waiting } if waiting.contains(msg.src) => {
                 // The self-invalidation crossed an eviction's Inv: same late
@@ -933,25 +921,18 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                let mut step = if relinq_ex {
-                    DirStep::data()
-                } else {
-                    DirStep::control()
-                };
+                step.data_service = relinq_ex;
                 step.sends.push(Message::new(
                     home,
                     msg.src,
                     block,
                     MsgKind::VerifyCorrect { timely: false },
                 ));
-                self.finish_evicting_if_ready(block, &mut step);
-                step
+                self.finish_evicting_if_ready(block, step);
             }
             _ => {
                 // Stale: the copy was already invalidated by a crossing Inv.
-                let mut step = DirStep::control();
                 step.events.push(DirEvent::StaleIgnored { from: msg.src });
-                step
             }
         }
     }
@@ -961,16 +942,16 @@ impl Directory {
         msg: Message,
         had_copy: bool,
         dirty_token: Option<u64>,
-    ) -> DirStep {
+        step: &mut DirStep,
+    ) {
         let block = msg.block;
         let entry = self.blocks.entry(block).or_default();
         if entry.stale_acks.remove(msg.src) {
             // Orphaned ack for an invalidation a crossing self-invalidation
             // already answered; the node's copy was long gone.
             debug_assert!(!had_copy, "orphaned ack cannot carry a copy");
-            let mut step = DirStep::control();
             step.events.push(DirEvent::StaleIgnored { from: msg.src });
-            return step;
+            return;
         }
         match &mut entry.state {
             DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
@@ -979,17 +960,12 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                let mut step = if dirty_token.is_some() {
-                    DirStep::data()
-                } else {
-                    DirStep::control()
-                };
+                step.data_service = dirty_token.is_some();
                 step.events.push(DirEvent::InvalidationAcked {
                     from: msg.src,
                     had_copy,
                 });
-                self.finish_busy_if_ready(block, &mut step);
-                step
+                self.finish_busy_if_ready(block, step);
             }
             DirState::Evicting { waiting } if waiting.contains(msg.src) => {
                 waiting.remove(msg.src);
@@ -997,24 +973,17 @@ impl Directory {
                     debug_assert!(token >= entry.token, "token regressed on writeback");
                     entry.token = token;
                 }
-                let mut step = if dirty_token.is_some() {
-                    DirStep::data()
-                } else {
-                    DirStep::control()
-                };
+                step.data_service = dirty_token.is_some();
                 step.events.push(DirEvent::InvalidationAcked {
                     from: msg.src,
                     had_copy,
                 });
-                self.finish_evicting_if_ready(block, &mut step);
-                step
+                self.finish_evicting_if_ready(block, step);
             }
             _ => {
                 // An ack for a transaction a self-invalidation already
                 // completed.
-                let mut step = DirStep::control();
                 step.events.push(DirEvent::StaleIgnored { from: msg.src });
-                step
             }
         }
     }

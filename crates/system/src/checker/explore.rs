@@ -20,9 +20,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, NodeId, VerifyOutcome};
-use ltp_dsm::{
-    AccessOutcome, DirStateView, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache,
-};
+use ltp_dsm::{AccessOutcome, DirStateView, Directory, DirectoryKind, Message, MsgKind, NodeCache};
 
 use super::{ground_violations, quiescence_violations, MachineView};
 
@@ -318,10 +316,10 @@ fn view(cfg: &ExploreConfig, st: &State) -> MachineView {
     view
 }
 
-/// The first ground-row violation in `st`, if any.
-fn ground_violation(cfg: &ExploreConfig, st: &State) -> Option<(&'static str, String)> {
+/// The first ground-row violation in a state's snapshot, if any.
+fn ground_violation(view: &MachineView) -> Option<(&'static str, String)> {
     let mut first = None;
-    ground_violations(&view(cfg, st), &mut |invariant, detail| {
+    ground_violations(view, &mut |invariant, detail| {
         first.get_or_insert((invariant, detail));
     });
     first
@@ -407,19 +405,20 @@ fn enc_msg(out: &mut Vec<u8>, m: &Message) {
     }
 }
 
-fn encode(st: &State) -> Vec<u8> {
+/// The visited-set key of `st`, whose snapshot `view` supplies the cached
+/// lines and directory records (both sorted, so the key is canonical).
+fn encode(st: &State, view: &MachineView) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
-    for (n, cache) in st.caches.iter().enumerate() {
+    let mut lines = view.cache_lines.iter().peekable();
+    for (n, run) in st.runs.iter().enumerate() {
+        let node = NodeId::new(n as u16);
         out.push(b'C');
         enc_u16(&mut out, n as u16);
-        let mut lines: Vec<(BlockId, Line)> = cache.lines().collect();
-        lines.sort_by_key(|&(b, _)| b);
-        for (b, line) in lines {
+        while let Some((_, b, line)) = lines.next_if(|&&(p, ..)| p == node) {
             enc_u64(&mut out, b.index());
             out.push(u8::from(line.exclusive) | (u8::from(line.dirty) << 1));
             enc_u64(&mut out, line.token);
         }
-        let run = &st.runs[n];
         enc_u32(&mut out, run.remaining);
         match run.blocked {
             None => out.push(0),
@@ -429,11 +428,10 @@ fn encode(st: &State) -> Vec<u8> {
             }
         }
     }
+    let mut blocks = view.dir_blocks.iter().peekable();
     for dir in &st.dirs {
         out.push(b'D');
-        let mut blocks: Vec<_> = dir.blocks_view().collect();
-        blocks.sort_by_key(|&(b, _)| b);
-        for (b, rec) in blocks {
+        while let Some((_, b, rec)) = blocks.next_if(|&&(h, ..)| h == dir.home()) {
             enc_u64(&mut out, b.index());
             enc_u32(&mut out, rec.version);
             enc_u64(&mut out, rec.token);
@@ -485,7 +483,7 @@ fn encode(st: &State) -> Vec<u8> {
                 enc_msg(&mut out, m);
             }
             enc_u16(&mut out, rec.stale_acks.len() as u16);
-            for n in rec.stale_acks {
+            for n in &rec.stale_acks {
                 enc_u16(&mut out, n.index() as u16);
             }
         }
@@ -542,7 +540,10 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     let mut transitions = 0usize;
     let mut truncated = false;
 
-    index.insert(encode(&initial), 0);
+    // Each reached state is snapshotted once: the snapshot gives both its
+    // visited-set key and, if the state is new, the ground rows' input.
+    let snapshot = view(cfg, &initial);
+    index.insert(encode(&initial, &snapshot), 0);
     meta.push(Meta {
         parent: 0,
         label: String::new(),
@@ -555,7 +556,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
         })
     };
     let violation = 'search: {
-        if let Some(v) = ground_violation(cfg, &initial) {
+        if let Some(v) = ground_violation(&snapshot) {
             break 'search found(v, Vec::new());
         }
         frontier.push_back((initial, 0));
@@ -576,7 +577,8 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
                     Ok(next) => next,
                     Err(v) => break 'search found(v, trace_to(&meta, id, Some(lbl))),
                 };
-                let key = encode(&next);
+                let snapshot = view(cfg, &next);
+                let key = encode(&next, &snapshot);
                 if index.contains_key(&key) {
                     continue;
                 }
@@ -586,7 +588,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
                     parent: id,
                     label: lbl,
                 });
-                if let Some(v) = ground_violation(cfg, &next) {
+                if let Some(v) = ground_violation(&snapshot) {
                     break 'search found(v, trace_to(&meta, next_id, None));
                 }
                 if index.len() >= cfg.max_states {
@@ -657,7 +659,8 @@ mod tests {
                 verify: None,
             },
         );
-        let (invariant, detail) = ground_violation(&cfg, &st).expect("untracked copy passed");
+        let (invariant, detail) =
+            ground_violation(&view(&cfg, &st)).expect("untracked copy passed");
         assert_eq!(invariant, "agreement", "{detail}");
         assert!(detail.contains("untracked"), "{detail}");
     }

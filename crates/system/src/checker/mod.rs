@@ -275,16 +275,8 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
     ground_violations(view, &mut fail);
 
     for (home, b, rec) in &view.dir_blocks {
-        match &rec.state {
-            DirStateView::Busy { .. } => fail(
-                "conservation",
-                format!("{home}: {b} still Busy at quiescence"),
-            ),
-            DirStateView::Evicting { .. } => fail(
-                "conservation",
-                format!("{home}: {b} still Evicting at quiescence"),
-            ),
-            DirStateView::Exclusive(owner) => match holds(view, *owner, *b) {
+        if let DirStateView::Exclusive(owner) = &rec.state {
+            match holds(view, *owner, *b) {
                 Some(l) if l.exclusive => {}
                 Some(_) => fail(
                     "agreement",
@@ -294,29 +286,73 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
                     "agreement",
                     format!("{home}: {b} owned by {owner} which holds no copy"),
                 ),
-            },
-            DirStateView::Idle | DirStateView::Shared { .. } => {}
+            }
         }
-        if !rec.pending.is_empty() {
-            fail(
-                "conservation",
-                format!(
-                    "{home}: {b} holds {} shelved request(s) at quiescence",
-                    rec.pending.len()
-                ),
-            );
-        }
-        if !rec.stale_acks.is_empty() {
-            fail(
-                "conservation",
-                format!(
-                    "{home}: {b} still awaits {} orphaned ack(s) at quiescence",
-                    rec.stale_acks.len()
-                ),
-            );
-        }
+        settled_violations(*home, *b, &Settling::of(rec), &mut fail);
     }
     out
+}
+
+/// What the settled-state rows read off one directory record, whichever
+/// model holds it: the real directory's [`DirBlockView`] or the shadow
+/// directory's own record.
+pub(crate) struct Settling {
+    /// The open transaction's state name (`Busy` or `Evicting`), if any.
+    pub transient: Option<&'static str>,
+    /// Requests shelved behind the open transaction.
+    pub shelved: usize,
+    /// Nodes still owing an orphaned `InvAck`.
+    pub orphaned_acks: usize,
+}
+
+impl Settling {
+    fn of(rec: &DirBlockView) -> Self {
+        Settling {
+            transient: match rec.state {
+                DirStateView::Busy { .. } => Some("Busy"),
+                DirStateView::Evicting { .. } => Some("Evicting"),
+                _ => None,
+            },
+            shelved: rec.pending.len(),
+            orphaned_acks: rec.stale_acks.len(),
+        }
+    }
+}
+
+/// The `conservation` rows that hold once every transaction has settled,
+/// for `home`'s record of `b`: no open transaction, no shelved request, no
+/// orphaned ack still owed. Shared by the end-of-run audit and the
+/// sanitizer's shadow directory.
+pub(crate) fn settled_violations(
+    home: NodeId,
+    b: BlockId,
+    rec: &Settling,
+    fail: &mut impl FnMut(&'static str, String),
+) {
+    if let Some(state) = rec.transient {
+        fail(
+            "conservation",
+            format!("{home}: {b} still {state} at quiescence"),
+        );
+    }
+    if rec.shelved > 0 {
+        fail(
+            "conservation",
+            format!(
+                "{home}: {b} holds {} shelved request(s) at quiescence",
+                rec.shelved
+            ),
+        );
+    }
+    if rec.orphaned_acks > 0 {
+        fail(
+            "conservation",
+            format!(
+                "{home}: {b} still awaits {} orphaned ack(s) at quiescence",
+                rec.orphaned_acks
+            ),
+        );
+    }
 }
 
 /// FIFO lane a message travels on. Cross-node traffic serializes through the

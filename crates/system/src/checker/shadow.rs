@@ -14,6 +14,8 @@ use std::collections::VecDeque;
 use ltp_core::{BlockId, FxHashMap, NodeId, SharerSet, VerifyOutcome};
 use ltp_dsm::{DirectoryKind, Message, MsgKind};
 
+use super::{settled_violations, Settling};
+
 /// What the shadow expects the real directory to observe/emit for one
 /// serviced message.
 #[derive(Debug, Default)]
@@ -183,6 +185,20 @@ struct SBlock {
     last_use: u64,
 }
 
+impl SBlock {
+    fn settling(&self) -> Settling {
+        Settling {
+            transient: match self.state {
+                SState::Busy { .. } => Some("Busy"),
+                SState::Evicting { .. } => Some("Evicting"),
+                _ => None,
+            },
+            shelved: self.shelved.len(),
+            orphaned_acks: self.stale_acks.len(),
+        }
+    }
+}
+
 impl Default for SBlock {
     fn default() -> Self {
         SBlock {
@@ -219,32 +235,19 @@ impl ShadowDir {
         }
     }
 
-    /// Whether any block is mid-transaction or holding shelved requests —
-    /// must be false at quiescence.
+    /// The first settled-state row any block violates, if any — none may
+    /// at quiescence.
     pub fn unsettled(&self) -> Option<String> {
+        let mut first = None;
         for (b, rec) in &self.blocks {
-            if matches!(rec.state, SState::Busy { .. }) {
-                return Some(format!("{}: {b} still Busy at quiescence", self.home));
-            }
-            if matches!(rec.state, SState::Evicting { .. }) {
-                return Some(format!("{}: {b} still Evicting at quiescence", self.home));
-            }
-            if !rec.shelved.is_empty() {
-                return Some(format!(
-                    "{}: {b} holds {} shelved request(s) at quiescence",
-                    self.home,
-                    rec.shelved.len()
-                ));
-            }
-            if !rec.stale_acks.is_empty() {
-                return Some(format!(
-                    "{}: {b} still awaits {} orphaned ack(s) at quiescence",
-                    self.home,
-                    rec.stale_acks.len()
-                ));
+            settled_violations(self.home, *b, &rec.settling(), &mut |_, detail| {
+                first.get_or_insert(detail);
+            });
+            if first.is_some() {
+                break;
             }
         }
-        None
+        first
     }
 
     /// Processes one serviced message, returning everything the real

@@ -49,7 +49,7 @@ use ltp_workloads::Program;
 use crate::metrics::Metrics;
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
 use crate::probes::CoreMetricsProbe;
-use crate::shard::channel::{ProbeEntry, SpinBarrier, SyncEvent, SyncRecord};
+use crate::shard::channel::{ProbeEntry, SpinBarrier, Stamped, SyncEvent, SyncRecord};
 use crate::shard::clock::WindowClock;
 use crate::shard::{Partition, Shard};
 
@@ -483,6 +483,7 @@ impl Machine {
         let win_start = AtomicU64::new(0);
         let win_end = AtomicU64::new(0);
         let panics: Panics = Mutex::new(Vec::new());
+        let mut bufs = BoundaryBufs::default();
         let stop = std::thread::scope(|scope| {
             for shard in &shards[1..] {
                 let (barrier, running, win_start, win_end, panics) =
@@ -537,7 +538,7 @@ impl Machine {
                 // before re-raising.
                 let fold = panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
-                    boundary(&mut guards, sync, observer.as_mut(), part, end)
+                    boundary(&mut guards, sync, &mut bufs, observer.as_mut(), part, end)
                 }));
                 match fold {
                     Ok(Ok(())) => {}
@@ -660,12 +661,24 @@ fn run_window(shard: &Mutex<Shard>, start: Cycle, end: Cycle, panics: &Panics) {
     }
 }
 
+/// Scratch buffers of the window boundary, kept across windows so the
+/// exchange allocates only when a window outgrows every earlier one.
+#[derive(Debug, Default)]
+struct BoundaryBufs {
+    /// The empty outbox swapped into a shard; it comes back holding that
+    /// shard's messages for one destination, which are drained from it.
+    mail: Vec<Stamped>,
+    /// All shards' sync records of one window.
+    records: Vec<SyncRecord>,
+}
+
 /// One window boundary: cross-shard message exchange, probe-log handoff to
 /// the observer, and the global barrier fold. Returns `Err` when the
 /// observer thread has died (a probe panicked).
 fn boundary(
     shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
+    bufs: &mut BoundaryBufs,
     mut observer: Option<&mut Observer>,
     part: Partition,
     end: Cycle,
@@ -673,14 +686,14 @@ fn boundary(
     // 1. Redistribute cross-shard messages into their destination queues.
     //    Delivery cycles are ≥ `end` by the conservative lookahead, so every
     //    message lands in a window that has not run yet.
-    let outboxes: Vec<_> = shards.iter_mut().map(|s| s.take_outboxes()).collect();
-    for (src, per_dst) in outboxes.into_iter().enumerate() {
-        for (dst, stamped) in per_dst.into_iter().enumerate() {
+    for src in 0..shards.len() {
+        for dst in 0..shards.len() {
+            shards[src].swap_outbox(dst, &mut bufs.mail);
             debug_assert!(
-                dst != src || stamped.is_empty(),
+                dst != src || bufs.mail.is_empty(),
                 "same-shard messages are scheduled directly, never boxed"
             );
-            for st in stamped {
+            for st in bufs.mail.drain(..) {
                 debug_assert!(
                     st.deliver >= end,
                     "cross-shard delivery at {} inside the window ending {end}",
@@ -699,13 +712,14 @@ fn boundary(
     // 3. Fold barrier arrivals and completions (in global `(cycle, node)`
     //    order) and schedule releases at the boundary cycle — a grid point,
     //    hence identical for every shard count.
-    let mut records: Vec<SyncRecord> = Vec::new();
+    let records = &mut bufs.records;
+    records.clear();
     for s in shards.iter_mut() {
-        records.append(&mut s.take_sync_log());
+        s.drain_sync_log_into(records);
     }
     if !records.is_empty() {
         records.sort_by_key(|r| (r.at, r.node));
-        for (id, waiters) in sync.fold(&records) {
+        for (id, waiters) in sync.fold(records) {
             let event = SimEvent::BarrierRelease {
                 id,
                 waiters: waiters.len() as u16,

@@ -37,10 +37,10 @@ use ltp_core::{
     BlockId, FxHashMap, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome,
 };
 use ltp_dsm::{
-    AccessOutcome, DirEvent, Directory, Message, MsgKind, NetIface, NodeCache, ProtocolEngine,
-    SystemConfig,
+    AccessOutcome, DirEvent, DirStep, Directory, Message, MsgKind, NetIface, NodeCache,
+    ProtocolEngine, SystemConfig,
 };
-use ltp_sim::{Cycle, KeyedEventQueue};
+use ltp_sim::{Cycle, KeyedEventQueue, Lane};
 use ltp_workloads::{Lock, Op, Program};
 
 use crate::probe::{ProbeCtx, SimEvent};
@@ -55,90 +55,74 @@ pub use partition::Partition;
 /// times translate into visibly variable spin-trace lengths.
 const SPIN_INTERVAL: u64 = 40;
 
-/// The event alphabet of the machine.
+/// The keyed events of the machine: the ones with a payload.
+///
+/// A node's own CPU activity is a payload-free step of the event queue's
+/// step lane, and the node's `ExecState` says what it does: a node
+/// waiting at a barrier resumes from it (the barrier released at the
+/// previous window boundary; scheduled by the coordinator, never by
+/// shards), any other node runs its next operation or continuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
-    /// The processor on this node is ready for its next operation.
-    CpuStep(NodeId),
     /// A protocol message arrives at `msg.dst`.
     Arrive(Message),
     /// The protocol engine at this home may start its next service.
     EngineDrain(NodeId),
-    /// A barrier the node was waiting at released at the previous window
-    /// boundary; the node performs its synchronization flush and resumes.
-    /// Scheduled by the coordinator, never by shards.
-    BarrierResume {
-        /// The resuming node.
-        node: NodeId,
-        /// The released barrier.
-        id: u32,
-    },
 }
 
 /// The deterministic same-cycle ordering key (see the module docs).
 ///
-/// Derived `Ord` compares fields in declaration order: event class first
-/// (CPU activity before arrivals before engine drains before directory
-/// reinjections), then the acting node, then the sender and its FIFO
-/// sequence number for arrivals.
+/// Packed into one integer that compares as the tuple of its fields, most
+/// significant first: event class (CPU activity before arrivals before
+/// engine drains before directory reinjections), then the acting node,
+/// then the sender and its FIFO sequence number for arrivals.
+///
+/// Class-0 events (CPU steps and barrier resumes) never enter the queue's
+/// keyed buckets: they ride its step lane, actor = local node index, which
+/// pops them first in their cycle and in node order — exactly where their
+/// keys sort. Their keys still tag what they emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct EventKey {
-    class: u8,
-    actor: u16,
-    src: u16,
-    seq: u64,
-}
+pub(crate) struct EventKey(u128);
 
 impl EventKey {
-    /// `CpuStep` / `BarrierResume` for node `p`. A node waiting at a barrier
-    /// has no pending `CpuStep`, so the two uses can never collide on the
-    /// same `(cycle, key)`.
+    fn new(class: u8, actor: u16, src: u16, seq: u64) -> Self {
+        EventKey(
+            u128::from(class) << 96
+                | u128::from(actor) << 80
+                | u128::from(src) << 64
+                | u128::from(seq),
+        )
+    }
+
+    /// A CPU step or barrier resume of node `p`. A node waiting at a
+    /// barrier has no CPU step pending, so a node has at most one class-0
+    /// event pending.
     fn cpu(p: NodeId) -> Self {
-        EventKey {
-            class: 0,
-            actor: p.index() as u16,
-            src: 0,
-            seq: 0,
-        }
+        EventKey::new(0, p.index() as u16, 0, 0)
     }
 
     /// `Arrive` at `dst`, uniquely identified by the sender and the sender's
     /// per-node send sequence number.
     fn arrive(dst: NodeId, src: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: 1,
-            actor: dst.index() as u16,
-            src: ltp_dsm::mutation::arrive_key_src(src.index() as u16),
+        EventKey::new(
+            1,
+            dst.index() as u16,
+            ltp_dsm::mutation::arrive_key_src(src.index() as u16),
             seq,
-        }
+        )
     }
 
     /// Every `Arrive` key at `dst`, whatever its sender and sequence.
     fn arrivals(dst: NodeId) -> std::ops::RangeInclusive<Self> {
         let actor = dst.index() as u16;
-        EventKey {
-            class: 1,
-            actor,
-            src: 0,
-            seq: 0,
-        }..=EventKey {
-            class: 1,
-            actor,
-            src: u16::MAX,
-            seq: u64::MAX,
-        }
+        EventKey::new(1, actor, 0, 0)..=EventKey::new(1, actor, u16::MAX, u64::MAX)
     }
 
     /// `EngineDrain` at home `h`. Duplicate same-cycle drains are idempotent
     /// (the engine dequeues nothing), so the insertion-sequence fallback
     /// never orders observable work.
     fn drain(h: NodeId) -> Self {
-        EventKey {
-            class: 2,
-            actor: h.index() as u16,
-            src: 0,
-            seq: 0,
-        }
+        EventKey::new(2, h.index() as u16, 0, 0)
     }
 
     /// A directory reinjection at home `h` (a request re-presented after a
@@ -146,12 +130,7 @@ impl EventKey {
     /// reinjection counter — a separate class so it cannot collide with a
     /// genuine arrival from the same sender.
     fn reinject(h: NodeId, src: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: 3,
-            actor: h.index() as u16,
-            src: src.index() as u16,
-            seq,
-        }
+        EventKey::new(3, h.index() as u16, src.index() as u16, seq)
     }
 }
 
@@ -281,7 +260,11 @@ pub(crate) struct Shard {
     /// (its write count), so spins observe real coherence state — a stale
     /// cached copy really does show the old generation.
     flag_waited: FxHashMap<(u16, BlockId), u64>,
+    /// The future-event list; class-0 events ride its step lane, keyed by
+    /// local node index (see [`Event`]).
     queue: KeyedEventQueue<EventKey, Event>,
+    /// The directory service output buffer, reused by every service.
+    dir_step: DirStep,
     /// Per-destination-shard buffers of messages leaving this shard, drained
     /// by the coordinator at each window boundary.
     outbox: Vec<Vec<Stamped>>,
@@ -356,10 +339,9 @@ impl Shard {
         let nis = (0..count)
             .map(|_| NetIface::new(SystemConfig::NI_OCCUPANCY))
             .collect();
-        let mut queue = KeyedEventQueue::new();
+        let mut queue = KeyedEventQueue::with_actors(count);
         for i in 0..count {
-            let id = NodeId::new(lo + i as u16);
-            queue.schedule(Cycle::ZERO, EventKey::cpu(id), Event::CpuStep(id));
+            queue.schedule_step(Cycle::ZERO, i);
         }
         Shard {
             cfg,
@@ -375,6 +357,7 @@ impl Shard {
             reinject_seq: vec![0; count],
             flag_waited: FxHashMap::default(),
             queue,
+            dir_step: DirStep::default(),
             outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
             sync_log: Vec::new(),
             probe_log: Vec::new(),
@@ -405,17 +388,27 @@ impl Shard {
         let _ = start;
         let t0 = std::time::Instant::now();
         self.window_end = end;
-        while let Some((at, key, ev)) = self.queue.pop_before(end) {
+        while let Some((at, lane)) = self.queue.pop_before(end) {
             debug_assert!(at >= start, "event at {at} predates window start {start}");
             self.cur_at = at;
-            self.cur_key = key;
             self.events_handled += 1;
             self.last_event_time = self.last_event_time.max(at);
-            match ev {
-                Event::CpuStep(p) => self.cpu_step(at, p),
-                Event::Arrive(msg) => self.arrive(at, msg),
-                Event::EngineDrain(h) => self.engine_drain(at, h),
-                Event::BarrierResume { node, id } => self.barrier_resume(at, node, id),
+            match lane {
+                Lane::Step(i) => {
+                    let p = self.nodes[i].id;
+                    self.cur_key = EventKey::cpu(p);
+                    match self.nodes[i].exec {
+                        ExecState::InBarrier(_) => self.barrier_resume(at, p),
+                        _ => self.cpu_step(at, p),
+                    }
+                }
+                Lane::Keyed(key, ev) => {
+                    self.cur_key = key;
+                    match ev {
+                        Event::Arrive(msg) => self.arrive(at, msg),
+                        Event::EngineDrain(h) => self.engine_drain(at, h),
+                    }
+                }
             }
         }
         self.busy_ns += t0.elapsed().as_nanos() as u64;
@@ -461,19 +454,27 @@ impl Shard {
     /// Schedules a barrier release for a local node at window boundary `at`
     /// (coordinator only).
     pub fn schedule_resume(&mut self, at: Cycle, node: NodeId, id: u32) {
-        self.queue
-            .schedule(at, EventKey::cpu(node), Event::BarrierResume { node, id });
+        let i = self.li(node);
+        debug_assert!(
+            matches!(self.nodes[i].exec, ExecState::InBarrier(b) if b == id),
+            "{node} released from a barrier it was not waiting at"
+        );
+        self.queue.schedule_step(at, i);
     }
 
-    /// Takes the per-destination outboxes accumulated this window.
-    pub fn take_outboxes(&mut self) -> Vec<Vec<Stamped>> {
-        let shards = self.outbox.len();
-        std::mem::replace(&mut self.outbox, (0..shards).map(|_| Vec::new()).collect())
+    /// Swaps the messages this window boxed for shard `dst` into `buf`,
+    /// which must be empty and becomes the shard's next outbox: buffers
+    /// circulate between the shards and the coordinator instead of being
+    /// allocated every window.
+    pub fn swap_outbox(&mut self, dst: usize, buf: &mut Vec<Stamped>) {
+        debug_assert!(buf.is_empty(), "a swapped-in outbox must be empty");
+        std::mem::swap(&mut self.outbox[dst], buf);
     }
 
-    /// Drains the barrier/finish records accumulated this window.
-    pub fn take_sync_log(&mut self) -> Vec<SyncRecord> {
-        std::mem::take(&mut self.sync_log)
+    /// Moves the barrier/finish records accumulated this window to the end
+    /// of `out`, keeping the log's buffer.
+    pub fn drain_sync_log_into(&mut self, out: &mut Vec<SyncRecord>) {
+        out.append(&mut self.sync_log);
     }
 
     /// The window's probe log, for the coordinator's boundary merge.
@@ -702,10 +703,7 @@ impl Shard {
         self.nodes[i].ops_retired += 1;
         self.emit_aux(now, || SimEvent::OpRetired { node: p });
         match op {
-            Op::Think(c) => {
-                self.queue
-                    .schedule(now + Cycle::new(c), EventKey::cpu(p), Event::CpuStep(p));
-            }
+            Op::Think(c) => self.queue.schedule_step(now + Cycle::new(c), i),
             Op::Read { pc, block } => {
                 self.issue_access(now, p, pc, block, false, Continuation::Plain);
             }
@@ -1059,7 +1057,8 @@ impl Shard {
             self.events_handled += 1;
             self.cpu_step(at, p);
         } else {
-            self.queue.schedule(at, EventKey::cpu(p), Event::CpuStep(p));
+            let i = self.li(p);
+            self.queue.schedule_step(at, i);
         }
     }
 
@@ -1077,12 +1076,8 @@ impl Shard {
     /// Handles the coordinator's release of a barrier this node was waiting
     /// at: the synchronization flush (DSI's burst) runs here, under this
     /// window's ordinary emission and routing paths.
-    fn barrier_resume(&mut self, now: Cycle, p: NodeId, id: u32) {
+    fn barrier_resume(&mut self, now: Cycle, p: NodeId) {
         let i = self.li(p);
-        debug_assert!(
-            matches!(self.nodes[i].exec, ExecState::InBarrier(b) if b == id),
-            "node released from a barrier it was not waiting at"
-        );
         self.nodes[i].exec = ExecState::Ready;
         self.sync_boundary(now, p, SyncKind::Barrier);
         self.sched_cpu(now + SystemConfig::CPU_HIT, p);
@@ -1139,7 +1134,10 @@ impl Shard {
             return;
         };
         self.emit_aux(now, || SimEvent::DirAccepted { home: h, msg });
-        let step = self.dirs[hi].process(msg);
+        // The retained buffer, taken out for the duration of this service
+        // so its sends can be routed through `&mut self`.
+        let mut step = std::mem::take(&mut self.dir_step);
+        self.dirs[hi].process_into(msg, &mut step);
         let service = if step.data_service {
             SystemConfig::DIR_DATA_SERVICE
         } else {
@@ -1200,7 +1198,7 @@ impl Shard {
             *last = depart;
             depart
         };
-        for m in step.sends {
+        for &m in &step.sends {
             let at = if m.block == msg.block {
                 depart
             } else {
@@ -1213,7 +1211,7 @@ impl Shard {
             };
             self.route(m, at);
         }
-        for r in step.reinject {
+        for &r in &step.reinject {
             let seq = {
                 let s = &mut self.reinject_seq[hi];
                 let v = *s;
@@ -1223,6 +1221,7 @@ impl Shard {
             self.queue
                 .schedule(depart, EventKey::reinject(h, r.src, seq), Event::Arrive(r));
         }
+        self.dir_step = step;
         if self.engines[hi].arm_next_drain() {
             let at = self.engines[hi].next_ready(now);
             self.queue

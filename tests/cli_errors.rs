@@ -367,18 +367,9 @@ fn a_campaign_with_a_check_probe_reports_its_verdict() {
 
 #[test]
 fn help_lists_every_option_spelling() {
-    // The spellings are the first argument of each `opt(...)` entry of the
-    // OPTIONS table in the binary's source.
-    let source = include_str!("../src/main.rs");
-    let table = source
-        .split_once("const OPTIONS: &[OptionSpec] = &[")
-        .and_then(|(_, rest)| rest.split_once("\n];"))
-        .expect("the OPTIONS table")
-        .0;
-    let spellings: Vec<&str> = table
-        .split("opt(\"")
-        .skip(1)
-        .flat_map(|entry| entry.split('"').next().unwrap_or("").split(' '))
+    let spellings: Vec<&str> = options_table()
+        .into_iter()
+        .flat_map(|(names, _)| names)
         .collect();
     assert!(spellings.len() > 20, "{spellings:?}");
 
@@ -395,4 +386,68 @@ fn help_lists_every_option_spelling() {
         assert!(words.contains(&spelling), "`ltp help` misses {spelling}");
     }
     assert!(!words.contains(&"--check"), "{help}");
+}
+
+/// The OPTIONS table of the binary's source as `(spellings, commands)`
+/// pairs: the first and third arguments of each `opt(...)` entry, the
+/// canonical long name first.
+fn options_table() -> Vec<(Vec<&'static str>, Vec<&'static str>)> {
+    let source = include_str!("../src/main.rs");
+    let table = source
+        .split_once("const OPTIONS: &[OptionSpec] = &[")
+        .and_then(|(_, rest)| rest.split_once("\n];"))
+        .expect("the OPTIONS table")
+        .0;
+    table
+        .split("opt(\"")
+        .skip(1)
+        .map(|entry| {
+            // `names", "value", "commands", "help…`
+            let fields: Vec<&str> = entry.split('"').collect();
+            (
+                fields[0].split(' ').collect(),
+                fields[4].split(',').collect(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn manual_section_3_matches_the_options_table() {
+    let manual = include_str!("../docs/manual.md");
+    let section = manual
+        .split_once("## 3. Shared options")
+        .and_then(|(_, rest)| rest.split_once("\n## 4."))
+        .expect("manual §3")
+        .0;
+    // Each table row names one or more options (`-b, --benchmarks
+    // <names>`, `--resume`, `--dry-run`) and the commands they apply to.
+    let mut manual_rows: Vec<(&str, Vec<&str>)> = Vec::new();
+    for row in section.lines().filter(|l| l.starts_with("| `")) {
+        // Cells split on ` | `; the pipe escaped inside `<N\|auto>` has
+        // no spaces around it.
+        let cells: Vec<&str> = row.split(" | ").map(str::trim).collect();
+        let (option, applies) = (cells[0].trim_start_matches("| "), cells[1]);
+        let mut commands: Vec<&str> = applies.split(", ").collect();
+        commands.sort_unstable();
+        for name in option
+            .split(|c: char| c == '`' || c == ',' || c.is_whitespace())
+            .filter(|w| w.starts_with("--"))
+        {
+            manual_rows.push((name, commands.clone()));
+        }
+    }
+    let table = options_table();
+    assert!(table.len() > 15, "{table:?}");
+    assert_eq!(manual_rows.len(), table.len(), "{manual_rows:?}");
+    for (names, mut commands) in table {
+        commands.sort_unstable();
+        let name = names[0];
+        let row = manual_rows.iter().find(|(n, _)| *n == name);
+        let (_, documented) = row.unwrap_or_else(|| panic!("manual §3 lacks {name}"));
+        assert_eq!(
+            documented, &commands,
+            "manual §3 and OPTIONS disagree on where {name} applies"
+        );
+    }
 }
