@@ -77,6 +77,14 @@ impl StorageStats {
         let current_bits = f64::from(self.signature_bits);
         (self.entries_per_block() * entry_bits + current_bits) / 8.0
     }
+
+    /// Folds another table's accounting into this one: the counts add and
+    /// the signature width is the wider of the two.
+    pub fn merge(&mut self, other: &StorageStats) {
+        self.blocks_tracked += other.blocks_tracked;
+        self.live_entries += other.live_entries;
+        self.signature_bits = self.signature_bits.max(other.signature_bits);
+    }
 }
 
 /// The common interface of both table organizations.

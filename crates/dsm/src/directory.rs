@@ -126,16 +126,18 @@ pub struct DirStep {
 /// directory's [`DirectoryKind`] (node bits for `full`/`ptr`, cluster bits
 /// for `coarse`), plus the limited-pointer broadcast flag.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Sharers {
-    set: SharerSet,
+pub struct Sharers {
+    /// The stored sharer bits (node bits for `full`/`ptr`, cluster bits
+    /// for `coarse`).
+    pub set: SharerSet,
     /// `ptr:I` only: the pointer array overflowed; `set` is no longer
     /// tracked and writes broadcast.
-    broadcast: bool,
+    pub broadcast: bool,
 }
 
 /// Stable + transient directory states for one block.
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum DirState {
+pub enum DirState {
     /// Only the home copy exists.
     Idle,
     /// Read-only copies tracked by the sharer representation.
@@ -154,50 +156,55 @@ enum DirState {
 
 /// The in-flight transaction while Busy.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Busy {
-    requester: NodeId,
+pub struct Busy {
+    /// The node whose request is in flight.
+    pub requester: NodeId,
     /// Grant exclusive (GetX/Upgrade) vs read-only (GetS).
-    want_exclusive: bool,
+    pub want_exclusive: bool,
     /// Reply with `UpgradeAck` (requester kept its data) instead of `DataX`.
-    upgrade_reply: bool,
+    pub upgrade_reply: bool,
     /// Nodes whose acknowledgement or writeback is still awaited (always an
     /// exact node set: these are the invalidations actually sent).
-    waiting: SharerSet,
+    pub waiting: SharerSet,
     /// Verification verdict to piggyback on the eventual reply.
-    verify: Option<VerifyOutcome>,
+    pub verify: Option<VerifyOutcome>,
 }
 
 /// One §4 verification-mask entry: a node that self-invalidated and awaits a
 /// verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MaskEntry {
-    node: NodeId,
+pub struct MaskEntry {
+    /// The self-invalidating node.
+    pub node: NodeId,
     /// The copy relinquished was exclusive (writeback) vs read-only.
-    relinquished_exclusive: bool,
+    pub relinquished_exclusive: bool,
     /// Whether the self-invalidation was processed in a stable state —
     /// i.e. it reached the directory *before* the conflicting request
     /// (Table 4's timeliness).
-    timely: bool,
+    pub timely: bool,
 }
 
-/// Per-block directory record.
+/// Per-block directory record: the one copy of a block's sharing state,
+/// read in place by the checker and the explorer (see
+/// [`Directory::block`]).
 #[derive(Debug, Clone)]
-struct DirBlock {
-    state: DirState,
+pub struct DirBlock {
+    /// The sharing state.
+    pub state: DirState,
     /// DSI write-version: incremented on every exclusive grant.
-    version: u32,
+    pub version: u32,
     /// Home copy of the data token.
-    token: u64,
-    /// §4 verification mask.
-    mask: Vec<MaskEntry>,
-    /// Requests shelved while Busy.
-    pending: VecDeque<Message>,
+    pub token: u64,
+    /// §4 verification mask, in insertion order.
+    pub mask: Vec<MaskEntry>,
+    /// Requests shelved while Busy, in arrival order.
+    pub pending: VecDeque<Message>,
     /// Nodes whose `InvAck` is still in flight for an invalidation that a
     /// crossing self-invalidation already answered. Such an orphaned ack
     /// must not be mistaken for the acknowledgement of a *later*
     /// invalidation of the same node (it would complete a Busy transaction
     /// while the targeted copy is still live, breaking SWMR).
-    stale_acks: SharerSet,
+    pub stale_acks: SharerSet,
     /// Sparse replacement recency: the directory's service tick of the last
     /// message processed for this block (inert outside `sparse:E`).
     last_use: u64,
@@ -214,107 +221,6 @@ impl Default for DirBlock {
             stale_acks: SharerSet::new(),
             last_use: 0,
         }
-    }
-}
-
-/// Read-only snapshot of one block's sharing state (the checker/explorer
-/// inspection surface; see [`Directory::view_of`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirStateView {
-    /// Only the home copy exists.
-    Idle,
-    /// Read-only copies tracked by the sharer representation.
-    Shared {
-        /// The stored sharer bits (node bits for `full`/`ptr`, cluster bits
-        /// for `coarse`).
-        sharers: SharerSet,
-        /// `ptr:I` only: the pointer array overflowed into broadcast mode.
-        broadcast: bool,
-    },
-    /// A writable copy at one node.
-    Exclusive(NodeId),
-    /// Collecting invalidation acks / writeback for an in-flight request.
-    Busy {
-        /// The node whose request is in flight.
-        requester: NodeId,
-        /// Grant exclusive (GetX/Upgrade) vs read-only (GetS).
-        want_exclusive: bool,
-        /// Reply with `UpgradeAck` instead of `DataX`.
-        upgrade_reply: bool,
-        /// Nodes whose acknowledgement or writeback is still awaited.
-        waiting: SharerSet,
-        /// Verdict to piggyback on the eventual grant.
-        verify: Option<VerifyOutcome>,
-    },
-    /// Sparse only: collecting invalidation acks for an evicted entry.
-    Evicting {
-        /// Nodes whose acknowledgement or writeback is still awaited.
-        waiting: SharerSet,
-    },
-}
-
-/// Read-only snapshot of one §4 verification-mask entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaskEntryView {
-    /// The self-invalidating node awaiting a verdict.
-    pub node: NodeId,
-    /// The copy relinquished was exclusive (writeback) vs read-only.
-    pub relinquished_exclusive: bool,
-    /// Whether the self-invalidation reached the directory in a stable state.
-    pub timely: bool,
-}
-
-/// Read-only snapshot of one per-block directory record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DirBlockView {
-    /// The sharing state.
-    pub state: DirStateView,
-    /// DSI write-version (incremented on every exclusive grant).
-    pub version: u32,
-    /// Home copy of the data token.
-    pub token: u64,
-    /// §4 verification mask, in insertion order.
-    pub mask: Vec<MaskEntryView>,
-    /// Requests shelved while Busy, in arrival order.
-    pub pending: Vec<Message>,
-    /// Nodes owing an orphaned `InvAck` (their self-invalidation crossed an
-    /// invalidation in flight).
-    pub stale_acks: SharerSet,
-}
-
-fn view_block(rec: &DirBlock) -> DirBlockView {
-    DirBlockView {
-        state: match &rec.state {
-            DirState::Idle => DirStateView::Idle,
-            DirState::Shared(s) => DirStateView::Shared {
-                sharers: s.set.clone(),
-                broadcast: s.broadcast,
-            },
-            DirState::Exclusive(owner) => DirStateView::Exclusive(*owner),
-            DirState::Busy(b) => DirStateView::Busy {
-                requester: b.requester,
-                want_exclusive: b.want_exclusive,
-                upgrade_reply: b.upgrade_reply,
-                waiting: b.waiting.clone(),
-                verify: b.verify,
-            },
-            DirState::Evicting { waiting } => DirStateView::Evicting {
-                waiting: waiting.clone(),
-            },
-        },
-        version: rec.version,
-        token: rec.token,
-        mask: rec
-            .mask
-            .iter()
-            .map(|m| MaskEntryView {
-                node: m.node,
-                relinquished_exclusive: m.relinquished_exclusive,
-                timely: m.timely,
-            })
-            .collect(),
-        pending: rec.pending.iter().copied().collect(),
-        stale_acks: rec.stale_acks.clone(),
     }
 }
 
@@ -500,17 +406,17 @@ impl Directory {
             .is_none_or(|b| b.state == DirState::Idle)
     }
 
-    /// Read-only snapshot of one tracked block, if the directory has a
-    /// record for it (the checker/explorer inspection surface).
-    pub fn view_of(&self, block: BlockId) -> Option<DirBlockView> {
-        self.blocks.get(&block).map(view_block)
+    /// The record of one tracked block, if the directory has one (the
+    /// checker/explorer inspection surface).
+    pub fn block(&self, block: BlockId) -> Option<&DirBlock> {
+        self.blocks.get(&block)
     }
 
-    /// Iterates read-only snapshots of every tracked block, in arbitrary
-    /// order. Two directories that agree on every view are
+    /// Iterates the record of every tracked block, in arbitrary order. Two
+    /// directories that agree on every record (recency aside) are
     /// protocol-equivalent.
-    pub fn blocks_view(&self) -> impl Iterator<Item = (BlockId, DirBlockView)> + '_ {
-        self.blocks.iter().map(|(&b, rec)| (b, view_block(rec)))
+    pub fn blocks(&self) -> impl Iterator<Item = (BlockId, &DirBlock)> + '_ {
+        self.blocks.iter().map(|(&b, rec)| (b, rec))
     }
 
     /// Processes one incoming message; see module docs. A thin wrapper of
@@ -1234,8 +1140,8 @@ mod tests {
         assert!(step.sends.is_empty());
         assert!(d.is_idle(b(0)));
         assert_eq!(
-            d.view_of(b(0)).unwrap().mask,
-            vec![MaskEntryView {
+            d.block(b(0)).unwrap().mask,
+            vec![MaskEntry {
                 node: n(1),
                 relinquished_exclusive: false,
                 timely: true,
@@ -1338,7 +1244,7 @@ mod tests {
             .iter()
             .any(|m| matches!(m.kind, MsgKind::VerifyCorrect { timely: false }) && m.dst == n(1)));
         assert!(
-            d.view_of(b(0)).unwrap().mask.is_empty(),
+            d.block(b(0)).unwrap().mask.is_empty(),
             "a late self-invalidation is verified on arrival, never enrolled"
         );
         // P1's InvAck for the crossed Inv arrives afterwards: ignored.

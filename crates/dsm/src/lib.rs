@@ -54,7 +54,7 @@ pub use config::{
     ConfigError, DirectoryKind, ParseDirectoryKindError, SystemConfig, SystemConfigBuilder,
 };
 pub use directory::{
-    DirBlockView, DirEvent, DirStateView, DirStep, Directory, MaskEntryView, ServiceClass,
+    Busy, DirBlock, DirEvent, DirState, DirStep, Directory, MaskEntry, ServiceClass, Sharers,
 };
 pub use engine::ProtocolEngine;
 pub use msg::{Message, MsgKind};

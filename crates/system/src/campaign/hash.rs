@@ -16,8 +16,10 @@
 //! this is exact for them; externally produced traces should use distinct
 //! names).
 
-use ltp_core::{Fingerprint, FingerprintHasher, JsonObject, JsonValue, PrematurePenalty};
-use ltp_workloads::WorkloadSource;
+use ltp_core::{
+    Fingerprint, FingerprintHasher, JsonObject, JsonValue, PredictorConfig, PrematurePenalty,
+};
+use ltp_workloads::{WorkloadParams, WorkloadSource};
 
 use crate::experiment::ExperimentSpec;
 
@@ -31,10 +33,35 @@ pub fn run_fingerprint(spec: &ExperimentSpec) -> Fingerprint {
     h.update_str("ltp-campaign-run");
     h.update_u64(u64::from(STORE_FORMAT_VERSION));
 
-    // Workload identity. The effective parameters (trace geometry pinning
-    // applied) are what the run will actually use.
-    let workload = spec.source.effective_params(spec.workload);
-    match &spec.source {
+    hash_workload(&mut h, &spec.source, spec.workload);
+
+    // Policy + predictor tuning.
+    h.update_str(&spec.policy.spec());
+    hash_tuning(&mut h, spec.predictor);
+
+    // Machine shape.
+    h.update_str(&spec.directory.to_string());
+    h.update_u64(u64::from(spec.barrier_fanin));
+    h.update_u64(spec.shards.max(1) as u64);
+
+    // Probes change the report's sections, so they are part of the key.
+    h.update_u64(spec.probes.len() as u64);
+    for probe in &spec.probes {
+        h.update_str(&probe.spec());
+    }
+    h.finish()
+}
+
+/// Hashes one workload's identity: its source (a trace at header level)
+/// and the effective parameters (trace geometry pinning applied) the run
+/// will actually use. Shared with the predictor tournament's fingerprint.
+pub(crate) fn hash_workload(
+    h: &mut FingerprintHasher,
+    source: &WorkloadSource,
+    requested: WorkloadParams,
+) {
+    let workload = source.effective_params(requested);
+    match source {
         WorkloadSource::Synthetic(benchmark) => {
             h.update_str("bench");
             h.update_str(benchmark.name());
@@ -61,27 +88,17 @@ pub fn run_fingerprint(spec: &ExperimentSpec) -> Fingerprint {
         }
         None => h.update_str("natural"),
     }
+}
 
-    // Policy + predictor tuning.
-    h.update_str(&spec.policy.spec());
-    h.update_u64(u64::from(spec.predictor.initial_confidence));
-    h.update_str(match spec.predictor.premature_penalty {
+/// Hashes the predictor tuning every policy is built with. Shared with the
+/// predictor tournament's fingerprint.
+pub(crate) fn hash_tuning(h: &mut FingerprintHasher, predictor: PredictorConfig) {
+    h.update_u64(u64::from(predictor.initial_confidence));
+    h.update_str(match predictor.premature_penalty {
         PrematurePenalty::Weaken => "weaken",
         PrematurePenalty::Reset => "reset",
     });
-    h.update_u64(u64::from(spec.predictor.self_invalidate_shared));
-
-    // Machine shape.
-    h.update_str(&spec.directory.to_string());
-    h.update_u64(u64::from(spec.barrier_fanin));
-    h.update_u64(spec.shards.max(1) as u64);
-
-    // Probes change the report's sections, so they are part of the key.
-    h.update_u64(spec.probes.len() as u64);
-    for probe in &spec.probes {
-        h.update_str(&probe.spec());
-    }
-    h.finish()
+    h.update_u64(u64::from(predictor.self_invalidate_shared));
 }
 
 /// The human-readable spec descriptor stored alongside each run — the same

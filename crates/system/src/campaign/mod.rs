@@ -66,6 +66,7 @@ use crate::stuck::RunOutcome;
 use crate::sweep::SweepSpec;
 
 pub use aggregate::{generate_reports, Artifact, FigureId};
+pub(crate) use hash::{hash_tuning, hash_workload};
 pub use hash::{run_descriptor, run_fingerprint, STORE_FORMAT_VERSION};
 pub use store::{CampaignStore, RunStatus, StoreError, StoredRun};
 

@@ -4,7 +4,7 @@
 //! [`NodeCache`] and [`Directory`] components, modeled per-edge FIFO
 //! channels and per-home service queues — over *every* interleaving of
 //! processor issue, self-invalidation, message delivery, and directory
-//! service. Each discovered state is snapshotted into a [`MachineView`]
+//! service. Each discovered state is viewed through a [`MachineView`]
 //! and checked against the catalog of [`crate::checker`]: its ground rows
 //! after every transition, the whole end-of-run audit
 //! ([`quiescence_violations`]) at every state with no transition left. A
@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, NodeId, VerifyOutcome};
-use ltp_dsm::{AccessOutcome, DirStateView, Directory, DirectoryKind, Message, MsgKind, NodeCache};
+use ltp_dsm::{AccessOutcome, DirState, Directory, DirectoryKind, Message, MsgKind, NodeCache};
 
 use super::{ground_violations, quiescence_violations, MachineView};
 
@@ -298,9 +298,9 @@ fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static s
     Ok(next)
 }
 
-/// Snapshots `st` for the shared catalog. Queued and in-flight messages
+/// Views `st` for the shared catalog. Queued and in-flight messages
 /// count as engine backlog.
-fn view(cfg: &ExploreConfig, st: &State) -> MachineView {
+fn view<'a>(cfg: &ExploreConfig, st: &'a State) -> MachineView<'a> {
     let mut view = MachineView {
         nodes: cfg.nodes,
         directory: cfg.directory,
@@ -316,8 +316,8 @@ fn view(cfg: &ExploreConfig, st: &State) -> MachineView {
     view
 }
 
-/// The first ground-row violation in a state's snapshot, if any.
-fn ground_violation(view: &MachineView) -> Option<(&'static str, String)> {
+/// The first ground-row violation in a state's view, if any.
+fn ground_violation(view: &MachineView<'_>) -> Option<(&'static str, String)> {
     let mut first = None;
     ground_violations(view, &mut |invariant, detail| {
         first.get_or_insert((invariant, detail));
@@ -405,9 +405,9 @@ fn enc_msg(out: &mut Vec<u8>, m: &Message) {
     }
 }
 
-/// The visited-set key of `st`, whose snapshot `view` supplies the cached
+/// The visited-set key of `st`, whose `view` supplies the cached
 /// lines and directory records (both sorted, so the key is canonical).
-fn encode(st: &State, view: &MachineView) -> Vec<u8> {
+fn encode(st: &State, view: &MachineView<'_>) -> Vec<u8> {
     let mut out = Vec::with_capacity(256);
     let mut lines = view.cache_lines.iter().peekable();
     for (n, run) in st.runs.iter().enumerate() {
@@ -436,36 +436,30 @@ fn encode(st: &State, view: &MachineView) -> Vec<u8> {
             enc_u32(&mut out, rec.version);
             enc_u64(&mut out, rec.token);
             match &rec.state {
-                DirStateView::Idle => out.push(0),
-                DirStateView::Shared { sharers, broadcast } => {
+                DirState::Idle => out.push(0),
+                DirState::Shared(s) => {
                     out.push(1);
-                    out.push(u8::from(*broadcast));
-                    enc_u16(&mut out, sharers.len() as u16);
-                    for n in sharers {
+                    out.push(u8::from(s.broadcast));
+                    enc_u16(&mut out, s.set.len() as u16);
+                    for n in &s.set {
                         enc_u16(&mut out, n.index() as u16);
                     }
                 }
-                DirStateView::Exclusive(o) => {
+                DirState::Exclusive(o) => {
                     out.push(2);
                     enc_u16(&mut out, o.index() as u16);
                 }
-                DirStateView::Busy {
-                    requester,
-                    want_exclusive,
-                    upgrade_reply,
-                    waiting,
-                    verify,
-                } => {
+                DirState::Busy(busy) => {
                     out.push(3);
-                    enc_u16(&mut out, requester.index() as u16);
-                    out.push(u8::from(*want_exclusive) | (u8::from(*upgrade_reply) << 1));
-                    enc_verify(&mut out, *verify);
-                    enc_u16(&mut out, waiting.len() as u16);
-                    for n in waiting {
+                    enc_u16(&mut out, busy.requester.index() as u16);
+                    out.push(u8::from(busy.want_exclusive) | (u8::from(busy.upgrade_reply) << 1));
+                    enc_verify(&mut out, busy.verify);
+                    enc_u16(&mut out, busy.waiting.len() as u16);
+                    for n in &busy.waiting {
                         enc_u16(&mut out, n.index() as u16);
                     }
                 }
-                DirStateView::Evicting { waiting } => {
+                DirState::Evicting { waiting } => {
                     out.push(4);
                     enc_u16(&mut out, waiting.len() as u16);
                     for n in waiting {

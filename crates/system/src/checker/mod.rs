@@ -15,15 +15,15 @@
 //!   the same catalog in each state, printing a minimal counterexample
 //!   trace on violation.
 //!
-//! The ground-state rows live in one place. A [`MachineView`] snapshots
-//! every directory record and cached line; `ground_violations` checks the
-//! rows that hold in **every** reachable state, messages in flight
-//! included, and [`quiescence_violations`] (the end-of-run audit) adds the
-//! rows that hold only once nothing is queued or outstanding. The explorer
-//! runs the first after every transition and the second at every terminal
-//! state; `Machine::view` feeds the second at the end of a run. The
-//! sanitizer's rows are event rows: they check each `SimEvent` as it
-//! happens.
+//! The ground-state rows live in one place. A [`MachineView`] borrows
+//! every directory record in place and copies every cached line;
+//! `ground_violations` checks the rows that hold in **every** reachable
+//! state, messages in flight included, and [`quiescence_violations`] (the
+//! end-of-run audit) adds the rows that hold only once nothing is queued
+//! or outstanding. The explorer runs the first after every transition and
+//! the second at every terminal state; `Machine::view` feeds the second at
+//! the end of a run. The sanitizer's rows are event rows: they check each
+//! `SimEvent` as it happens.
 //!
 //! # The invariant catalog
 //!
@@ -40,9 +40,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, JsonObject, JsonValue, NodeId, VerifyOutcome};
-use ltp_dsm::{
-    DirBlockView, DirStateView, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache,
-};
+use ltp_dsm::{DirBlock, DirState, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache};
 use ltp_sim::Cycle;
 
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
@@ -71,17 +69,18 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// A deterministic snapshot of the machine-wide ground state (every
+/// A deterministic view of the machine-wide ground state (every
 /// directory record and cached line), produced by
 /// [`crate::Machine::view`] and by the explorer for each state it reaches.
+/// It borrows the directories' own records and clones none of them.
 #[derive(Debug, Clone, Default)]
-pub struct MachineView {
+pub struct MachineView<'a> {
     /// Machine size.
     pub nodes: u16,
     /// The directory sharer organization.
     pub directory: DirectoryKind,
     /// Every tracked directory record, sorted by `(home, block)`.
-    pub dir_blocks: Vec<(NodeId, BlockId, DirBlockView)>,
+    pub dir_blocks: Vec<(NodeId, BlockId, &'a DirBlock)>,
     /// Every cached line, sorted by `(node, block)`.
     pub cache_lines: Vec<(NodeId, BlockId, Line)>,
     /// Messages sitting in protocol-engine queues.
@@ -90,10 +89,10 @@ pub struct MachineView {
     pub cache_pending: usize,
 }
 
-impl MachineView {
+impl<'a> MachineView<'a> {
     /// Appends the records of `dirs` and the lines and outstanding misses
     /// of `caches`, keeping both lists sorted.
-    pub(crate) fn add<'a>(
+    pub(crate) fn add(
         &mut self,
         dirs: &'a [Directory],
         caches: impl IntoIterator<Item = &'a NodeCache>,
@@ -101,7 +100,7 @@ impl MachineView {
         for dir in dirs {
             let home = dir.home();
             self.dir_blocks
-                .extend(dir.blocks_view().map(|(b, rec)| (home, b, rec)));
+                .extend(dir.blocks().map(|(b, rec)| (home, b, rec)));
         }
         for cache in caches {
             let p = cache.node();
@@ -117,11 +116,14 @@ impl MachineView {
 /// Checks the ground rows of the catalog: the ones that hold in **every**
 /// reachable state, messages in flight included. Calls `fail` once per
 /// violated row instance, in a deterministic order.
-pub(crate) fn ground_violations(view: &MachineView, fail: &mut impl FnMut(&'static str, String)) {
-    let dirs: FxHashMap<BlockId, &DirBlockView> = view
+pub(crate) fn ground_violations(
+    view: &MachineView<'_>,
+    fail: &mut impl FnMut(&'static str, String),
+) {
+    let dirs: FxHashMap<BlockId, &DirBlock> = view
         .dir_blocks
         .iter()
-        .map(|(_, b, rec)| (*b, rec))
+        .map(|&(_, b, rec)| (b, rec))
         .collect();
     // Per block: (copies, writable copies, first writer).
     let mut copies: BTreeMap<BlockId, (usize, usize, NodeId)> = BTreeMap::new();
@@ -159,31 +161,27 @@ pub(crate) fn ground_violations(view: &MachineView, fail: &mut impl FnMut(&'stat
             continue;
         };
         match &rec.state {
-            DirStateView::Idle => fail("agreement", format!("{b} Idle at home yet cached by {p}")),
-            DirStateView::Shared { .. } if line.exclusive => {
+            DirState::Idle => fail("agreement", format!("{b} Idle at home yet cached by {p}")),
+            DirState::Shared(_) if line.exclusive => {
                 fail("swmr", format!("{b} Shared at home yet writable at {p}"));
             }
-            DirStateView::Shared { sharers, broadcast }
-                if !rep_admits(view.directory, sharers, *broadcast, p) =>
-            {
+            DirState::Shared(s) if !rep_admits(view.directory, &s.set, s.broadcast, p) => {
                 fail(
                     "agreement",
                     format!("{b} cached by {p} but the sharer rep does not admit it"),
                 );
             }
-            DirStateView::Exclusive(owner) if *owner != p => fail(
+            DirState::Exclusive(owner) if *owner != p => fail(
                 "swmr",
                 format!("{b} owned by {owner} yet also cached by {p}"),
             ),
-            DirStateView::Busy {
-                requester, waiting, ..
-            } if *requester != p && !waiting.contains(p) => fail(
+            DirState::Busy(busy) if busy.requester != p && !busy.waiting.contains(p) => fail(
                 "agreement",
                 format!("{b} Busy at home yet cached by bystander {p}"),
             ),
             // Mid-eviction the only legal copies are at holders whose
             // invalidation is still in flight.
-            DirStateView::Evicting { waiting } if !waiting.contains(p) => fail(
+            DirState::Evicting { waiting } if !waiting.contains(p) => fail(
                 "agreement",
                 format!("{b} Evicting at home yet cached by bystander {p}"),
             ),
@@ -203,7 +201,7 @@ pub(crate) fn ground_violations(view: &MachineView, fail: &mut impl FnMut(&'stat
                 );
             }
         } else if line.token != rec.token {
-            if rec.state == DirStateView::Exclusive(p) {
+            if rec.state == DirState::Exclusive(p) {
                 fail(
                     "agreement",
                     format!(
@@ -239,7 +237,7 @@ pub(crate) fn ground_violations(view: &MachineView, fail: &mut impl FnMut(&'stat
 }
 
 /// `p`'s cached copy of `b` in `view`, if any.
-fn holds(view: &MachineView, p: NodeId, b: BlockId) -> Option<Line> {
+fn holds(view: &MachineView<'_>, p: NodeId, b: BlockId) -> Option<Line> {
     view.cache_lines
         .binary_search_by_key(&(p, b), |&(q, qb, _)| (q, qb))
         .ok()
@@ -250,7 +248,7 @@ fn holds(view: &MachineView, p: NodeId, b: BlockId) -> Option<Line> {
 /// or an explorer state with no transition left): nothing queued or
 /// outstanding, then `ground_violations`, then the rows that hold only
 /// once every transaction has settled. Returns every violation found.
-pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
+pub fn quiescence_violations(view: &MachineView<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut fail = |invariant: &'static str, detail: String| {
         out.push(Violation {
@@ -275,7 +273,7 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
     ground_violations(view, &mut fail);
 
     for (home, b, rec) in &view.dir_blocks {
-        if let DirStateView::Exclusive(owner) = &rec.state {
+        if let DirState::Exclusive(owner) = &rec.state {
             match holds(view, *owner, *b) {
                 Some(l) if l.exclusive => {}
                 Some(_) => fail(
@@ -294,7 +292,7 @@ pub fn quiescence_violations(view: &MachineView) -> Vec<Violation> {
 }
 
 /// What the settled-state rows read off one directory record, whichever
-/// model holds it: the real directory's [`DirBlockView`] or the shadow
+/// model holds it: the real directory's [`DirBlock`] or the shadow
 /// directory's own record.
 pub(crate) struct Settling {
     /// The open transaction's state name (`Busy` or `Evicting`), if any.
@@ -306,11 +304,11 @@ pub(crate) struct Settling {
 }
 
 impl Settling {
-    fn of(rec: &DirBlockView) -> Self {
+    fn of(rec: &DirBlock) -> Self {
         Settling {
             transient: match rec.state {
-                DirStateView::Busy { .. } => Some("Busy"),
-                DirStateView::Evicting { .. } => Some("Evicting"),
+                DirState::Busy(_) => Some("Busy"),
+                DirState::Evicting { .. } => Some("Evicting"),
                 _ => None,
             },
             shelved: rec.pending.len(),

@@ -414,17 +414,18 @@ impl Machine {
             .map(|l| l.token)
     }
 
-    /// Snapshots the machine-wide ground state (every directory record and
-    /// cached line) for invariant checking — see
+    /// Views the machine-wide ground state (every directory record, in
+    /// place, and every cached line) for invariant checking — see
     /// [`crate::checker::quiescence_violations`]. Deterministically sorted.
-    pub fn view(&self) -> crate::checker::MachineView {
+    /// Takes `&mut self` to reach the shards without locking them.
+    pub fn view(&mut self) -> crate::checker::MachineView<'_> {
         let mut view = crate::checker::MachineView {
             nodes: self.cfg.nodes(),
             directory: self.cfg.directory(),
             ..Default::default()
         };
-        for s in &self.shards {
-            lock(s).view_into(&mut view);
+        for s in &mut self.shards {
+            lock_mut(s).view_into(&mut view);
         }
         view
     }
@@ -484,6 +485,12 @@ impl Machine {
         let win_end = AtomicU64::new(0);
         let panics: Panics = Mutex::new(Vec::new());
         let mut bufs = BoundaryBufs::default();
+        // The first window's start; each boundary then reads the next one
+        // off the shards it already holds.
+        let mut t_min = shards
+            .iter()
+            .filter_map(|s| lock(s).next_event_time())
+            .min();
         let stop = std::thread::scope(|scope| {
             for shard in &shards[1..] {
                 let (barrier, running, win_start, win_end, panics) =
@@ -507,11 +514,7 @@ impl Machine {
             };
             loop {
                 // Boundary phase: workers are parked at the rendezvous, so
-                // every lock below is uncontended.
-                let t_min = shards
-                    .iter()
-                    .filter_map(|s| lock(s).next_event_time())
-                    .min();
+                // every lock is uncontended.
                 let (start, end) = match t_min {
                     None => {
                         shut_down();
@@ -538,10 +541,11 @@ impl Machine {
                 // before re-raising.
                 let fold = panic::catch_unwind(AssertUnwindSafe(|| {
                     let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
-                    boundary(&mut guards, sync, &mut bufs, observer.as_mut(), part, end)
+                    boundary(&mut guards, sync, &mut bufs, observer.as_mut(), part, end)?;
+                    Ok(guards.iter().filter_map(|g| g.next_event_time()).min())
                 }));
                 match fold {
-                    Ok(Ok(())) => {}
+                    Ok(Ok(next)) => t_min = next,
                     // The observer thread died (a probe panicked); joining
                     // it re-raises the panic.
                     Ok(Err(ObserverDead)) => {

@@ -48,11 +48,11 @@ use std::time::Instant;
 
 use ltp_core::{
     BlockId, Fingerprint, FingerprintHasher, JsonObject, JsonValue, PolicyFactory, PolicyRegistry,
-    PolicySpecError, PredictStats, PredictorConfig, PrematurePenalty, SelfInvalidationPolicy,
-    StorageStats,
+    PolicySpecError, PredictStats, PredictorConfig, SelfInvalidationPolicy, StorageStats,
 };
 use ltp_workloads::{ground_truth, replay, Benchmark, Trace, WorkloadParams, WorkloadSource};
 
+use crate::campaign::{hash_tuning, hash_workload};
 use crate::pool;
 
 /// Per-node last-touch ground truth, computed once per workload and
@@ -296,46 +296,13 @@ impl PredictSpec {
         h.update_u64(u64::from(crate::campaign::STORE_FORMAT_VERSION));
         h.update_u64(self.sources.len() as u64);
         for source in &self.sources {
-            let workload = source.effective_params(self.workload);
-            match source {
-                WorkloadSource::Synthetic(benchmark) => {
-                    h.update_str("bench");
-                    h.update_str(benchmark.name());
-                }
-                // A trace replays identically from memory or streamed from
-                // its file, so both kinds hash alike (as in the campaign
-                // store).
-                WorkloadSource::Trace(trace) => {
-                    h.update_str("trace");
-                    h.update_str(trace.name());
-                    h.update_u64(trace.total_ops());
-                }
-                WorkloadSource::StreamingTrace(trace) => {
-                    h.update_str("trace");
-                    h.update_str(trace.name());
-                    h.update_u64(trace.total_ops());
-                }
-            }
-            h.update_u64(u64::from(workload.nodes));
-            h.update_u64(workload.seed);
-            match workload.iterations {
-                Some(iters) => {
-                    h.update_str("iters");
-                    h.update_u64(u64::from(iters));
-                }
-                None => h.update_str("natural"),
-            }
+            hash_workload(&mut h, source, self.workload);
         }
         h.update_u64(self.policies.len() as u64);
         for policy in &self.policies {
             h.update_str(&policy.spec());
         }
-        h.update_u64(u64::from(self.predictor.initial_confidence));
-        h.update_str(match self.predictor.premature_penalty {
-            PrematurePenalty::Weaken => "weaken",
-            PrematurePenalty::Reset => "reset",
-        });
-        h.update_u64(u64::from(self.predictor.self_invalidate_shared));
+        hash_tuning(&mut h, self.predictor);
         h.finish()
     }
 
@@ -368,16 +335,10 @@ impl PredictSpec {
                 acc.merge(s);
                 acc
             });
-        let storage =
-            policies
-                .iter()
-                .map(|p| p.storage())
-                .fold(StorageStats::default(), |mut acc, s| {
-                    acc.blocks_tracked += s.blocks_tracked;
-                    acc.live_entries += s.live_entries;
-                    acc.signature_bits = acc.signature_bits.max(s.signature_bits);
-                    acc
-                });
+        let storage = policies.iter().fold(StorageStats::default(), |mut acc, p| {
+            acc.merge(&p.storage());
+            acc
+        });
         PredictRow {
             workload: source.name().to_string(),
             spec: factory.spec(),

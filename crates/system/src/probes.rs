@@ -8,9 +8,8 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
-use ltp_core::{JsonObject, JsonValue, StorageStats};
+use ltp_core::{JsonObject, JsonValue};
 use ltp_sim::stats::{Histogram, MeanAccumulator};
-use ltp_sim::Cycle;
 
 use crate::metrics::Metrics;
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
@@ -28,48 +27,39 @@ struct NodeTally {
     self_inv_sent: u64,
 }
 
-impl NodeTally {
-    /// Classifies one verification verdict — the single copy of the
-    /// predicted / predicted-timely / mispredicted mapping, shared by
-    /// [`CoreMetricsProbe`] and [`PerNodeProbe`] so the per-node breakdown
-    /// can never drift from the flat metrics it decomposes. (Each probe
-    /// keeps its own flat event match: the optimizer collapses those to
-    /// one arm per emission site, which the hot path depends on.)
-    #[inline(always)]
-    fn verdict(&mut self, outcome: ltp_core::VerifyOutcome, timely: bool) {
-        match outcome {
-            ltp_core::VerifyOutcome::Correct => {
-                self.predicted += 1;
-                if timely {
-                    self.predicted_timely += 1;
-                }
-            }
-            ltp_core::VerifyOutcome::Premature => self.mispredicted += 1,
+/// Classifies one verification verdict into the predicted,
+/// predicted-timely and mispredicted counters: the single copy of that
+/// mapping, shared by the flat metrics and the per-node breakdown so the
+/// breakdown can never drift from the totals it decomposes.
+#[inline(always)]
+fn count_verdict(
+    predicted: &mut u64,
+    predicted_timely: &mut u64,
+    mispredicted: &mut u64,
+    outcome: ltp_core::VerifyOutcome,
+    timely: bool,
+) {
+    match outcome {
+        ltp_core::VerifyOutcome::Correct => {
+            *predicted += 1;
+            *predicted_timely += u64::from(timely);
         }
+        ltp_core::VerifyOutcome::Premature => *mispredicted += 1,
     }
 }
 
-/// The built-in probe reconstructing the flat [`Metrics`] struct from the
-/// event stream — what every `RunReport`'s `metrics` block is produced by.
+/// The built-in probe tallying the flat [`Metrics`] struct from the event
+/// stream — what every `RunReport`'s `metrics` block is produced by.
 ///
-/// Aggregation deliberately mirrors the pre-probe simulator exactly: counts
-/// accumulate per node / per home and merge in index order at the end, so
-/// the resulting [`Metrics`] (floating-point means included) is
-/// bit-identical to what the hard-coded counters used to produce.
+/// Counts go straight into one [`Metrics`]. Only the directory means are
+/// kept per home and merged in home order at the end: a floating-point
+/// sum depends on its order, and home order is the same for every shard
+/// count.
 #[derive(Debug)]
 pub struct CoreMetricsProbe {
-    exec_cycles: Cycle,
-    messages: u64,
-    nodes: Vec<NodeTally>,
+    m: Metrics,
     queueing: Vec<MeanAccumulator>,
     service: Vec<MeanAccumulator>,
-    invalidations_sent: u64,
-    extra_invalidations: u64,
-    broadcast_overflows: u64,
-    dir_evictions: u64,
-    eviction_invalidations: u64,
-    stale_ignored: u64,
-    storage: StorageStats,
 }
 
 impl CoreMetricsProbe {
@@ -77,18 +67,9 @@ impl CoreMetricsProbe {
     pub fn new(nodes: u16) -> Self {
         let n = usize::from(nodes);
         CoreMetricsProbe {
-            exec_cycles: Cycle::ZERO,
-            messages: 0,
-            nodes: vec![NodeTally::default(); n],
+            m: Metrics::default(),
             queueing: vec![MeanAccumulator::new(); n],
             service: vec![MeanAccumulator::new(); n],
-            invalidations_sent: 0,
-            extra_invalidations: 0,
-            broadcast_overflows: 0,
-            dir_evictions: 0,
-            eviction_invalidations: 0,
-            stale_ignored: 0,
-            storage: StorageStats::default(),
         }
     }
 
@@ -101,24 +82,22 @@ impl CoreMetricsProbe {
     /// overhead in the noise (see the `probe_overhead` bench).
     #[inline(always)]
     pub fn observe(&mut self, ctx: &ProbeCtx, event: &SimEvent) {
+        let m = &mut self.m;
         match *event {
-            SimEvent::CacheHit { node, .. } => self.nodes[node.index()].hits += 1,
-            SimEvent::CacheMiss { node, .. } => self.nodes[node.index()].misses += 1,
-            SimEvent::Invalidated {
-                node,
-                had_copy: true,
-                ..
-            } => self.nodes[node.index()].not_predicted += 1,
-            SimEvent::SelfInvalidation { node, .. } => {
-                self.nodes[node.index()].self_inv_sent += 1;
-            }
+            SimEvent::CacheHit { .. } => m.hits += 1,
+            SimEvent::CacheMiss { .. } => m.misses += 1,
+            SimEvent::Invalidated { had_copy: true, .. } => m.not_predicted += 1,
+            SimEvent::SelfInvalidation { .. } => m.self_invalidations_sent += 1,
             SimEvent::PredictionVerified {
-                node,
+                outcome, timely, ..
+            } => count_verdict(
+                &mut m.predicted,
+                &mut m.predicted_timely,
+                &mut m.mispredicted,
                 outcome,
                 timely,
-                ..
-            } => self.nodes[node.index()].verdict(outcome, timely),
-            SimEvent::MessageDelivered { .. } => self.messages += 1,
+            ),
+            SimEvent::MessageDelivered { .. } => m.messages += 1,
             SimEvent::MessageServiced {
                 home,
                 queueing,
@@ -128,24 +107,18 @@ impl CoreMetricsProbe {
                 self.queueing[home.index()].record_cycles(queueing);
                 self.service[home.index()].record_cycles(service);
             }
-            SimEvent::InvalidationSent { .. } => self.invalidations_sent += 1,
+            SimEvent::InvalidationSent { .. } => m.invalidations_sent += 1,
             SimEvent::InvalidationAcked {
                 had_copy: false, ..
-            } => self.extra_invalidations += 1,
-            SimEvent::BroadcastOverflow { .. } => self.broadcast_overflows += 1,
+            } => m.extra_invalidations += 1,
+            SimEvent::BroadcastOverflow { .. } => m.broadcast_overflows += 1,
             SimEvent::DirEntryEvicted { invalidations, .. } => {
-                self.dir_evictions += 1;
-                self.eviction_invalidations += u64::from(invalidations);
+                m.dir_evictions += 1;
+                m.eviction_invalidations += u64::from(invalidations);
             }
-            SimEvent::StaleIgnored { .. } => self.stale_ignored += 1,
-            SimEvent::NodeFinished { .. } => {
-                self.exec_cycles = self.exec_cycles.max(ctx.now);
-            }
-            SimEvent::PolicyStorage { stats, .. } => {
-                self.storage.blocks_tracked += stats.blocks_tracked;
-                self.storage.live_entries += stats.live_entries;
-                self.storage.signature_bits = self.storage.signature_bits.max(stats.signature_bits);
-            }
+            SimEvent::StaleIgnored { .. } => m.stale_ignored += 1,
+            SimEvent::NodeFinished { .. } => m.exec_cycles = m.exec_cycles.max(ctx.now.as_u64()),
+            SimEvent::PolicyStorage { stats, .. } => m.storage.merge(&stats),
             _ => {}
         }
     }
@@ -154,75 +127,51 @@ impl CoreMetricsProbe {
     /// collector per shard, statically dispatched on each shard's hot path,
     /// and merges them at the end of the run).
     ///
-    /// Bit-exactness: per-node and per-home slots are populated on exactly
-    /// one shard (nodes and homes are partitioned), so slot-wise merging
-    /// adds each non-zero contribution to zero — every counter, and every
-    /// floating-point mean-accumulator sum, lands bit-identical to a
-    /// single-collector run. Whole-machine counters (`messages`,
-    /// `invalidations_sent`, …) are plain integer sums.
+    /// Bit-exactness: counts are integer sums, and each per-home mean slot
+    /// is populated on exactly one shard (homes are partitioned), so
+    /// slot-wise merging adds each non-zero contribution to zero and every
+    /// floating-point sum lands bit-identical to a single-collector run.
     pub(crate) fn merge(&mut self, other: &CoreMetricsProbe) {
-        assert_eq!(self.nodes.len(), other.nodes.len(), "same machine size");
-        self.exec_cycles = self.exec_cycles.max(other.exec_cycles);
-        self.messages += other.messages;
-        for (a, b) in self.nodes.iter_mut().zip(&other.nodes) {
-            a.predicted += b.predicted;
-            a.predicted_timely += b.predicted_timely;
-            a.not_predicted += b.not_predicted;
-            a.mispredicted += b.mispredicted;
-            a.misses += b.misses;
-            a.hits += b.hits;
-            a.self_inv_sent += b.self_inv_sent;
-        }
+        assert_eq!(
+            self.queueing.len(),
+            other.queueing.len(),
+            "same machine size"
+        );
+        let (a, b) = (&mut self.m, &other.m);
+        a.predicted += b.predicted;
+        a.predicted_timely += b.predicted_timely;
+        a.not_predicted += b.not_predicted;
+        a.mispredicted += b.mispredicted;
+        a.exec_cycles = a.exec_cycles.max(b.exec_cycles);
+        a.misses += b.misses;
+        a.hits += b.hits;
+        a.self_invalidations_sent += b.self_invalidations_sent;
+        a.invalidations_sent += b.invalidations_sent;
+        a.extra_invalidations += b.extra_invalidations;
+        a.broadcast_overflows += b.broadcast_overflows;
+        a.dir_evictions += b.dir_evictions;
+        a.eviction_invalidations += b.eviction_invalidations;
+        a.messages += b.messages;
+        a.storage.merge(&b.storage);
+        a.stale_ignored += b.stale_ignored;
         for (a, b) in self.queueing.iter_mut().zip(&other.queueing) {
             a.merge(b);
         }
         for (a, b) in self.service.iter_mut().zip(&other.service) {
             a.merge(b);
         }
-        self.invalidations_sent += other.invalidations_sent;
-        self.extra_invalidations += other.extra_invalidations;
-        self.broadcast_overflows += other.broadcast_overflows;
-        self.dir_evictions += other.dir_evictions;
-        self.eviction_invalidations += other.eviction_invalidations;
-        self.stale_ignored += other.stale_ignored;
-        self.storage.blocks_tracked += other.storage.blocks_tracked;
-        self.storage.live_entries += other.storage.live_entries;
-        self.storage.signature_bits = self
-            .storage
-            .signature_bits
-            .max(other.storage.signature_bits);
     }
 
-    /// Merges the tallies into the flat [`Metrics`] struct, in the same
-    /// order the pre-probe simulator did.
+    /// The tallies as the flat [`Metrics`] struct, the per-home means
+    /// merged in home order.
     pub fn into_metrics(self) -> Metrics {
-        let mut m = Metrics {
-            exec_cycles: self.exec_cycles.as_u64(),
-            messages: self.messages,
-            ..Metrics::default()
-        };
-        for n in &self.nodes {
-            m.predicted += n.predicted;
-            m.predicted_timely += n.predicted_timely;
-            m.not_predicted += n.not_predicted;
-            m.mispredicted += n.mispredicted;
-            m.misses += n.misses;
-            m.hits += n.hits;
-            m.self_invalidations_sent += n.self_inv_sent;
-        }
-        m.storage = self.storage;
+        let mut m = self.m;
         for q in &self.queueing {
             m.dir_queueing.merge(q);
         }
         for s in &self.service {
             m.dir_service.merge(s);
         }
-        m.invalidations_sent = self.invalidations_sent;
-        m.extra_invalidations = self.extra_invalidations;
-        m.broadcast_overflows = self.broadcast_overflows;
-        m.dir_evictions = self.dir_evictions;
-        m.eviction_invalidations = self.eviction_invalidations;
-        m.stale_ignored = self.stale_ignored;
         m
     }
 }
@@ -280,7 +229,16 @@ impl Probe for PerNodeProbe {
                 outcome,
                 timely,
                 ..
-            } => self.nodes[node.index()].verdict(outcome, timely),
+            } => {
+                let n = &mut self.nodes[node.index()];
+                count_verdict(
+                    &mut n.predicted,
+                    &mut n.predicted_timely,
+                    &mut n.mispredicted,
+                    outcome,
+                    timely,
+                );
+            }
             SimEvent::NodeFinished { node } => {
                 self.finished_at[node.index()] = ctx.now.as_u64();
             }
@@ -649,6 +607,7 @@ impl Probe for HeatProbe {
 mod tests {
     use super::*;
     use ltp_core::{BlockId, NodeId, VerifyOutcome};
+    use ltp_sim::Cycle;
 
     fn ctx(now: u64) -> ProbeCtx {
         ProbeCtx {

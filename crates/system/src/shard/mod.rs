@@ -560,7 +560,7 @@ impl Shard {
 
     /// Appends this shard's slice of the machine-wide ground state to a
     /// [`crate::checker::MachineView`].
-    pub fn view_into(&self, view: &mut crate::checker::MachineView) {
+    pub fn view_into<'a>(&'a self, view: &mut crate::checker::MachineView<'a>) {
         view.add(&self.dirs, self.nodes.iter().map(|n| &n.cache));
         view.engine_backlog += self
             .engines

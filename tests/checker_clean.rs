@@ -193,3 +193,60 @@ fn quiescence_checker_rejects_corrupted_ground_state() {
         "{violations:?}"
     );
 }
+
+#[test]
+fn quiescence_checker_reads_busy_and_masked_directory_records() {
+    use ltp::core::{BlockId, NodeId};
+    use ltp::dsm::{Directory, Message, MsgKind};
+
+    let (home, n1, n2, n3) = (
+        NodeId::new(0),
+        NodeId::new(1),
+        NodeId::new(2),
+        NodeId::new(3),
+    );
+    let (busy, masked) = (BlockId::new(0), BlockId::new(1));
+    let mut dir = Directory::new(home);
+    // n1 reads `busy`, then n2's write leaves it Busy awaiting n1's ack.
+    dir.process(Message::new(n1, home, busy, MsgKind::GetS));
+    dir.process(Message::new(n2, home, busy, MsgKind::GetX));
+    // n1 reads `masked` and self-invalidates it: a timely mask entry.
+    dir.process(Message::new(n1, home, masked, MsgKind::GetS));
+    dir.process(Message::new(n1, home, masked, MsgKind::SelfInvClean));
+
+    let shared = Line {
+        exclusive: false,
+        dirty: false,
+        token: 0,
+    };
+    let view = MachineView {
+        nodes: 4,
+        directory: DirectoryKind::Full,
+        dir_blocks: [busy, masked]
+            .into_iter()
+            .map(|b| (home, b, dir.block(b).expect("tracked block")))
+            .collect(),
+        // A bystander's copy of the Busy block, and the self-invalidator's
+        // copy of the masked block still in place.
+        cache_lines: vec![(n1, masked, shared), (n3, busy, shared)],
+        ..MachineView::default()
+    };
+    let violations = quiescence_violations(&view);
+    let has = |invariant: &str, detail: &str| {
+        violations
+            .iter()
+            .any(|v| v.invariant == invariant && v.detail == detail)
+    };
+    assert!(
+        has("agreement", "B0 Busy at home yet cached by bystander P3"),
+        "{violations:?}"
+    );
+    assert!(
+        has("conservation", "P0: B0 still Busy at quiescence"),
+        "{violations:?}"
+    );
+    assert!(
+        has("mask", "P0: P1 is masked for B1 yet still holds a copy"),
+        "{violations:?}"
+    );
+}
