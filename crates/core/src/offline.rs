@@ -110,14 +110,18 @@ pub struct VerdictRecord {
 
 /// Everything a set of [`CapturePolicy`] wrappers recorded during one run.
 ///
-/// Records across all nodes land in one vector in machine callback order,
-/// which for the serial (1-shard) engine is the exact simulated
-/// interleaving.
+/// Records across all nodes land in one vector in machine callback order.
+/// Each node's records are in that node's simulated order, and records of
+/// different clock windows are in window order; inside one window the
+/// machine runs its nodes one after another, so two nodes' records of the
+/// same window interleave by node, not by cycle. No message crosses
+/// between nodes inside a window, so this never reorders two records one
+/// of which could have caused the other.
 #[derive(Debug, Default)]
 pub struct CaptureLog {
-    /// Event/decision pairs in machine order.
+    /// Event/decision pairs in machine callback order.
     pub records: Vec<CaptureRecord>,
-    /// Verdicts in machine delivery order.
+    /// Verdicts in machine callback order (each node's in delivery order).
     pub verdicts: Vec<VerdictRecord>,
 }
 

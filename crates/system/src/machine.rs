@@ -8,14 +8,16 @@
 //! 1. pick the next window `[kL, (k+1)L)` containing the globally earliest
 //!    pending event (`L` = minimum cross-node latency, the lookahead);
 //! 2. run every shard's slice of that window independently — shard 0 on the
-//!    calling thread, shards `1..N` on `N − 1` scoped worker threads;
+//!    calling thread, shards `1..N` on `N − 1` scoped worker threads; each
+//!    shard runs its nodes one after another (see [`crate::shard`]);
 //! 3. at the boundary, exchange cross-shard messages, merge and replay the
 //!    shards' probe logs, and fold barrier arrivals into the global barrier
 //!    state (releases are scheduled at the boundary cycle).
 //!
 //! Because window boundaries lie on a fixed grid, cross-shard messages are
-//! stamped with content-derived FIFO keys, and same-cycle events pop in
-//! deterministic [`Event`] key order, the run is **bit-identical for every
+//! stamped with content-derived FIFO keys, and each node's same-cycle
+//! events pop in deterministic [`Event`] key order, the run is
+//! **bit-identical for every
 //! shard count** — `--shards 8` produces the same `RunReport` bytes as a
 //! serial run. The serial path *is* the 1-shard instance of the same loop:
 //! no worker is spawned and the rendezvous never blocks.
@@ -43,7 +45,7 @@ use std::thread::JoinHandle;
 
 use ltp_core::{BlockId, NodeId, SelfInvalidationPolicy};
 use ltp_dsm::{CombiningTree, SystemConfig};
-use ltp_sim::{Cycle, RunSummary, StopReason};
+use ltp_sim::{Cycle, RunSummary, StopReason, WindowSort};
 use ltp_workloads::Program;
 
 use crate::metrics::Metrics;
@@ -139,8 +141,8 @@ const OBSERVER_BATCH: usize = 32 * 1024;
 /// order.
 enum ObserverMsg {
     /// Accumulated per-window, per-shard event logs (chronological outer
-    /// order, shard order inner, each unsorted — the observer merges them
-    /// into serial emission order).
+    /// order, one log per shard for each window, each written node by node
+    /// — the observer puts every window into serial emission order).
     Batch(Vec<Vec<ProbeEntry>>),
     /// A barrier release folded at a window boundary; sent after a flush,
     /// so it sits exactly where the serial replay would put it.
@@ -158,8 +160,8 @@ struct ObserverDead;
 /// Generic probes ([`Machine::attach_probe`]) observe the merged cross-shard
 /// event stream in exact serial order — but nothing about that order
 /// requires the *simulation* to wait for them. The machine hands batches of
-/// window logs to the observer thread, which merges, sorts, and dispatches
-/// them while the shards already run the next window: the simulation's
+/// window logs to the observer thread, which orders (see [`WindowSort`])
+/// and dispatches them while the shards already run the next window: the simulation's
 /// critical path pays only the per-event log append, and the probes' own
 /// work (metrics, histograms, the coherence sanitizer) overlaps execution.
 /// Drained buffers are recycled, so steady-state logging allocates nothing,
@@ -177,26 +179,33 @@ struct Observer {
 }
 
 impl Observer {
-    /// Moves `probes` onto a fresh observer thread.
-    fn spawn(probes: Vec<Box<dyn Probe>>, nodes: u16) -> Self {
+    /// Moves `probes` onto a fresh observer thread, which will receive
+    /// `shards` logs per window.
+    fn spawn(probes: Vec<Box<dyn Probe>>, nodes: u16, shards: usize) -> Self {
         let (tx, rx) = mpsc::sync_channel::<ObserverMsg>(OBSERVER_DEPTH);
         let (recycle_tx, recycle) = mpsc::channel::<Vec<ProbeEntry>>();
         let thread = std::thread::spawn(move || {
             let mut probes = probes;
-            let mut scratch: Vec<ProbeEntry> = Vec::new();
+            let mut window: Vec<ProbeEntry> = Vec::new();
+            let mut order = WindowSort::default();
             while let Ok(msg) = rx.recv() {
                 match msg {
                     ObserverMsg::Batch(mut logs) => {
-                        scratch.clear();
-                        for log in &mut logs {
-                            scratch.append(log);
+                        // Windows cover disjoint ascending cycle ranges, so
+                        // ordering each window orders the batch.
+                        for logs in logs.chunks_mut(shards) {
+                            window.clear();
+                            for log in logs {
+                                window.append(log);
+                            }
+                            order.sort(&mut window, |e| (e.at, e.key));
+                            replay(&window, &mut probes, nodes);
                         }
                         for log in logs {
                             // The coordinator may already be gone; buffers
                             // then simply drop.
                             let _ = recycle_tx.send(log);
                         }
-                        replay(&mut scratch, &mut probes, nodes);
                     }
                     ObserverMsg::Sync { event, now } => {
                         let ctx = ProbeCtx { now, nodes };
@@ -272,13 +281,11 @@ impl Observer {
     }
 }
 
-/// Sorts one batch of log entries into serial emission order and dispatches
-/// it. `(at, key)` is globally unique per cycle and the sort is stable, so
-/// one handler's emissions stay contiguous and in order; batches cover
-/// disjoint ascending window ranges, so batching does not reorder.
-fn replay(entries: &mut [ProbeEntry], probes: &mut [Box<dyn Probe>], nodes: u16) {
-    entries.sort_by_key(|e| (e.at, e.key));
-    for e in entries.iter() {
+/// Dispatches one window's log entries, already in serial emission order:
+/// `(at, key)` is globally unique per cycle and the window's sort is
+/// stable, so one handler's emissions stay contiguous and in order.
+fn replay(entries: &[ProbeEntry], probes: &mut [Box<dyn Probe>], nodes: u16) {
+    for e in entries {
         let ctx = ProbeCtx { now: e.now, nodes };
         for p in probes.iter_mut() {
             p.on_event(&ctx, &e.event);
@@ -474,8 +481,13 @@ impl Machine {
         }
         // Generic probes move onto the observer thread for the duration of
         // the run (see [`Observer`]) and come back at the end.
-        let mut observer =
-            log_events.then(|| Observer::spawn(std::mem::take(&mut self.probes), self.cfg.nodes()));
+        let mut observer = log_events.then(|| {
+            Observer::spawn(
+                std::mem::take(&mut self.probes),
+                self.cfg.nodes(),
+                self.shards.len(),
+            )
+        });
         let (clock, part, shards, sync) = (self.clock, self.part, &self.shards, &mut self.sync);
         let barrier = SpinBarrier::new(shards.len());
         // Written only by the calling thread while the workers are parked,
@@ -512,6 +524,9 @@ impl Machine {
                 running.store(false, Ordering::Release);
                 barrier.wait();
             };
+            // Every shard's guard during boundary work, in one buffer kept
+            // across windows; cleared (unlocking) before the next window.
+            let mut guards: Vec<MutexGuard<'_, Shard>> = Vec::with_capacity(shards.len());
             loop {
                 // Boundary phase: workers are parked at the rendezvous, so
                 // every lock is uncontended.
@@ -540,9 +555,11 @@ impl Machine {
                 // so it runs under catch_unwind to shut the workers down
                 // before re-raising.
                 let fold = panic::catch_unwind(AssertUnwindSafe(|| {
-                    let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
+                    guards.extend(shards.iter().map(lock));
                     boundary(&mut guards, sync, &mut bufs, observer.as_mut(), part, end)?;
-                    Ok(guards.iter().filter_map(|g| g.next_event_time()).min())
+                    let next = guards.iter().filter_map(|g| g.next_event_time()).min();
+                    guards.clear();
+                    Ok(next)
                 }));
                 match fold {
                     Ok(Ok(next)) => t_min = next,

@@ -9,8 +9,9 @@
 //!   argument) and the sender's per-node FIFO sequence number;
 //! * [`SyncRecord`]s describing barrier arrivals and program completions,
 //!   folded into the global barrier state by the coordinator;
-//! * [`ProbeEntry`] event logs, merged across shards in handled-event order
-//!   and replayed into the attached probes.
+//! * [`ProbeEntry`] event logs, ordered across shards and nodes by the tag
+//!   of the event that emitted each entry and replayed into the attached
+//!   probes.
 //!
 //! The sequence stamps make every record's position in the merged order a
 //! function of simulated content, never of wall-clock scheduling — this is
@@ -56,8 +57,9 @@ pub(crate) struct SyncRecord {
 }
 
 /// One probe-visible event, tagged with the `(cycle, key)` of the handler
-/// that emitted it so logs from different shards merge into the exact serial
-/// emission order.
+/// that emitted it. A shard writes its log node by node, so the tags, not
+/// the log positions, carry the serial emission order: the observer sorts
+/// each window's logs by tag (`ltp_sim::WindowSort`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProbeEntry {
     /// Time and key of the handled event this emission belongs to. Keys are

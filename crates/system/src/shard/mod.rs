@@ -28,6 +28,19 @@
 //!
 //! The serial engine is the 1-shard instance of the same machinery — there
 //! is no separate serial code path to diverge from.
+//!
+//! # Why a shard runs its window node by node
+//!
+//! The first property holds for nodes as much as for shards: inside a
+//! window no node can reach another one, so the window's outcome does not
+//! depend on how the nodes' events interleave — only each node's own
+//! events must run in `(cycle, key)` order. A shard therefore keeps one
+//! event list per node (ltp-sim's [`KeyedEventQueue`]) and runs a window
+//! as a pass: node 0 to the window end, then node 1, and so on. This is
+//! the same split `--shards N` makes, taken down to one node, and no
+//! global order is kept at all. What the pass logs for the probes is put
+//! back in serial `(cycle, key)` order by the observer (see
+//! [`channel::ProbeEntry`]).
 
 pub(crate) mod channel;
 pub(crate) mod clock;
@@ -40,7 +53,7 @@ use ltp_dsm::{
     AccessOutcome, DirEvent, DirStep, Directory, Message, MsgKind, NetIface, NodeCache,
     ProtocolEngine, SystemConfig,
 };
-use ltp_sim::{Cycle, KeyedEventQueue, Lane};
+use ltp_sim::{Cycle, KeyedEventQueue};
 use ltp_workloads::{Lock, Op, Program};
 
 use crate::probe::{ProbeCtx, SimEvent};
@@ -57,11 +70,11 @@ const SPIN_INTERVAL: u64 = 40;
 
 /// The keyed events of the machine: the ones with a payload.
 ///
-/// A node's own CPU activity is a payload-free step of the event queue's
-/// step lane, and the node's `ExecState` says what it does: a node
-/// waiting at a barrier resumes from it (the barrier released at the
-/// previous window boundary; scheduled by the coordinator, never by
-/// shards), any other node runs its next operation or continuation.
+/// A node's own CPU activity is the payload-free step of its event list,
+/// and the node's `ExecState` says what it does: a node waiting at a
+/// barrier resumes from it (the barrier released at the previous window
+/// boundary; scheduled by the coordinator, never by shards), any other
+/// node runs its next operation or continuation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A protocol message arrives at `msg.dst`.
@@ -77,10 +90,9 @@ pub enum Event {
 /// engine drains before directory reinjections), then the acting node,
 /// then the sender and its FIFO sequence number for arrivals.
 ///
-/// Class-0 events (CPU steps and barrier resumes) never enter the queue's
-/// keyed buckets: they ride its step lane, actor = local node index, which
-/// pops them first in their cycle and in node order — exactly where their
-/// keys sort. Their keys still tag what they emit.
+/// Class-0 events (CPU steps and barrier resumes) are not keyed in the
+/// event lists: each is its node's step, which pops first in its cycle —
+/// exactly where its key sorts. Their keys still tag what they emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventKey(u128);
 
@@ -110,12 +122,6 @@ impl EventKey {
             ltp_dsm::mutation::arrive_key_src(src.index() as u16),
             seq,
         )
-    }
-
-    /// Every `Arrive` key at `dst`, whatever its sender and sequence.
-    fn arrivals(dst: NodeId) -> std::ops::RangeInclusive<Self> {
-        let actor = dst.index() as u16;
-        EventKey::new(1, actor, 0, 0)..=EventKey::new(1, actor, u16::MAX, u64::MAX)
     }
 
     /// `EngineDrain` at home `h`. Duplicate same-cycle drains are idempotent
@@ -176,8 +182,7 @@ enum ExecState {
     /// continuation keeps its *state* changes (lock transitions, sync
     /// flushes) at the same timestamp as the messages they emit — running
     /// them early would let an invalidation arriving in between observe a
-    /// cache the flush has already mutated. Most hits skip this state: see
-    /// [`Shard::finishes_in_place`].
+    /// cache the flush has already mutated.
     Completing(BlockId, Continuation, bool),
     /// Waiting at a barrier.
     InBarrier(u32),
@@ -227,8 +232,8 @@ impl std::fmt::Debug for NodeState {
     }
 }
 
-/// One shard: a contiguous node range of the machine with its own event
-/// queue, plus the boundary buffers the coordinator drains.
+/// One shard: a contiguous node range of the machine with one event list
+/// per node, plus the boundary buffers the coordinator drains.
 #[derive(Debug)]
 pub(crate) struct Shard {
     cfg: SystemConfig,
@@ -260,9 +265,9 @@ pub(crate) struct Shard {
     /// (its write count), so spins observe real coherence state — a stale
     /// cached copy really does show the old generation.
     flag_waited: FxHashMap<(u16, BlockId), u64>,
-    /// The future-event list; class-0 events ride its step lane, keyed by
-    /// local node index (see [`Event`]).
-    queue: KeyedEventQueue<EventKey, Event>,
+    /// The future-event lists, one per local node; class-0 events are
+    /// each node's step (see [`Event`]).
+    events: KeyedEventQueue<EventKey, Event>,
     /// The directory service output buffer, reused by every service.
     dir_step: DirStep,
     /// Per-destination-shard buffers of messages leaving this shard, drained
@@ -285,8 +290,7 @@ pub(crate) struct Shard {
     cur_key: EventKey,
     /// End (exclusive) of the window being run.
     window_end: Cycle,
-    /// Simulated events: queue pops plus the `CpuStep`s run in place (see
-    /// [`Shard::finishes_in_place`] and [`Shard::sched_cpu`]).
+    /// Simulated events: pops off the event lists.
     events_handled: u64,
     last_event_time: Cycle,
     finished_local: usize,
@@ -339,9 +343,9 @@ impl Shard {
         let nis = (0..count)
             .map(|_| NetIface::new(SystemConfig::NI_OCCUPANCY))
             .collect();
-        let mut queue = KeyedEventQueue::with_actors(count);
+        let mut events = KeyedEventQueue::with_nodes(count);
         for i in 0..count {
-            queue.schedule_step(Cycle::ZERO, i);
+            events.schedule_step(i, Cycle::ZERO);
         }
         Shard {
             cfg,
@@ -356,7 +360,7 @@ impl Shard {
             send_seq: vec![0; count],
             reinject_seq: vec![0; count],
             flag_waited: FxHashMap::default(),
-            queue,
+            events,
             dir_step: DirStep::default(),
             outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
             sync_log: Vec::new(),
@@ -383,30 +387,33 @@ impl Shard {
 
     // ---- coordinator interface -------------------------------------------
 
-    /// Runs every pending event in `[start, end)`.
+    /// Runs every pending event in `[start, end)`, node by node (see the
+    /// module docs).
     pub fn run_window(&mut self, start: Cycle, end: Cycle) {
-        let _ = start;
         let t0 = std::time::Instant::now();
         self.window_end = end;
-        while let Some((at, lane)) = self.queue.pop_before(end) {
-            debug_assert!(at >= start, "event at {at} predates window start {start}");
-            self.cur_at = at;
-            self.events_handled += 1;
-            self.last_event_time = self.last_event_time.max(at);
-            match lane {
-                Lane::Step(i) => {
-                    let p = self.nodes[i].id;
-                    self.cur_key = EventKey::cpu(p);
-                    match self.nodes[i].exec {
-                        ExecState::InBarrier(_) => self.barrier_resume(at, p),
-                        _ => self.cpu_step(at, p),
+        self.events.start_window(end);
+        for i in 0..self.nodes.len() {
+            while let Some((at, event)) = self.events.pop(i) {
+                debug_assert!(at >= start, "event at {at} predates window start {start}");
+                self.cur_at = at;
+                self.events_handled += 1;
+                self.last_event_time = self.last_event_time.max(at);
+                match event {
+                    None => {
+                        let p = self.nodes[i].id;
+                        self.cur_key = EventKey::cpu(p);
+                        match self.nodes[i].exec {
+                            ExecState::InBarrier(_) => self.barrier_resume(at, p),
+                            _ => self.cpu_step(at, p),
+                        }
                     }
-                }
-                Lane::Keyed(key, ev) => {
-                    self.cur_key = key;
-                    match ev {
-                        Event::Arrive(msg) => self.arrive(at, msg),
-                        Event::EngineDrain(h) => self.engine_drain(at, h),
+                    Some((key, ev)) => {
+                        self.cur_key = key;
+                        match ev {
+                            Event::Arrive(msg) => self.arrive(at, msg),
+                            Event::EngineDrain(h) => self.engine_drain(at, h),
+                        }
                     }
                 }
             }
@@ -423,7 +430,7 @@ impl Shard {
     /// Earliest pending event time (the coordinator's window-selection and
     /// termination input).
     pub fn next_event_time(&self) -> Option<Cycle> {
-        self.queue.peek_time()
+        self.events.next_time()
     }
 
     /// Enables or disables boundary event logging (on when any generic probe
@@ -444,7 +451,8 @@ impl Shard {
 
     /// Schedules a message delivered from another shard (coordinator only).
     pub fn schedule_inbound(&mut self, st: Stamped) {
-        self.queue.schedule(
+        self.events.schedule(
+            self.li(st.msg.dst),
             st.deliver,
             EventKey::arrive(st.msg.dst, st.msg.src, st.seq),
             Event::Arrive(st.msg),
@@ -459,7 +467,7 @@ impl Shard {
             matches!(self.nodes[i].exec, ExecState::InBarrier(b) if b == id),
             "{node} released from a barrier it was not waiting at"
         );
-        self.queue.schedule_step(at, i);
+        self.events.schedule_step(i, at);
     }
 
     /// Swaps the messages this window boxed for shard `dst` into `buf`,
@@ -613,8 +621,8 @@ impl Shard {
 
     /// Routes a message from its (local) source at `at`: same-node messages
     /// deliver instantly; everything else serializes through the source NI
-    /// and crosses the network, landing either back on this shard's queue or
-    /// in the outbox for the destination's shard.
+    /// and crosses the network, landing either on the destination's event
+    /// list, if this shard owns it, or in the outbox for its shard.
     fn route(&mut self, msg: Message, at: Cycle) {
         self.emit_aux(at, || SimEvent::MessageSent { msg });
         let seq = {
@@ -623,20 +631,31 @@ impl Shard {
             *s += 1;
             v
         };
+        let src_li = self.li(msg.src);
         if msg.src == msg.dst {
-            self.queue.schedule(
+            self.events.schedule(
+                src_li,
                 at,
                 EventKey::arrive(msg.dst, msg.src, seq),
                 Event::Arrive(msg),
             );
             return;
         }
-        let src_li = self.li(msg.src);
         let depart = self.nis[src_li].depart(at);
         let deliver = depart + SystemConfig::NET_LATENCY;
+        // The window's node-by-node pass rests on this (see the module
+        // docs): another node hears of this message in a later window.
+        debug_assert!(
+            deliver >= self.window_end,
+            "{} → {} delivers at {deliver}, inside the window ending {}",
+            msg.src,
+            msg.dst,
+            self.window_end
+        );
         let dst_shard = self.part.shard_of(msg.dst);
         if dst_shard == self.index {
-            self.queue.schedule(
+            self.events.schedule(
+                self.li(msg.dst),
                 deliver,
                 EventKey::arrive(msg.dst, msg.src, seq),
                 Event::Arrive(msg),
@@ -703,7 +722,7 @@ impl Shard {
         self.nodes[i].ops_retired += 1;
         self.emit_aux(now, || SimEvent::OpRetired { node: p });
         match op {
-            Op::Think(c) => self.queue.schedule_step(now + Cycle::new(c), i),
+            Op::Think(c) => self.events.schedule_step(i, now + Cycle::new(c)),
             Op::Read { pc, block } => {
                 self.issue_access(now, p, pc, block, false, Continuation::Plain);
             }
@@ -775,15 +794,7 @@ impl Shard {
                 if fire {
                     self.self_invalidate(now, p, block);
                 }
-                let resume_at = now + SystemConfig::CPU_HIT;
-                if self.finishes_in_place(p, cont, resume_at) {
-                    // The `Completing` step this skips still counts.
-                    self.events_handled += 1;
-                    self.last_event_time = self.last_event_time.max(resume_at);
-                    self.finish_access(resume_at, p, block, cont, false);
-                } else {
-                    self.complete_access(resume_at, p, block, cont, false);
-                }
+                self.complete_access(now + SystemConfig::CPU_HIT, p, block, cont, false);
             }
             AccessOutcome::Miss(kind) => {
                 self.emit(
@@ -880,43 +891,6 @@ impl Shard {
             .map_or(0, |l| l.token)
             % 2
             == 1
-    }
-
-    /// Whether a hit by `p` at cycle `t` may run its continuation at once,
-    /// as of `resume_at = t + CPU_HIT`, instead of as a
-    /// [`ExecState::Completing`] `CpuStep` at `(resume_at, cpu(p))`. The two
-    /// are indistinguishable when:
-    ///
-    /// * **The continuation is private.** `Plain`, `LockTest`,
-    ///   `LockConfirm` and `FlagWait` touch only `p`'s own `exec`, cached
-    ///   line, `lock_failures` and `flag_waited` entries, and schedule `p`'s
-    ///   next `CpuStep`; they emit and route nothing. `LockTas` and
-    ///   `LockRelease` emit and may flush, so they keep their event.
-    /// * **Nothing that runs in between touches that state.** Between
-    ///   `(t, cpu(p))` and `(resume_at, cpu(p))` only events at `t` with
-    ///   a larger key and class-0 events (`CpuStep`s, barrier resumes) of
-    ///   nodes `q < p` at `resume_at` run. Of these, only an `Arrive` at `p`
-    ///   reaches `p`'s state. None can be created during cycle `t`: a
-    ///   directory send departs at `done ≥ t + DIR_CONTROL`, a remote send
-    ///   crosses an NI and the network (≥ 88 cycles), and a cross-shard
-    ///   message lands at or after the window end. The one same-cycle
-    ///   arrival is `p`'s own self-invalidation to its own home, already
-    ///   queued by the time this runs, so the `pending_now` query sees it.
-    ///   Arrivals at `resume_at` key after `cpu(p)` (class 1 > class 0).
-    /// * **The window boundary sees the same machine.** `resume_at` lies
-    ///   inside the current window, so the barrier fold, the horizon stop
-    ///   and the stuck report never observe the skipped `Completing` state.
-    fn finishes_in_place(&self, p: NodeId, cont: Continuation, resume_at: Cycle) -> bool {
-        // `pending_now` looks at the last popped cycle: the hit's own.
-        debug_assert_eq!(resume_at, self.cur_at + SystemConfig::CPU_HIT);
-        matches!(
-            cont,
-            Continuation::Plain
-                | Continuation::LockTest(_)
-                | Continuation::LockConfirm(_)
-                | Continuation::FlagWait(_)
-        ) && resume_at < self.window_end
-            && !self.queue.pending_now(EventKey::arrivals(p))
     }
 
     /// Finishes an access (hit or fill) once its latency elapses: parks the
@@ -1046,20 +1020,11 @@ impl Shard {
         }
     }
 
-    /// Schedules `p`'s next `CpuStep` at `at`. A step at the cycle and key
-    /// being handled — a continuation resuming its own node at once — would
-    /// be the very next pop: nothing this handler schedules keys below
-    /// `cpu(p)`, and `p` has no other step pending. So it runs in place,
-    /// under the same `(cur_at, cur_key)` tag, and counts as one event.
+    /// Schedules `p`'s next `CpuStep` at `at`.
     #[inline(always)]
     fn sched_cpu(&mut self, at: Cycle, p: NodeId) {
-        if at == self.cur_at && self.cur_key == EventKey::cpu(p) {
-            self.events_handled += 1;
-            self.cpu_step(at, p);
-        } else {
-            let i = self.li(p);
-            self.queue.schedule_step(at, i);
-        }
+        let i = self.li(p);
+        self.events.schedule_step(i, at);
     }
 
     fn barrier_arrive(&mut self, now: Cycle, p: NodeId, id: u32) {
@@ -1120,8 +1085,12 @@ impl Shard {
             let h = self.li(msg.dst);
             if self.engines[h].enqueue(now, msg) {
                 let at = self.engines[h].next_ready(now);
-                self.queue
-                    .schedule(at, EventKey::drain(msg.dst), Event::EngineDrain(msg.dst));
+                self.events.schedule(
+                    h,
+                    at,
+                    EventKey::drain(msg.dst),
+                    Event::EngineDrain(msg.dst),
+                );
             }
         } else {
             self.cache_side(now, msg);
@@ -1218,14 +1187,18 @@ impl Shard {
                 *s += 1;
                 v
             };
-            self.queue
-                .schedule(depart, EventKey::reinject(h, r.src, seq), Event::Arrive(r));
+            self.events.schedule(
+                hi,
+                depart,
+                EventKey::reinject(h, r.src, seq),
+                Event::Arrive(r),
+            );
         }
         self.dir_step = step;
         if self.engines[hi].arm_next_drain() {
             let at = self.engines[hi].next_ready(now);
-            self.queue
-                .schedule(at, EventKey::drain(h), Event::EngineDrain(h));
+            self.events
+                .schedule(hi, at, EventKey::drain(h), Event::EngineDrain(h));
         }
     }
 
@@ -1374,10 +1347,9 @@ mod tests {
 
     const BLOCK: BlockId = BlockId::new(7);
 
-    /// A 2-node, 1-shard slice after node 0 read [`BLOCK`] and finished:
-    /// the line is cached and the queue has drained. Returns the queue's
-    /// current cycle.
-    fn shard_with_cached_line() -> (Shard, Cycle) {
+    /// A 2-node, 1-shard slice whose node 0 reads [`BLOCK`] (homed on
+    /// node 1) once and finishes; node 1 runs no program.
+    fn two_node_shard() -> Shard {
         let cfg = SystemConfig::builder().nodes(2).build().expect("valid");
         let read = Op::Read {
             pc: Pc::new(0x40),
@@ -1390,77 +1362,57 @@ mod tests {
         let policies: Vec<Box<dyn SelfInvalidationPolicy>> = (0..2)
             .map(|_| Box::new(ltp_core::NullPolicy) as Box<dyn SelfInvalidationPolicy>)
             .collect();
-        let mut shard = Shard::new(cfg, Partition::new(2, 1), 0, policies, programs);
-        shard.run_window(Cycle::ZERO, Cycle::new(1 << 20));
+        Shard::new(cfg, Partition::new(2, 1), 0, policies, programs)
+    }
+
+    fn clock() -> clock::WindowClock {
+        clock::WindowClock::new(SystemConfig::MIN_CROSS_NODE_LATENCY)
+    }
+
+    /// [`two_node_shard`] run to the end over the window grid, as the
+    /// coordinator runs it: the line is cached and the lists have drained.
+    /// Returns the last event's cycle.
+    fn shard_with_cached_line() -> (Shard, Cycle) {
+        let mut shard = two_node_shard();
+        while let Some(t) = shard.next_event_time() {
+            let (start, end) = clock().window_of(t);
+            shard.run_window(start, end);
+        }
         assert!(shard.cached_line(NodeId::new(0), BLOCK).is_some());
-        assert_eq!(shard.next_event_time(), None);
         let now = shard.last_event_time();
         (shard, now)
     }
 
-    /// Node 0 read-hits [`BLOCK`] as the event `(now, cpu(0))` of a window
-    /// ending at `end`.
-    fn hit(shard: &mut Shard, now: Cycle, end: Cycle, cont: Continuation) {
+    #[test]
+    fn a_hit_completes_at_its_own_cpu_step() {
+        let (mut shard, now) = shard_with_cached_line();
         let p = NodeId::new(0);
+        // Node 0 read-hits BLOCK as the event `(now, cpu(0))`.
         shard.cur_at = now;
         shard.cur_key = EventKey::cpu(p);
-        shard.window_end = end;
-        shard.issue_access(now, p, Pc::new(0x40), BLOCK, false, cont);
-    }
-
-    #[test]
-    fn a_private_hit_inside_the_window_finishes_in_place() {
-        let (mut shard, now) = shard_with_cached_line();
+        shard.issue_access(now, p, Pc::new(0x40), BLOCK, false, Continuation::Plain);
+        assert!(
+            matches!(shard.nodes[0].exec, ExecState::Completing(..)),
+            "the hit waits out its latency"
+        );
         let events = shard.events_handled();
         let resume_at = now + SystemConfig::CPU_HIT;
-        hit(
-            &mut shard,
-            now,
-            resume_at + Cycle::new(1),
-            Continuation::Plain,
-        );
-        assert!(matches!(shard.nodes[0].exec, ExecState::Ready));
-        assert_eq!(
-            shard.events_handled(),
-            events + 1,
-            "the skipped step counts"
-        );
+        let (start, end) = clock().window_of(resume_at);
+        shard.run_window(start, end);
+        // The `Completing` step, then the fetch that finds the program done.
+        assert_eq!(shard.events_handled(), events + 2);
         assert_eq!(shard.last_event_time(), resume_at);
-        assert_eq!(shard.next_event_time(), Some(resume_at), "the next CpuStep");
+        assert!(matches!(shard.nodes[0].exec, ExecState::Finished));
+        assert_eq!(shard.next_event_time(), None);
     }
 
     #[test]
-    fn a_hit_keeps_its_completing_step_where_fusing_is_not_exact() {
-        let completing = |shard: &Shard| matches!(shard.nodes[0].exec, ExecState::Completing(..));
-        // The resume cycle is the window end: the boundary must see the
-        // node completing.
-        let (mut shard, now) = shard_with_cached_line();
-        hit(
-            &mut shard,
-            now,
-            now + SystemConfig::CPU_HIT,
-            Continuation::Plain,
-        );
-        assert!(completing(&shard));
-        // An arrival at the node is pending in the hit's cycle.
-        let (mut shard, now) = shard_with_cached_line();
-        let (p, q) = (NodeId::new(0), NodeId::new(1));
-        let inv = Message::new(q, p, BLOCK, MsgKind::Inv);
-        shard
-            .queue
-            .schedule(now, EventKey::arrive(p, q, 0), Event::Arrive(inv));
-        hit(&mut shard, now, now + Cycle::new(8), Continuation::Plain);
-        assert!(completing(&shard));
-        // A lock release emits and may flush.
-        let (mut shard, now) = shard_with_cached_line();
-        let lock = Lock::library(BLOCK, 0x80);
-        hit(
-            &mut shard,
-            now,
-            now + Cycle::new(8),
-            Continuation::LockRelease(lock),
-        );
-        assert!(completing(&shard));
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "inside the window ending")]
+    fn a_window_longer_than_the_lookahead_is_caught() {
+        // Node 0's miss reaches its home, node 1, within the window: the
+        // pass has already run node 1, so no real run may do this.
+        two_node_shard().run_window(Cycle::ZERO, Cycle::new(1 << 20));
     }
 
     #[test]
