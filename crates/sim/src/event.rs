@@ -37,10 +37,17 @@ struct Entry<K, E> {
     payload: E,
 }
 
+/// Stands for "nothing pending" in the times below; no event is due then.
+const NONE: Cycle = Cycle::MAX;
+
 /// One node's pending events.
 struct NodeList<K, E> {
-    /// The node's step, if one is pending.
-    step: Option<Cycle>,
+    /// The earliest of `step` and the first keyed event, so a pass can
+    /// tell whether the node has work before the window end without
+    /// reaching into `keyed`.
+    head: Cycle,
+    /// The node's step, or [`NONE`].
+    step: Cycle,
     /// Keyed events sorted by `(at, key)`, equal pairs in scheduling
     /// order.
     keyed: VecDeque<Entry<K, E>>,
@@ -93,9 +100,10 @@ pub struct KeyedEventQueue<K, E> {
     nodes: Box<[NodeList<K, E>]>,
     /// End (exclusive) of the window being run; zero before the first.
     end: Cycle,
-    /// The earliest pending event at or after `end` seen so far: folded
-    /// from every schedule there and from each node the pass finishes.
-    next: Option<Cycle>,
+    /// The earliest pending event at or after `end` seen so far, or
+    /// [`NONE`]: folded from every schedule there and from each node the
+    /// pass finishes.
+    next: Cycle,
 }
 
 impl<K: Ord, E> KeyedEventQueue<K, E> {
@@ -104,13 +112,14 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
         KeyedEventQueue {
             nodes: (0..nodes)
                 .map(|_| NodeList {
-                    step: None,
+                    head: NONE,
+                    step: NONE,
                     keyed: VecDeque::new(),
                     now: Cycle::ZERO,
                 })
                 .collect(),
             end: Cycle::ZERO,
-            next: None,
+            next: NONE,
         }
     }
 
@@ -129,11 +138,14 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
         check_time(list, node, at);
         // Behind every entry that does not sort after it: usually all.
         let behind = |e: &Entry<K, E>| (e.at, &e.key) <= (at, &key);
-        let i = match list.keyed.back() {
-            Some(last) if !behind(last) => list.keyed.partition_point(behind),
-            _ => list.keyed.len(),
-        };
-        list.keyed.insert(i, Entry { at, key, payload });
+        match list.keyed.back() {
+            Some(last) if !behind(last) => {
+                let i = list.keyed.partition_point(behind);
+                list.keyed.insert(i, Entry { at, key, payload });
+            }
+            _ => list.keyed.push_back(Entry { at, key, payload }),
+        }
+        list.head = list.head.min(at);
         self.note(at);
     }
 
@@ -147,11 +159,9 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
     pub fn schedule_step(&mut self, node: usize, at: Cycle) {
         let list = &mut self.nodes[node];
         check_time(list, node, at);
-        debug_assert!(
-            list.step.is_none(),
-            "node {node} already has a step pending"
-        );
-        list.step = Some(at);
+        debug_assert!(list.step == NONE, "node {node} already has a step pending");
+        list.step = at;
+        list.head = list.head.min(at);
         self.note(at);
     }
 
@@ -159,7 +169,7 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
     /// follows pops every node's events before `end`.
     pub fn start_window(&mut self, end: Cycle) {
         self.end = end;
-        self.next = None;
+        self.next = NONE;
     }
 
     /// Removes and returns `node`'s earliest event if it is due before the
@@ -169,44 +179,45 @@ impl<K: Ord, E> KeyedEventQueue<K, E> {
     /// [`next_time`](Self::next_time).
     pub fn pop(&mut self, node: usize) -> Option<(Cycle, Option<(K, E)>)> {
         let list = &mut self.nodes[node];
-        let keyed = list.keyed.front().map(|e| e.at);
-        let step = list.step.filter(|&s| keyed.is_none_or(|k| s <= k));
-        match step.or(keyed) {
-            Some(at) if at < self.end => {
-                list.now = at;
-                if step.is_some() {
-                    list.step = None;
-                    Some((at, None))
-                } else {
-                    let e = list.keyed.pop_front().expect("front checked");
-                    Some((at, Some((e.key, e.payload))))
-                }
-            }
-            Some(at) => {
-                self.note(at);
-                None
-            }
-            None => None,
+        let at = list.head;
+        if at >= self.end {
+            self.note(at);
+            return None;
         }
+        list.now = at;
+        // The step pops first in its cycle.
+        let event = if list.step == at {
+            list.step = NONE;
+            None
+        } else {
+            let e = list.keyed.pop_front().expect("the head is a keyed event");
+            Some((e.key, e.payload))
+        };
+        list.head = list.step.min(list.keyed.front().map_or(NONE, |e| e.at));
+        Some((at, event))
     }
 
     /// The earliest pending event's time, exact between passes (see the
     /// type docs).
     pub fn next_time(&self) -> Option<Cycle> {
-        self.next
+        (self.next != NONE).then_some(self.next)
     }
 
     /// Folds an event at or after the window end into the next time.
     /// Earlier ones are the current pass's business.
     fn note(&mut self, at: Cycle) {
         if at >= self.end {
-            self.next = Some(self.next.map_or(at, |n| n.min(at)));
+            self.next = self.next.min(at);
         }
     }
 }
 
 /// A node's time only moves forward (checked in debug builds).
 fn check_time<K, E>(list: &NodeList<K, E>, node: usize, at: Cycle) {
+    debug_assert!(
+        at != NONE,
+        "event scheduled on node {node} at the end of time"
+    );
     debug_assert!(
         at >= list.now,
         "event scheduled on node {node} at {at}, before its last popped cycle {}",
@@ -219,13 +230,13 @@ impl<K, E> std::fmt::Debug for KeyedEventQueue<K, E> {
         let pending: usize = self
             .nodes
             .iter()
-            .map(|n| n.keyed.len() + usize::from(n.step.is_some()))
+            .map(|n| n.keyed.len() + usize::from(n.step != NONE))
             .sum();
         f.debug_struct("KeyedEventQueue")
             .field("nodes", &self.nodes.len())
             .field("pending", &pending)
             .field("end", &self.end)
-            .field("next", &self.next)
+            .field("next", &(self.next != NONE).then_some(self.next))
             .finish()
     }
 }
@@ -272,11 +283,10 @@ impl<T> Default for WindowSort<T> {
 impl<T: Copy> WindowSort<T> {
     /// Sorts `log` by `tag`, stably.
     pub fn sort<K: Ord>(&mut self, log: &mut Vec<T>, tag: impl Fn(&T) -> (Cycle, K)) {
-        let Some(first) = log.first() else {
+        if log.is_empty() {
             return;
-        };
-        let first = tag(first).0;
-        let (lo, hi) = log.iter().fold((first, first), |(lo, hi), e| {
+        }
+        let (lo, hi) = log.iter().fold((Cycle::MAX, Cycle::ZERO), |(lo, hi), e| {
             let at = tag(e).0;
             (lo.min(at), hi.max(at))
         });
@@ -362,7 +372,13 @@ mod tests {
             .collect();
         assert_eq!(
             got,
-            vec![(4, 9, 'z'), (5, 1, 'a'), (5, 2, 'b'), (5, 3, 'c'), (5, 3, 'd')]
+            vec![
+                (4, 9, 'z'),
+                (5, 1, 'a'),
+                (5, 2, 'b'),
+                (5, 3, 'c'),
+                (5, 3, 'd')
+            ]
         );
     }
 
@@ -392,7 +408,9 @@ mod tests {
     }
 
     #[test]
-    fn a_step_pops_before_its_nodes_keyed_events_in_its_cycle() {
+    fn steps_pop_first_in_their_cycle_in_actor_order() {
+        // A node's step pops before its keyed events of the same cycle, and
+        // a pass runs the nodes in order.
         let mut q = KeyedEventQueue::with_nodes(2);
         q.schedule(0, Cycle::new(5), 0u8, ());
         q.schedule(0, Cycle::new(4), 7u8, ());
@@ -459,6 +477,17 @@ mod tests {
         // Between passes, a schedule before the next event moves it.
         q.schedule(1, Cycle::new(8), 1u8, ());
         assert_eq!(q.next_time(), Some(Cycle::new(8)));
+    }
+
+    #[test]
+    fn peek_does_not_remove() {
+        // `next_time` reports the earliest pending event; it still pops.
+        let mut q = KeyedEventQueue::with_nodes(1);
+        q.schedule(0, Cycle::new(42), 0u8, 'x');
+        assert_eq!(q.next_time(), Some(Cycle::new(42)));
+        assert_eq!(q.next_time(), Some(Cycle::new(42)));
+        assert_eq!(pass(&mut q, 1, 43), vec![(42, 0, Some(0))]);
+        assert_eq!(q.next_time(), None);
     }
 
     #[test]

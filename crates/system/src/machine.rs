@@ -17,9 +17,8 @@
 //! Because window boundaries lie on a fixed grid, cross-shard messages are
 //! stamped with content-derived FIFO keys, and each node's same-cycle
 //! events pop in deterministic [`Event`] key order, the run is
-//! **bit-identical for every
-//! shard count** — `--shards 8` produces the same `RunReport` bytes as a
-//! serial run. The serial path *is* the 1-shard instance of the same loop:
+//! **bit-identical for every shard count** — `--shards 8` produces the
+//! same `RunReport` bytes as a serial run. The serial path *is* the 1-shard instance of the same loop:
 //! no worker is spawned and the rendezvous never blocks.
 //!
 //! Locks are executed as test-and-test-and-set loops over their shared
@@ -160,11 +159,12 @@ struct ObserverDead;
 /// Generic probes ([`Machine::attach_probe`]) observe the merged cross-shard
 /// event stream in exact serial order — but nothing about that order
 /// requires the *simulation* to wait for them. The machine hands batches of
-/// window logs to the observer thread, which orders (see [`WindowSort`])
-/// and dispatches them while the shards already run the next window: the simulation's
-/// critical path pays only the per-event log append, and the probes' own
-/// work (metrics, histograms, the coherence sanitizer) overlaps execution.
-/// Drained buffers are recycled, so steady-state logging allocates nothing,
+/// window logs to the observer thread, which orders each window (see
+/// [`WindowSort`]) and dispatches it while the shards already run the next
+/// window: the simulation's critical path pays only the per-event log
+/// append, and the probes' own work (metrics, histograms, the coherence
+/// sanitizer) overlaps execution. Drained buffers are recycled, so
+/// steady-state logging allocates nothing,
 /// and the channel is bounded — a probe slower than the simulation
 /// backpressures it instead of accumulating unbounded logs.
 struct Observer {

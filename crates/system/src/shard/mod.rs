@@ -20,11 +20,12 @@
 //!    always scheduled into windows that have not run yet.
 //! 2. **Content-keyed event order.** Every event carries an [`EventKey`]
 //!    derived from simulated content (event class, acting node, sender, and
-//!    the sender's per-node FIFO sequence number). Same-cycle events pop in
-//!    key order — a property of the simulated machine, not of which shard
-//!    scheduled what first. Keys are unique per cycle (each node does one
-//!    thing at a time; arrivals are FIFO-stamped), so the global pop order
-//!    is a total order that every shard count reproduces exactly.
+//!    the sender's per-node FIFO sequence number). A node's same-cycle
+//!    events pop in key order — a property of the simulated machine, not of
+//!    which shard scheduled what first. Keys are unique per cycle (each
+//!    node does one thing at a time; arrivals are FIFO-stamped), so
+//!    `(cycle, key)` is a total order of the machine's events that every
+//!    shard count reproduces exactly.
 //!
 //! The serial engine is the 1-shard instance of the same machinery — there
 //! is no separate serial code path to diverge from.
@@ -1085,12 +1086,8 @@ impl Shard {
             let h = self.li(msg.dst);
             if self.engines[h].enqueue(now, msg) {
                 let at = self.engines[h].next_ready(now);
-                self.events.schedule(
-                    h,
-                    at,
-                    EventKey::drain(msg.dst),
-                    Event::EngineDrain(msg.dst),
-                );
+                self.events
+                    .schedule(h, at, EventKey::drain(msg.dst), Event::EngineDrain(msg.dst));
             }
         } else {
             self.cache_side(now, msg);
@@ -1410,8 +1407,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "inside the window ending")]
     fn a_window_longer_than_the_lookahead_is_caught() {
-        // Node 0's miss reaches its home, node 1, within the window: the
-        // pass has already run node 1, so no real run may do this.
+        // Node 0's miss reaches its home, node 1, inside the window. The
+        // pass happens to run node 1 later, but a delivery to a node it
+        // had already run would run late or not at all, so any such
+        // delivery is a bug.
         two_node_shard().run_window(Cycle::ZERO, Cycle::new(1 << 20));
     }
 

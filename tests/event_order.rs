@@ -79,17 +79,14 @@ fn with_digest(spec: ltp::system::ExperimentBuilder) -> ExperimentSpec {
 
 #[test]
 fn observer_event_order_is_pinned_at_one_and_three_shards() {
-    let mut cases: Vec<(String, ExperimentSpec)> = [
-        Benchmark::Appbt,
-        Benchmark::Raytrace,
-        Benchmark::Em3d,
-    ]
-    .into_iter()
-    .map(|bench| {
-        let spec = with_digest(ExperimentSpec::builder(bench).nodes(8).iterations(2));
-        (format!("{bench}-8"), spec)
-    })
-    .collect();
+    let mut cases: Vec<(String, ExperimentSpec)> =
+        [Benchmark::Appbt, Benchmark::Raytrace, Benchmark::Em3d]
+            .into_iter()
+            .map(|bench| {
+                let spec = with_digest(ExperimentSpec::builder(bench).nodes(8).iterations(2));
+                (format!("{bench}-8"), spec)
+            })
+            .collect();
 
     // A `gen-trace` file, streamed from disk under the sanitizer.
     let mut params = WorkloadParams::quick(8, 1);
