@@ -20,7 +20,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, NodeId, VerifyOutcome};
-use ltp_dsm::{AccessOutcome, DirState, Directory, DirectoryKind, Message, MsgKind, NodeCache};
+use ltp_dsm::{
+    AccessOutcome, DirState, Directory, DirectoryKind, Message, MsgKind, NodeCache, SystemConfig,
+};
 
 use super::{ground_violations, quiescence_violations, MachineView};
 
@@ -30,8 +32,9 @@ pub struct ExploreConfig {
     /// Machine size (keep at 2–3; the state space is exponential).
     pub nodes: u16,
     /// Number of distinct blocks in the op alphabet (1–3; homes are
-    /// `block % nodes`, so 3 blocks on 2 nodes co-home a pair — the
-    /// geometry that exercises sparse-directory evictions).
+    /// [`SystemConfig::home_of`], `block % nodes`, so 3 blocks on 2 nodes
+    /// co-home a pair — the geometry that exercises sparse-directory
+    /// evictions).
     pub blocks: u64,
     /// Reads/writes each node may issue (the run budget).
     pub ops_per_node: u32,
@@ -50,12 +53,6 @@ impl Default for ExploreConfig {
             directory: DirectoryKind::Full,
             max_states: 4_000_000,
         }
-    }
-}
-
-impl ExploreConfig {
-    fn home_of(&self, block: BlockId) -> NodeId {
-        NodeId::new((block.index() % u64::from(self.nodes)) as u16)
     }
 }
 
@@ -204,7 +201,7 @@ fn push_edge(st: &mut State, msg: Message) {
 
 /// Applies one transition. `Err` is a transition-level violation (a message
 /// that cannot legally be delivered in the source state).
-fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static str, String)> {
+fn step(sys: &SystemConfig, st: &State, c: Choice) -> Result<State, (&'static str, String)> {
     let mut next = st.clone();
     match c {
         Choice::Issue(n, b, is_write) => {
@@ -218,7 +215,7 @@ fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static s
                     next.runs[usize::from(n)].blocked = Some((block, is_write));
                     push_edge(
                         &mut next,
-                        Message::new(node, cfg.home_of(block), block, kind),
+                        Message::new(node, sys.home_of(block), block, kind),
                     );
                 }
             }
@@ -231,7 +228,7 @@ fn step(cfg: &ExploreConfig, st: &State, c: Choice) -> Result<State, (&'static s
                 .expect("choice enumerated on a valid line");
             push_edge(
                 &mut next,
-                Message::new(node, cfg.home_of(block), block, kind),
+                Message::new(node, sys.home_of(block), block, kind),
             );
         }
         Choice::Deliver(s, d) => {
@@ -526,7 +523,17 @@ fn trace_to(meta: &[Meta], mut id: u32, last: Option<String>) -> Vec<String> {
 /// Exhaustively explores `cfg`, checking the invariant catalog in every
 /// reachable state. Deterministic: identical configs yield identical
 /// outcomes (state and transition counts included).
+///
+/// # Panics
+///
+/// Panics if `cfg.nodes` is below 2, the smallest machine a
+/// [`SystemConfig`] describes.
 pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
+    // The modeled machine, for its block-to-home mapping.
+    let sys = SystemConfig::builder()
+        .nodes(cfg.nodes)
+        .build()
+        .expect("the explored machine has at least two nodes");
     let initial = State::initial(cfg);
     let mut index: FxHashMap<Vec<u8>, u32> = FxHashMap::default();
     let mut meta: Vec<Meta> = Vec::new();
@@ -567,7 +574,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
             for c in cs {
                 transitions += 1;
                 let lbl = label(&st, c);
-                let next = match step(cfg, &st, c) {
+                let next = match step(&sys, &st, c) {
                     Ok(next) => next,
                     Err(v) => break 'search found(v, trace_to(&meta, id, Some(lbl))),
                 };

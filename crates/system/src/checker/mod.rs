@@ -94,7 +94,7 @@ impl<'a> MachineView<'a> {
     /// of `caches`, keeping both lists sorted.
     pub(crate) fn add(
         &mut self,
-        dirs: &'a [Directory],
+        dirs: impl IntoIterator<Item = &'a Directory>,
         caches: impl IntoIterator<Item = &'a NodeCache>,
     ) {
         for dir in dirs {

@@ -74,6 +74,6 @@ pub use probe::{
     FnProbeFactory, MetricsSection, Probe, ProbeCtx, ProbeFactory, ProbeRegistry, ProbeSpecError,
     RunInfo, SimEvent,
 };
-pub use report::{JsonLinesSink, MemorySink, NullSink, ReportSink, RunReport};
+pub use report::{JsonLinesSink, NullSink, ReportSink, RunReport};
 pub use stuck::{RunOutcome, StuckClass, StuckNode, StuckReport};
 pub use sweep::SweepSpec;

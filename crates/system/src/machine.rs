@@ -9,7 +9,8 @@
 //!    pending event (`L` = minimum cross-node latency, the lookahead);
 //! 2. run every shard's slice of that window independently — shard 0 on the
 //!    calling thread, shards `1..N` on `N − 1` scoped worker threads; each
-//!    shard runs its nodes one after another (see [`crate::shard`]);
+//!    shard runs its nodes one after another, then delivers the messages
+//!    between them (see [`crate::shard`]);
 //! 3. at the boundary, exchange cross-shard messages, merge and replay the
 //!    shards' probe logs, and fold barrier arrivals into the global barrier
 //!    state (releases are scheduled at the boundary cycle).
@@ -35,7 +36,6 @@
 //! [`Probe`]s for everything else — generic probes observe the merged
 //! cross-shard event stream in exact serial order.
 
-use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
@@ -495,7 +495,6 @@ impl Machine {
         let running = AtomicBool::new(true);
         let win_start = AtomicU64::new(0);
         let win_end = AtomicU64::new(0);
-        let panics: Panics = Mutex::new(Vec::new());
         let mut bufs = BoundaryBufs::default();
         // The first window's start; each boundary then reads the next one
         // off the shards it already holds.
@@ -505,8 +504,8 @@ impl Machine {
             .min();
         let stop = std::thread::scope(|scope| {
             for shard in &shards[1..] {
-                let (barrier, running, win_start, win_end, panics) =
-                    (&barrier, &running, &win_start, &win_end, &panics);
+                let (barrier, running, win_start, win_end) =
+                    (&barrier, &running, &win_start, &win_end);
                 scope.spawn(move || loop {
                     barrier.wait();
                     if !running.load(Ordering::Acquire) {
@@ -514,7 +513,7 @@ impl Machine {
                     }
                     let start = Cycle::new(win_start.load(Ordering::Acquire));
                     let end = Cycle::new(win_end.load(Ordering::Acquire));
-                    run_window(shard, start, end, panics);
+                    run_window(shard, start, end);
                     barrier.wait();
                 });
             }
@@ -544,16 +543,12 @@ impl Machine {
                 win_start.store(start.as_u64(), Ordering::Release);
                 win_end.store(end.as_u64(), Ordering::Release);
                 barrier.wait(); // workers start the window
-                run_window(&shards[0], start, end, &panics);
+                run_window(&shards[0], start, end);
                 barrier.wait(); // every shard finished the window
-                let panicked = lock_raw(&panics).pop();
-                if let Some(payload) = panicked {
-                    shut_down();
-                    panic::resume_unwind(payload);
-                }
-                // The boundary fold can panic (malformed barrier workloads),
-                // so it runs under catch_unwind to shut the workers down
-                // before re-raising.
+
+                // The boundary re-raises a window's panic and can panic
+                // itself (malformed barrier workloads), so it runs under
+                // catch_unwind to shut the workers down before re-raising.
                 let fold = panic::catch_unwind(AssertUnwindSafe(|| {
                     guards.extend(shards.iter().map(lock));
                     boundary(&mut guards, sync, &mut bufs, observer.as_mut(), part, end)?;
@@ -664,21 +659,13 @@ fn lock_mut(m: &mut Mutex<Shard>) -> &mut Shard {
     m.get_mut().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Poison-tolerant lock for the panic-payload slot itself.
-fn lock_raw<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Window panics caught on any thread, re-raised by the calling thread.
-type Panics = Mutex<Vec<Box<dyn Any + Send>>>;
-
-/// Runs one shard's slice of a window, recording a panic instead of
-/// unwinding: the thread must still reach the closing rendezvous, or every
-/// other thread would wait for it forever.
-fn run_window(shard: &Mutex<Shard>, start: Cycle, end: Cycle, panics: &Panics) {
-    let result = panic::catch_unwind(AssertUnwindSafe(|| lock(shard).run_window(start, end)));
-    if let Err(payload) = result {
-        lock_raw(panics).push(payload);
+/// Runs one shard's slice of a window, storing a panic in the shard
+/// instead of unwinding: the thread must still reach the closing
+/// rendezvous, or every other thread would wait for it forever.
+fn run_window(shard: &Mutex<Shard>, start: Cycle, end: Cycle) {
+    let mut shard = lock(shard);
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| shard.run_window(start, end))) {
+        shard.panic = Some(payload);
     }
 }
 
@@ -693,9 +680,10 @@ struct BoundaryBufs {
     records: Vec<SyncRecord>,
 }
 
-/// One window boundary: cross-shard message exchange, probe-log handoff to
-/// the observer, and the global barrier fold. Returns `Err` when the
-/// observer thread has died (a probe panicked).
+/// One window boundary: re-raising a window's panic, cross-shard message
+/// exchange, probe-log handoff to the observer, and the global barrier
+/// fold. Returns `Err` when the observer thread has died (a probe
+/// panicked).
 fn boundary(
     shards: &mut [MutexGuard<'_, Shard>],
     sync: &mut GlobalSync,
@@ -704,33 +692,29 @@ fn boundary(
     part: Partition,
     end: Cycle,
 ) -> Result<(), ObserverDead> {
-    // 1. Redistribute cross-shard messages into their destination queues.
-    //    Delivery cycles are ≥ `end` by the conservative lookahead, so every
-    //    message lands in a window that has not run yet.
+    // 1. A shard that panicked stopped mid-window: nothing of it is used.
+    for s in shards.iter_mut() {
+        if let Some(payload) = s.panic.take() {
+            panic::resume_unwind(payload);
+        }
+    }
+    // 2. Redistribute cross-shard messages into their destination lists
+    //    (each shard delivered its own slot at the end of its window).
     for src in 0..shards.len() {
-        for dst in 0..shards.len() {
+        for dst in (0..shards.len()).filter(|&dst| dst != src) {
             shards[src].swap_outbox(dst, &mut bufs.mail);
-            debug_assert!(
-                dst != src || bufs.mail.is_empty(),
-                "same-shard messages are scheduled directly, never boxed"
-            );
             for st in bufs.mail.drain(..) {
-                debug_assert!(
-                    st.deliver >= end,
-                    "cross-shard delivery at {} inside the window ending {end}",
-                    st.deliver
-                );
-                shards[dst].schedule_inbound(st);
+                shards[dst].deliver(st, end);
             }
         }
     }
-    // 2. Hand the shards' event logs (in shard order) to the observer
+    // 3. Hand the shards' event logs (in shard order) to the observer
     //    thread, batched so the probes' work overlaps the next window (see
     //    [`Observer`]).
     if let Some(observer) = observer.as_deref_mut() {
         observer.window(shards)?;
     }
-    // 3. Fold barrier arrivals and completions (in global `(cycle, node)`
+    // 4. Fold barrier arrivals and completions (in global `(cycle, node)`
     //    order) and schedule releases at the boundary cycle — a grid point,
     //    hence identical for every shard count.
     let records = &mut bufs.records;

@@ -3,9 +3,10 @@
 //! Every experiment produces a [`RunReport`]; sweeps stream reports through
 //! a [`ReportSink`] *in run order* (the cross-product order of the sweep),
 //! so a sink observes identical sequences whether the sweep executed
-//! serially or in parallel. Two collectors ship in-tree:
+//! serially or in parallel. Two sinks ship in-tree:
 //!
-//! * [`MemorySink`] — keeps every report in memory (aggregation, tests);
+//! * [`NullSink`] — discards every report (a sweep returns its reports
+//!   anyway);
 //! * [`JsonLinesSink`] — writes one JSON object per line to any
 //!   [`std::io::Write`] (files, pipes, stdout), the interchange format the
 //!   CLI and the benchmark baselines use.
@@ -178,36 +179,6 @@ impl ReportSink for NullSink {
     fn record(&mut self, _seq: usize, _report: &RunReport) {}
 }
 
-/// Collects every report in memory, in run order.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    reports: Vec<RunReport>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// The reports collected so far, in run order.
-    pub fn reports(&self) -> &[RunReport] {
-        &self.reports
-    }
-
-    /// Consumes the sink, returning the collected reports.
-    pub fn into_reports(self) -> Vec<RunReport> {
-        self.reports
-    }
-}
-
-impl ReportSink for MemorySink {
-    fn record(&mut self, seq: usize, report: &RunReport) {
-        debug_assert_eq!(seq, self.reports.len(), "sinks see runs in order");
-        self.reports.push(report.clone());
-    }
-}
-
 /// Streams each report as one JSON line (`{"run":N,...}`) to a writer.
 #[derive(Debug)]
 pub struct JsonLinesSink<W: io::Write> {
@@ -339,14 +310,5 @@ mod tests {
         r.workload.iterations = None;
         let json = r.to_json();
         assert!(json.contains("\"iterations\":null"), "{json}");
-    }
-
-    #[test]
-    fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
-        sink.record(0, &report("base"));
-        sink.record(1, &report("ltp"));
-        assert_eq!(sink.reports().len(), 2);
-        assert_eq!(sink.into_reports()[1].policy, "ltp");
     }
 }

@@ -1,12 +1,14 @@
-//! Cross-shard exchange records and the worker rendezvous barrier.
+//! Cross-node exchange records and the worker rendezvous barrier.
 //!
-//! During a window, shards never touch each other's state: everything that
-//! must cross a shard boundary is buffered locally and handed to the
-//! coordinator at the window boundary —
+//! During a window, nodes never touch each other's state: everything that
+//! must reach another node is buffered in the sending shard and delivered
+//! after the window —
 //!
-//! * [`Stamped`] protocol messages bound for a node on another shard, each
-//!   carrying its delivery cycle (≥ the next window start, by the lookahead
-//!   argument) and the sender's per-node FIFO sequence number;
+//! * [`Stamped`] protocol messages bound for any other node, each carrying
+//!   its delivery cycle (≥ the next window start, by the lookahead
+//!   argument) and the sender's per-node FIFO sequence number, boxed per
+//!   destination shard: the sending shard delivers its own box at the end
+//!   of its window, the coordinator the others at the window boundary;
 //! * [`SyncRecord`]s describing barrier arrivals and program completions,
 //!   folded into the global barrier state by the coordinator;
 //! * [`ProbeEntry`] event logs, ordered across shards and nodes by the tag
@@ -26,7 +28,7 @@ use crate::probe::SimEvent;
 
 use super::EventKey;
 
-/// A protocol message crossing a shard boundary.
+/// A protocol message on its way to another node.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Stamped {
     /// Absolute delivery cycle at the destination.

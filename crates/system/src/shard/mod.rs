@@ -1,12 +1,13 @@
 //! The sharded simulation engine: one slice of the machine per worker.
 //!
-//! A [`Shard`] owns a contiguous range of nodes *and their home
-//! directories* — caches, policies, programs, protocol engines, and network
-//! interfaces — plus its own future-event list. Within a clock window (see
-//! [`clock`]) a shard runs completely independently; everything that crosses
-//! a shard boundary (protocol messages, barrier arrivals, probe events) is
-//! buffered and exchanged by the coordinating [`crate::Machine`] at window
-//! boundaries (see [`channel`]).
+//! A [`Shard`] owns a contiguous range of nodes — one record per node
+//! holding its CPU state, cache, policy, program, home directory,
+//! protocol engine and network interface — plus one future-event list per
+//! node. Within a clock window (see [`clock`]) a shard runs completely
+//! independently; everything that crosses a shard boundary (protocol
+//! messages, barrier arrivals, probe events) is buffered and exchanged by
+//! the coordinating [`crate::Machine`] at window boundaries (see
+//! [`channel`]).
 //!
 //! # Why sharded runs are bit-identical to serial runs
 //!
@@ -16,7 +17,7 @@
 //! 1. **Conservative windows.** The window length equals the minimum
 //!    cross-node message latency (NI occupancy + network hop), so no event
 //!    executed inside a window can schedule work on *another node* within
-//!    the same window. Cross-shard messages handed over at the boundary are
+//!    the same window. Cross-node messages handed over after the window are
 //!    always scheduled into windows that have not run yet.
 //! 2. **Content-keyed event order.** Every event carries an [`EventKey`]
 //!    derived from simulated content (event class, acting node, sender, and
@@ -42,10 +43,21 @@
 //! global order is kept at all. What the pass logs for the probes is put
 //! back in serial `(cycle, key)` order by the observer (see
 //! [`channel::ProbeEntry`]).
+//!
+//! The pass keeps the property by construction: a handler takes the local
+//! index of the node it runs and schedules only onto that node (checked in
+//! debug builds). Every message to another node leaves the same way,
+//! through the outbox slot of its destination's shard, and reaches its
+//! destination's list only after the pass: the shard drains its own slot
+//! at the end of [`Shard::run_window`], the coordinator the other slots at
+//! the boundary. Both go through [`Shard::deliver`], which checks in debug
+//! builds that the delivery lies at or after the window end.
 
 pub(crate) mod channel;
 pub(crate) mod clock;
 mod partition;
+
+use std::any::Any;
 
 use ltp_core::{
     BlockId, FxHashMap, NodeId, Pc, SelfInvalidationPolicy, SyncKind, Touch, VerifyOutcome,
@@ -206,8 +218,9 @@ enum LockStage {
     Tas,
 }
 
-/// One node: processor (program interpreter), cache, and policy.
-struct NodeState {
+/// One node: processor (program interpreter), cache and policy, and the
+/// home side — directory, protocol engine and network interface.
+struct Node {
     id: NodeId,
     cache: NodeCache,
     policy: Box<dyn SelfInvalidationPolicy>,
@@ -221,11 +234,46 @@ struct NodeState {
     last_progress: Cycle,
     /// Operations this node has retired (fetched from its program).
     ops_retired: u64,
+    /// Flag-wait progress: how many generations of each flag block this
+    /// node has consumed. The flag's current generation is the block's
+    /// data token (its write count), so spins observe real coherence state
+    /// — a stale cached copy really does show the old generation.
+    flag_waited: FxHashMap<BlockId, u64>,
+    /// The directory of the blocks homed here, the engine that services
+    /// it, and the interface every message this node sends departs from.
+    dir: Directory,
+    engine: ProtocolEngine,
+    ni: NetIface,
+    /// Per-block timestamp of the home's last departed directory send.
+    ///
+    /// The pipelined engine completes short (control) services faster than
+    /// long (data) ones, so a later-serviced `Inv` could otherwise depart
+    /// before an earlier grant for the same block and overtake it on the
+    /// (per source→destination FIFO) network — delivering an invalidation
+    /// for a copy that has not arrived yet. Directory sends for one block
+    /// therefore depart in service order.
+    send_order: FxHashMap<BlockId, Cycle>,
+    /// FIFO sequence of the messages this node sends (part of arrival
+    /// event keys).
+    send_seq: u64,
+    /// Sequence of this home's directory reinjections.
+    reinject_seq: u64,
 }
 
-impl std::fmt::Debug for NodeState {
+impl Node {
+    /// The departure of a directory send for `block` whose service is
+    /// `done`: no earlier than the block's previous send (see
+    /// `send_order`).
+    fn dir_depart(&mut self, block: BlockId, done: Cycle) -> Cycle {
+        let last = self.send_order.entry(block).or_insert(Cycle::ZERO);
+        *last = done.max(*last);
+        *last
+    }
+}
+
+impl std::fmt::Debug for Node {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeState")
+        f.debug_struct("Node")
             .field("id", &self.id)
             .field("exec", &self.exec)
             .field("policy", &self.policy.name())
@@ -239,40 +287,22 @@ impl std::fmt::Debug for NodeState {
 pub(crate) struct Shard {
     cfg: SystemConfig,
     part: Partition,
-    /// This shard's index and first owned node (all per-node vectors below
-    /// are indexed by `node - lo`).
+    /// This shard's index and first owned node (`nodes` and the event
+    /// lists are indexed by `node - lo`).
     index: usize,
-    lo: u16,
-    nodes: Vec<NodeState>,
-    dirs: Vec<Directory>,
-    engines: Vec<ProtocolEngine>,
-    nis: Vec<NetIface>,
-    /// Per-home, per-block timestamp of the last departed directory send.
-    ///
-    /// The pipelined engine completes short (control) services faster than
-    /// long (data) ones, so a later-serviced `Inv` could otherwise depart
-    /// before an earlier grant for the same block and overtake it on the
-    /// (per source→destination FIFO) network — delivering an invalidation
-    /// for a copy that has not arrived yet. Directory sends for one block
-    /// therefore depart in service order.
-    dir_send_order: Vec<FxHashMap<BlockId, Cycle>>,
-    /// Per-local-node FIFO sequence for sent messages (part of arrival
-    /// event keys).
-    send_seq: Vec<u64>,
-    /// Per-local-home sequence for directory reinjections.
-    reinject_seq: Vec<u64>,
-    /// Flag-wait progress: how many generations of each flag block this node
-    /// has consumed. The flag's current generation is the block's data token
-    /// (its write count), so spins observe real coherence state — a stale
-    /// cached copy really does show the old generation.
-    flag_waited: FxHashMap<(u16, BlockId), u64>,
+    lo: usize,
+    nodes: Vec<Node>,
     /// The future-event lists, one per local node; class-0 events are
     /// each node's step (see [`Event`]).
     events: KeyedEventQueue<EventKey, Event>,
+    /// The local node whose events the pass is running: the only node a
+    /// handler schedules onto.
+    cur: usize,
     /// The directory service output buffer, reused by every service.
     dir_step: DirStep,
-    /// Per-destination-shard buffers of messages leaving this shard, drained
-    /// by the coordinator at each window boundary.
+    /// Per-destination-shard buffers of messages to other nodes. The
+    /// shard drains its own slot at the end of each window, the
+    /// coordinator the others at the boundary.
     outbox: Vec<Vec<Stamped>>,
     /// Barrier arrivals and program completions this window.
     sync_log: Vec<SyncRecord>,
@@ -289,8 +319,6 @@ pub(crate) struct Shard {
     /// serial emission order.
     cur_at: Cycle,
     cur_key: EventKey,
-    /// End (exclusive) of the window being run.
-    window_end: Cycle,
     /// Simulated events: pops off the event lists.
     events_handled: u64,
     last_event_time: Cycle,
@@ -301,6 +329,9 @@ pub(crate) struct Shard {
     /// run unpreempted, i.e. on a host with a core per shard. Purely
     /// observational: never read on the simulation path.
     busy_ns: u64,
+    /// The payload of a panic caught in this shard's window, stored by the
+    /// thread that ran it and re-raised by the coordinator at the boundary.
+    pub panic: Option<Box<dyn Any + Send>>,
 }
 
 impl Shard {
@@ -317,13 +348,13 @@ impl Shard {
         let count = usize::from(hi - lo);
         assert_eq!(policies.len(), count, "one policy per owned node");
         assert_eq!(programs.len(), count, "one program per owned node");
-        let nodes: Vec<NodeState> = policies
+        let nodes: Vec<Node> = policies
             .into_iter()
             .zip(programs)
-            .enumerate()
-            .map(|(i, (policy, program))| {
-                let id = NodeId::new(lo + i as u16);
-                NodeState {
+            .zip(lo..hi)
+            .map(|((policy, program), id)| {
+                let id = NodeId::new(id);
+                Node {
                     id,
                     cache: NodeCache::new(id),
                     policy,
@@ -332,17 +363,15 @@ impl Shard {
                     lock_failures: 0,
                     last_progress: Cycle::ZERO,
                     ops_retired: 0,
+                    flag_waited: FxHashMap::default(),
+                    dir: Directory::with_kind(id, cfg.directory(), cfg.nodes()),
+                    engine: ProtocolEngine::new(SystemConfig::PIPELINE_STAGES),
+                    ni: NetIface::new(SystemConfig::NI_OCCUPANCY),
+                    send_order: FxHashMap::default(),
+                    send_seq: 0,
+                    reinject_seq: 0,
                 }
             })
-            .collect();
-        let dirs = (0..count)
-            .map(|i| Directory::with_kind(NodeId::new(lo + i as u16), cfg.directory(), cfg.nodes()))
-            .collect();
-        let engines = (0..count)
-            .map(|_| ProtocolEngine::new(SystemConfig::PIPELINE_STAGES))
-            .collect();
-        let nis = (0..count)
-            .map(|_| NetIface::new(SystemConfig::NI_OCCUPANCY))
             .collect();
         let mut events = KeyedEventQueue::with_nodes(count);
         for i in 0..count {
@@ -352,16 +381,10 @@ impl Shard {
             cfg,
             part,
             index,
-            lo,
+            lo: usize::from(lo),
             nodes,
-            dirs,
-            engines,
-            nis,
-            dir_send_order: (0..count).map(|_| FxHashMap::default()).collect(),
-            send_seq: vec![0; count],
-            reinject_seq: vec![0; count],
-            flag_waited: FxHashMap::default(),
             events,
+            cur: 0,
             dir_step: DirStep::default(),
             outbox: (0..part.shards()).map(|_| Vec::new()).collect(),
             sync_log: Vec::new(),
@@ -370,56 +393,65 @@ impl Shard {
             core: None,
             cur_at: Cycle::ZERO,
             cur_key: EventKey::cpu(NodeId::new(lo)),
-            window_end: Cycle::ZERO,
             events_handled: 0,
             last_event_time: Cycle::ZERO,
             finished_local: 0,
             last_finish_local: Cycle::ZERO,
             busy_ns: 0,
+            panic: None,
         }
-    }
-
-    /// Local index of a node owned by this shard.
-    #[inline(always)]
-    fn li(&self, p: NodeId) -> usize {
-        debug_assert_eq!(self.part.shard_of(p), self.index, "{p} not on this shard");
-        p.index() - usize::from(self.lo)
     }
 
     // ---- coordinator interface -------------------------------------------
 
-    /// Runs every pending event in `[start, end)`, node by node (see the
-    /// module docs).
+    /// Runs every pending event in `[start, end)`, node by node, then
+    /// delivers the window's messages between this shard's own nodes (see
+    /// the module docs).
     pub fn run_window(&mut self, start: Cycle, end: Cycle) {
         let t0 = std::time::Instant::now();
-        self.window_end = end;
         self.events.start_window(end);
         for i in 0..self.nodes.len() {
-            while let Some((at, event)) = self.events.pop(i) {
-                debug_assert!(at >= start, "event at {at} predates window start {start}");
-                self.cur_at = at;
-                self.events_handled += 1;
-                self.last_event_time = self.last_event_time.max(at);
-                match event {
-                    None => {
-                        let p = self.nodes[i].id;
-                        self.cur_key = EventKey::cpu(p);
-                        match self.nodes[i].exec {
-                            ExecState::InBarrier(_) => self.barrier_resume(at, p),
-                            _ => self.cpu_step(at, p),
-                        }
+            self.run_node(i, start);
+        }
+        self.deliver_own(end);
+        self.busy_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Runs local node `i`'s events up to the window end.
+    fn run_node(&mut self, i: usize, start: Cycle) {
+        self.cur = i;
+        while let Some((at, event)) = self.events.pop(i) {
+            debug_assert!(at >= start, "event at {at} predates window start {start}");
+            self.cur_at = at;
+            self.events_handled += 1;
+            self.last_event_time = self.last_event_time.max(at);
+            match event {
+                None => {
+                    self.cur_key = EventKey::cpu(self.nodes[i].id);
+                    match self.nodes[i].exec {
+                        ExecState::InBarrier(_) => self.barrier_resume(at, i),
+                        _ => self.cpu_step(at, i),
                     }
-                    Some((key, ev)) => {
-                        self.cur_key = key;
-                        match ev {
-                            Event::Arrive(msg) => self.arrive(at, msg),
-                            Event::EngineDrain(h) => self.engine_drain(at, h),
-                        }
+                }
+                Some((key, ev)) => {
+                    self.cur_key = key;
+                    match ev {
+                        Event::Arrive(msg) => self.arrive(at, i, msg),
+                        Event::EngineDrain(_) => self.engine_drain(at, i),
                     }
                 }
             }
         }
-        self.busy_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Delivers the messages the window ending at `end` sent between this
+    /// shard's own nodes.
+    fn deliver_own(&mut self, end: Cycle) {
+        let mut mail = std::mem::take(&mut self.outbox[self.index]);
+        for st in mail.drain(..) {
+            self.deliver(st, end);
+        }
+        self.outbox[self.index] = mail;
     }
 
     /// Host nanoseconds spent executing windows so far (barrier waits and
@@ -450,10 +482,21 @@ impl Shard {
         self.core.take()
     }
 
-    /// Schedules a message delivered from another shard (coordinator only).
-    pub fn schedule_inbound(&mut self, st: Stamped) {
+    /// Puts a message sent in the window ending at `end` on its local
+    /// destination's event list: the one way in for every message between
+    /// two nodes.
+    pub fn deliver(&mut self, st: Stamped, end: Cycle) {
+        // The window's node-by-node pass rests on this (see the module
+        // docs): another node hears of a message in a later window.
+        debug_assert!(
+            st.deliver >= end,
+            "{} → {} delivers at {}, inside the window ending {end}",
+            st.msg.src,
+            st.msg.dst,
+            st.deliver
+        );
         self.events.schedule(
-            self.li(st.msg.dst),
+            st.msg.dst.index() - self.lo,
             st.deliver,
             EventKey::arrive(st.msg.dst, st.msg.src, st.seq),
             Event::Arrive(st.msg),
@@ -463,7 +506,7 @@ impl Shard {
     /// Schedules a barrier release for a local node at window boundary `at`
     /// (coordinator only).
     pub fn schedule_resume(&mut self, at: Cycle, node: NodeId, id: u32) {
-        let i = self.li(node);
+        let i = node.index() - self.lo;
         debug_assert!(
             matches!(self.nodes[i].exec, ExecState::InBarrier(b) if b == id),
             "{node} released from a barrier it was not waiting at"
@@ -564,18 +607,17 @@ impl Shard {
     /// The cached line a local node holds for `block`, if any (test/debug
     /// introspection).
     pub fn cached_line(&self, p: NodeId, block: BlockId) -> Option<ltp_dsm::Line> {
-        self.nodes[self.li(p)].cache.line(block)
+        self.nodes[p.index() - self.lo].cache.line(block)
     }
 
     /// Appends this shard's slice of the machine-wide ground state to a
     /// [`crate::checker::MachineView`].
     pub fn view_into<'a>(&'a self, view: &mut crate::checker::MachineView<'a>) {
-        view.add(&self.dirs, self.nodes.iter().map(|n| &n.cache));
-        view.engine_backlog += self
-            .engines
-            .iter()
-            .map(ProtocolEngine::backlog)
-            .sum::<usize>();
+        view.add(
+            self.nodes.iter().map(|n| &n.dir),
+            self.nodes.iter().map(|n| &n.cache),
+        );
+        view.engine_backlog += self.nodes.iter().map(|n| n.engine.backlog()).sum::<usize>();
     }
 
     // ---- observation -----------------------------------------------------
@@ -618,70 +660,55 @@ impl Shard {
         }
     }
 
-    // ---- routing ---------------------------------------------------------
+    // ---- scheduling and routing ------------------------------------------
 
-    /// Routes a message from its (local) source at `at`: same-node messages
-    /// deliver instantly; everything else serializes through the source NI
-    /// and crosses the network, landing either on the destination's event
-    /// list, if this shard owns it, or in the outbox for its shard.
-    fn route(&mut self, msg: Message, at: Cycle) {
+    /// Schedules a keyed event on local node `i`, the node being run.
+    #[inline(always)]
+    fn schedule(&mut self, i: usize, at: Cycle, key: EventKey, event: Event) {
+        debug_assert_eq!(i, self.cur, "a handler schedules onto another node");
+        self.events.schedule(i, at, key, event);
+    }
+
+    /// Schedules the next `CpuStep` of local node `i`, the node being run.
+    #[inline(always)]
+    fn sched_cpu(&mut self, i: usize, at: Cycle) {
+        debug_assert_eq!(i, self.cur, "a handler schedules onto another node");
+        self.events.schedule_step(i, at);
+    }
+
+    /// Routes a message from local node `i` at `at`: a message to the node
+    /// itself delivers instantly; any other serializes through the node's
+    /// NI, crosses the network and waits in the outbox slot of its
+    /// destination's shard.
+    fn route(&mut self, i: usize, msg: Message, at: Cycle) {
         self.emit_aux(at, || SimEvent::MessageSent { msg });
-        let seq = {
-            let s = &mut self.send_seq[msg.src.index() - usize::from(self.lo)];
-            let v = *s;
-            *s += 1;
-            v
-        };
-        let src_li = self.li(msg.src);
-        if msg.src == msg.dst {
-            self.events.schedule(
-                src_li,
-                at,
-                EventKey::arrive(msg.dst, msg.src, seq),
-                Event::Arrive(msg),
-            );
+        let node = &mut self.nodes[i];
+        let seq = node.send_seq;
+        node.send_seq += 1;
+        if msg.dst == msg.src {
+            let key = EventKey::arrive(msg.dst, msg.src, seq);
+            self.schedule(i, at, key, Event::Arrive(msg));
             return;
         }
-        let depart = self.nis[src_li].depart(at);
-        let deliver = depart + SystemConfig::NET_LATENCY;
-        // The window's node-by-node pass rests on this (see the module
-        // docs): another node hears of this message in a later window.
-        debug_assert!(
-            deliver >= self.window_end,
-            "{} → {} delivers at {deliver}, inside the window ending {}",
-            msg.src,
-            msg.dst,
-            self.window_end
-        );
-        let dst_shard = self.part.shard_of(msg.dst);
-        if dst_shard == self.index {
-            self.events.schedule(
-                self.li(msg.dst),
-                deliver,
-                EventKey::arrive(msg.dst, msg.src, seq),
-                Event::Arrive(msg),
-            );
-        } else {
-            self.outbox[dst_shard].push(Stamped { deliver, seq, msg });
-        }
+        let deliver = node.ni.depart(at) + SystemConfig::NET_LATENCY;
+        self.outbox[self.part.shard_of(msg.dst)].push(Stamped { deliver, seq, msg });
     }
 
     // ---- CPU execution ---------------------------------------------------
 
-    fn cpu_step(&mut self, now: Cycle, p: NodeId) {
-        let i = self.li(p);
+    fn cpu_step(&mut self, now: Cycle, i: usize) {
         match &self.nodes[i].exec {
-            ExecState::Ready => self.fetch_and_issue(now, p),
+            ExecState::Ready => self.fetch_and_issue(now, i),
             ExecState::FlagSpin(pc, block) => {
                 let (pc, block) = (*pc, *block);
-                self.issue_access(now, p, pc, block, false, Continuation::FlagWait(pc));
+                self.issue_access(now, i, pc, block, false, Continuation::FlagWait(pc));
             }
             ExecState::Locking(lock, stage) => {
                 let (lock, stage) = (*lock, *stage);
                 match stage {
                     LockStage::Test | LockStage::Confirm => self.issue_access(
                         now,
-                        p,
+                        i,
                         lock.spin_pc,
                         lock.block,
                         false,
@@ -691,19 +718,19 @@ impl Shard {
                             Continuation::LockConfirm(lock)
                         },
                     ),
-                    LockStage::Tas => self.issue_tas(now, p, lock),
+                    LockStage::Tas => self.issue_tas(now, i, lock),
                 }
             }
             ExecState::Completing(block, cont, tas_won) => {
                 let (block, cont, tas_won) = (*block, *cont, *tas_won);
-                self.finish_access(now, p, block, cont, tas_won);
+                self.finish_access(now, i, block, cont, tas_won);
             }
-            state => unreachable!("CpuStep for {p} in state {state:?}"),
+            state => unreachable!("CpuStep for {} in state {state:?}", self.nodes[i].id),
         }
     }
 
-    fn fetch_and_issue(&mut self, now: Cycle, p: NodeId) {
-        let i = self.li(p);
+    fn fetch_and_issue(&mut self, now: Cycle, i: usize) {
+        let p = self.nodes[i].id;
         let Some(op) = self.nodes[i].program.next_op() else {
             self.nodes[i].exec = ExecState::Finished;
             self.finished_local += 1;
@@ -723,18 +750,18 @@ impl Shard {
         self.nodes[i].ops_retired += 1;
         self.emit_aux(now, || SimEvent::OpRetired { node: p });
         match op {
-            Op::Think(c) => self.events.schedule_step(i, now + Cycle::new(c)),
+            Op::Think(c) => self.sched_cpu(i, now + Cycle::new(c)),
             Op::Read { pc, block } => {
-                self.issue_access(now, p, pc, block, false, Continuation::Plain);
+                self.issue_access(now, i, pc, block, false, Continuation::Plain);
             }
             Op::Write { pc, block } => {
-                self.issue_access(now, p, pc, block, true, Continuation::Plain);
+                self.issue_access(now, i, pc, block, true, Continuation::Plain);
             }
             Op::Lock(lock) => {
                 self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
                 self.issue_access(
                     now,
-                    p,
+                    i,
                     lock.spin_pc,
                     lock.block,
                     false,
@@ -744,21 +771,21 @@ impl Shard {
             Op::Unlock(lock) => {
                 self.issue_access(
                     now,
-                    p,
+                    i,
                     lock.release_pc,
                     lock.block,
                     true,
                     Continuation::LockRelease(lock),
                 );
             }
-            Op::Barrier(id) => self.barrier_arrive(now, p, id),
+            Op::Barrier(id) => self.barrier_arrive(now, i, id),
             Op::FlagSet { pc, block } => {
                 // The signalling store is an ordinary write; the flag's
                 // generation is the block token the write bumps.
-                self.issue_access(now, p, pc, block, true, Continuation::Plain);
+                self.issue_access(now, i, pc, block, true, Continuation::Plain);
             }
             Op::FlagWait { pc, block } => {
-                self.issue_access(now, p, pc, block, false, Continuation::FlagWait(pc));
+                self.issue_access(now, i, pc, block, false, Continuation::FlagWait(pc));
             }
         }
     }
@@ -766,13 +793,13 @@ impl Shard {
     fn issue_access(
         &mut self,
         now: Cycle,
-        p: NodeId,
+        i: usize,
         pc: Pc,
         block: BlockId,
         is_write: bool,
         cont: Continuation,
     ) {
-        let i = self.li(p);
+        let p = self.nodes[i].id;
         match self.nodes[i].cache.access(block, is_write) {
             AccessOutcome::Hit { exclusive } => {
                 self.emit(
@@ -793,9 +820,9 @@ impl Shard {
                     fill: None,
                 });
                 if fire {
-                    self.self_invalidate(now, p, block);
+                    self.self_invalidate(now, i, block);
                 }
-                self.complete_access(now + SystemConfig::CPU_HIT, p, block, cont, false);
+                self.complete_access(now + SystemConfig::CPU_HIT, i, block, cont, false);
             }
             AccessOutcome::Miss(kind) => {
                 self.emit(
@@ -814,7 +841,7 @@ impl Shard {
                     cont,
                 });
                 let home = self.cfg.home_of(block);
-                self.route(Message::new(p, home, block, kind), now);
+                self.route(i, Message::new(p, home, block, kind), now);
             }
         }
     }
@@ -825,8 +852,8 @@ impl Shard {
     /// a miss the fetch installs the line exclusively ([`NodeCache::access_tas`])
     /// and the swap applies the moment the fill lands — before anything else
     /// can intervene, exactly like a hardware RMW holding the line.
-    fn issue_tas(&mut self, now: Cycle, p: NodeId, lock: Lock) {
-        let i = self.li(p);
+    fn issue_tas(&mut self, now: Cycle, i: usize, lock: Lock) {
+        let p = self.nodes[i].id;
         let (pc, block) = (lock.tas_pc, lock.block);
         match self.nodes[i].cache.access_tas(block) {
             AccessOutcome::Hit { exclusive } => {
@@ -849,11 +876,11 @@ impl Shard {
                     fill: None,
                 });
                 if fire {
-                    self.self_invalidate(now, p, block);
+                    self.self_invalidate(now, i, block);
                 }
                 self.complete_access(
                     now + SystemConfig::CPU_HIT,
-                    p,
+                    i,
                     block,
                     Continuation::LockTas(lock),
                     won,
@@ -876,22 +903,18 @@ impl Shard {
                     cont: Continuation::LockTas(lock),
                 });
                 let home = self.cfg.home_of(block);
-                self.route(Message::new(p, home, block, kind), now);
+                self.route(i, Message::new(p, home, block, kind), now);
             }
         }
     }
 
-    /// Whether a lock block currently *looks held* from this node's cached
-    /// copy: the lock value is the block's token parity (odd = held). An
-    /// absent line reads as generation 0 — free — which is benign: the
-    /// confirm read and the test-and-set itself are protocol-serialized.
-    fn lock_looks_held(&self, p: NodeId, block: BlockId) -> bool {
-        self.nodes[self.li(p)]
-            .cache
-            .line(block)
-            .map_or(0, |l| l.token)
-            % 2
-            == 1
+    /// Whether a lock block currently *looks held* from local node `i`'s
+    /// cached copy: the lock value is the block's token parity (odd =
+    /// held). An absent line reads as generation 0 — free — which is
+    /// benign: the confirm read and the test-and-set itself are
+    /// protocol-serialized.
+    fn lock_looks_held(&self, i: usize, block: BlockId) -> bool {
+        self.nodes[i].cache.line(block).map_or(0, |l| l.token) % 2 == 1
     }
 
     /// Finishes an access (hit or fill) once its latency elapses: parks the
@@ -902,14 +925,13 @@ impl Shard {
     fn complete_access(
         &mut self,
         resume_at: Cycle,
-        p: NodeId,
+        i: usize,
         block: BlockId,
         cont: Continuation,
         tas_won: bool,
     ) {
-        let i = self.li(p);
         self.nodes[i].exec = ExecState::Completing(block, cont, tas_won);
-        self.sched_cpu(resume_at, p);
+        self.sched_cpu(i, resume_at);
     }
 
     /// Runs an access's continuation at its proper time, advancing lock
@@ -917,45 +939,45 @@ impl Shard {
     fn finish_access(
         &mut self,
         now: Cycle,
-        p: NodeId,
+        i: usize,
         block: BlockId,
         cont: Continuation,
         tas_won: bool,
     ) {
         let resume_at = now;
-        let i = self.li(p);
+        let p = self.nodes[i].id;
         match cont {
             Continuation::Plain => {
                 self.nodes[i].exec = ExecState::Ready;
-                self.sched_cpu(resume_at, p);
+                self.sched_cpu(i, resume_at);
             }
             Continuation::LockTest(lock) => {
                 debug_assert_eq!(block, lock.block);
-                if self.lock_looks_held(p, lock.block) {
+                if self.lock_looks_held(i, lock.block) {
                     // Keep spinning: each retest is a real touch of the lock
                     // block (usually a cache hit, until a release
                     // invalidates the copy).
                     self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(resume_at + Cycle::new(SPIN_INTERVAL), p);
+                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
                 } else {
                     // Looks free: back off a randomized interval, then
                     // confirm before attempting the RMW.
                     self.nodes[i].lock_failures += 1;
                     let slots = backoff_slots(p, self.nodes[i].lock_failures);
                     self.nodes[i].exec = ExecState::Locking(lock, LockStage::Confirm);
-                    self.sched_cpu(resume_at + Cycle::new(SPIN_INTERVAL * slots), p);
+                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL * slots));
                 }
             }
             Continuation::LockConfirm(lock) => {
                 debug_assert_eq!(block, lock.block);
-                if self.lock_looks_held(p, lock.block) {
+                if self.lock_looks_held(i, lock.block) {
                     // Someone won during the backoff: resume spinning
                     // without ever issuing the test-and-set.
                     self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(resume_at + Cycle::new(SPIN_INTERVAL), p);
+                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
                 } else {
                     self.nodes[i].exec = ExecState::Locking(lock, LockStage::Tas);
-                    self.sched_cpu(resume_at, p);
+                    self.sched_cpu(i, resume_at);
                 }
             }
             Continuation::LockTas(lock) => {
@@ -968,7 +990,7 @@ impl Shard {
                     self.nodes[i].lock_failures += 1;
                     let backoff = backoff_slots(p, self.nodes[i].lock_failures);
                     self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(resume_at + Cycle::new(SPIN_INTERVAL * backoff), p);
+                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL * backoff));
                 } else {
                     self.emit_aux(resume_at, || SimEvent::LockAcquired {
                         node: p,
@@ -976,9 +998,9 @@ impl Shard {
                     });
                     self.nodes[i].exec = ExecState::Ready;
                     if lock.exposed {
-                        self.sync_boundary(resume_at, p, SyncKind::LockAcquire);
+                        self.sync_boundary(resume_at, i, SyncKind::LockAcquire);
                     }
-                    self.sched_cpu(resume_at, p);
+                    self.sched_cpu(i, resume_at);
                 }
             }
             Continuation::LockRelease(lock) => {
@@ -987,7 +1009,7 @@ impl Shard {
                 // the line exclusively first if a spinner's read had stolen
                 // it.
                 debug_assert!(
-                    !self.lock_looks_held(p, lock.block)
+                    !self.lock_looks_held(i, lock.block)
                         || self.nodes[i].cache.line(lock.block).is_none(),
                     "release left the lock looking held"
                 );
@@ -997,40 +1019,31 @@ impl Shard {
                 });
                 self.nodes[i].exec = ExecState::Ready;
                 if lock.exposed {
-                    self.sync_boundary(resume_at, p, SyncKind::LockRelease);
+                    self.sync_boundary(resume_at, i, SyncKind::LockRelease);
                 }
-                self.sched_cpu(resume_at, p);
+                self.sched_cpu(i, resume_at);
             }
             Continuation::FlagWait(pc) => {
                 // Observe the generation from the (possibly stale) cached
                 // copy — exactly what real spin code would see.
-                let observed = self.nodes[i].cache.line(block).map_or(0, |l| l.token);
-                let waited = self
-                    .flag_waited
-                    .entry((p.index() as u16, block))
-                    .or_insert(0);
+                let node = &mut self.nodes[i];
+                let observed = node.cache.line(block).map_or(0, |l| l.token);
+                let waited = node.flag_waited.entry(block).or_insert(0);
                 if observed > *waited {
                     *waited += 1;
-                    self.nodes[i].exec = ExecState::Ready;
-                    self.sched_cpu(resume_at, p);
+                    node.exec = ExecState::Ready;
+                    self.sched_cpu(i, resume_at);
                 } else {
-                    self.nodes[i].exec = ExecState::FlagSpin(pc, block);
-                    self.sched_cpu(resume_at + Cycle::new(SPIN_INTERVAL), p);
+                    node.exec = ExecState::FlagSpin(pc, block);
+                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
                 }
             }
         }
     }
 
-    /// Schedules `p`'s next `CpuStep` at `at`.
-    #[inline(always)]
-    fn sched_cpu(&mut self, at: Cycle, p: NodeId) {
-        let i = self.li(p);
-        self.events.schedule_step(i, at);
-    }
-
-    fn barrier_arrive(&mut self, now: Cycle, p: NodeId, id: u32) {
+    fn barrier_arrive(&mut self, now: Cycle, i: usize, id: u32) {
+        let p = self.nodes[i].id;
         self.emit_aux(now, || SimEvent::BarrierEnter { node: p, id });
-        let i = self.li(p);
         self.nodes[i].exec = ExecState::InBarrier(id);
         self.sync_log.push(SyncRecord {
             at: now,
@@ -1042,27 +1055,25 @@ impl Shard {
     /// Handles the coordinator's release of a barrier this node was waiting
     /// at: the synchronization flush (DSI's burst) runs here, under this
     /// window's ordinary emission and routing paths.
-    fn barrier_resume(&mut self, now: Cycle, p: NodeId) {
-        let i = self.li(p);
+    fn barrier_resume(&mut self, now: Cycle, i: usize) {
         self.nodes[i].exec = ExecState::Ready;
-        self.sync_boundary(now, p, SyncKind::Barrier);
-        self.sched_cpu(now + SystemConfig::CPU_HIT, p);
+        self.sync_boundary(now, i, SyncKind::Barrier);
+        self.sched_cpu(i, now + SystemConfig::CPU_HIT);
     }
 
     /// Reports a synchronization boundary to the node's policy and performs
     /// any bulk self-invalidation it requests (DSI's flush).
-    fn sync_boundary(&mut self, now: Cycle, p: NodeId, kind: SyncKind) {
-        let i = self.li(p);
+    fn sync_boundary(&mut self, now: Cycle, i: usize, kind: SyncKind) {
         let flushes = self.nodes[i].policy.on_sync(kind);
         for block in flushes {
-            self.self_invalidate(now, p, block);
+            self.self_invalidate(now, i, block);
         }
     }
 
     /// Executes one self-invalidation: drops the local copy and notifies the
     /// home (clean notification or dirty writeback).
-    fn self_invalidate(&mut self, now: Cycle, p: NodeId, block: BlockId) {
-        let i = self.li(p);
+    fn self_invalidate(&mut self, now: Cycle, i: usize, block: BlockId) {
+        let p = self.nodes[i].id;
         let Some(kind) = self.nodes[i].cache.self_invalidate(block) else {
             return; // absent or mid-transaction: skip (bulk flushes may race)
         };
@@ -1075,41 +1086,40 @@ impl Shard {
             },
         );
         let home = self.cfg.home_of(block);
-        self.route(Message::new(p, home, block, kind), now);
+        self.route(i, Message::new(p, home, block, kind), now);
     }
 
     // ---- message handling ------------------------------------------------
 
-    fn arrive(&mut self, now: Cycle, msg: Message) {
+    fn arrive(&mut self, now: Cycle, i: usize, msg: Message) {
         self.emit(now, SimEvent::MessageDelivered { msg });
         if msg.kind.to_directory() {
-            let h = self.li(msg.dst);
-            if self.engines[h].enqueue(now, msg) {
-                let at = self.engines[h].next_ready(now);
-                self.events
-                    .schedule(h, at, EventKey::drain(msg.dst), Event::EngineDrain(msg.dst));
+            let engine = &mut self.nodes[i].engine;
+            if engine.enqueue(now, msg) {
+                let at = engine.next_ready(now);
+                self.schedule(i, at, EventKey::drain(msg.dst), Event::EngineDrain(msg.dst));
             }
         } else {
-            self.cache_side(now, msg);
+            self.cache_side(now, i, msg);
         }
     }
 
-    fn engine_drain(&mut self, now: Cycle, h: NodeId) {
-        let hi = self.li(h);
-        let Some((msg, queued)) = self.engines[hi].dequeue(now) else {
+    fn engine_drain(&mut self, now: Cycle, i: usize) {
+        let h = self.nodes[i].id;
+        let Some((msg, queued)) = self.nodes[i].engine.dequeue(now) else {
             return;
         };
         self.emit_aux(now, || SimEvent::DirAccepted { home: h, msg });
         // The retained buffer, taken out for the duration of this service
         // so its sends can be routed through `&mut self`.
         let mut step = std::mem::take(&mut self.dir_step);
-        self.dirs[hi].process_into(msg, &mut step);
+        self.nodes[i].dir.process_into(msg, &mut step);
         let service = if step.data_service {
             SystemConfig::DIR_DATA_SERVICE
         } else {
             SystemConfig::DIR_CONTROL
         };
-        let done = self.engines[hi].begin_service(now, service);
+        let done = self.nodes[i].engine.begin_service(now, service);
         self.emit(
             now,
             SimEvent::MessageServiced {
@@ -1152,56 +1162,36 @@ impl Shard {
                 },
             );
         }
-        // Clamp departures so sends for one block leave in service order
-        // (see `dir_send_order`). A sparse eviction's invalidations ride in
-        // the same service but target the *victim* block, so each send
-        // clamps on its own block's lane.
-        let depart = {
-            let last = self.dir_send_order[hi]
-                .entry(msg.block)
-                .or_insert(Cycle::ZERO);
-            let depart = done.max(*last);
-            *last = depart;
-            depart
-        };
+        // Sends for one block leave in service order (see `send_order`). A
+        // sparse eviction's invalidations ride in the same service but
+        // target the *victim* block, so each send keeps its own block's
+        // order.
+        let depart = self.nodes[i].dir_depart(msg.block, done);
         for &m in &step.sends {
             let at = if m.block == msg.block {
                 depart
             } else {
-                let last = self.dir_send_order[hi]
-                    .entry(m.block)
-                    .or_insert(Cycle::ZERO);
-                let at = done.max(*last);
-                *last = at;
-                at
+                self.nodes[i].dir_depart(m.block, done)
             };
-            self.route(m, at);
+            self.route(i, m, at);
         }
         for &r in &step.reinject {
-            let seq = {
-                let s = &mut self.reinject_seq[hi];
-                let v = *s;
-                *s += 1;
-                v
-            };
-            self.events.schedule(
-                hi,
-                depart,
-                EventKey::reinject(h, r.src, seq),
-                Event::Arrive(r),
-            );
+            let node = &mut self.nodes[i];
+            let seq = node.reinject_seq;
+            node.reinject_seq += 1;
+            let key = EventKey::reinject(h, r.src, seq);
+            self.schedule(i, depart, key, Event::Arrive(r));
         }
         self.dir_step = step;
-        if self.engines[hi].arm_next_drain() {
-            let at = self.engines[hi].next_ready(now);
-            self.events
-                .schedule(hi, at, EventKey::drain(h), Event::EngineDrain(h));
+        let engine = &mut self.nodes[i].engine;
+        if engine.arm_next_drain() {
+            let at = engine.next_ready(now);
+            self.schedule(i, at, EventKey::drain(h), Event::EngineDrain(h));
         }
     }
 
-    fn cache_side(&mut self, now: Cycle, msg: Message) {
+    fn cache_side(&mut self, now: Cycle, i: usize, msg: Message) {
         let p = msg.dst;
-        let i = self.li(p);
         match msg.kind {
             MsgKind::Inv => {
                 let resp = self.nodes[i].cache.handle_inv(msg.block);
@@ -1221,6 +1211,7 @@ impl Shard {
                 }
                 let home = self.cfg.home_of(msg.block);
                 self.route(
+                    i,
                     Message::new(
                         p,
                         home,
@@ -1248,15 +1239,14 @@ impl Shard {
                     .on_verification(msg.block, VerifyOutcome::Correct);
             }
             MsgKind::DataS { .. } | MsgKind::DataX { .. } | MsgKind::UpgradeAck { .. } => {
-                self.complete_fill(now, msg);
+                self.complete_fill(now, i, msg);
             }
             other => unreachable!("cache received {other:?}"),
         }
     }
 
-    fn complete_fill(&mut self, now: Cycle, msg: Message) {
+    fn complete_fill(&mut self, now: Cycle, i: usize, msg: Message) {
         let p = msg.dst;
-        let i = self.li(p);
         let ExecState::BlockedMem(ctx) = self.nodes[i].exec else {
             unreachable!("fill for {p} which is not blocked");
         };
@@ -1295,13 +1285,13 @@ impl Shard {
             fill: Some(fill.info),
         });
         if fire {
-            self.self_invalidate(now, p, ctx.block);
+            self.self_invalidate(now, i, ctx.block);
         }
         // The requester-side network-cache install costs one memory access
         // (this is what stretches the round trip to Table 1's ≈416 cycles).
         self.complete_access(
             now + SystemConfig::MEM_ACCESS,
-            p,
+            i,
             ctx.block,
             ctx.cont,
             tas_won,
@@ -1385,9 +1375,10 @@ mod tests {
         let (mut shard, now) = shard_with_cached_line();
         let p = NodeId::new(0);
         // Node 0 read-hits BLOCK as the event `(now, cpu(0))`.
+        shard.cur = 0;
         shard.cur_at = now;
         shard.cur_key = EventKey::cpu(p);
-        shard.issue_access(now, p, Pc::new(0x40), BLOCK, false, Continuation::Plain);
+        shard.issue_access(now, 0, Pc::new(0x40), BLOCK, false, Continuation::Plain);
         assert!(
             matches!(shard.nodes[0].exec, ExecState::Completing(..)),
             "the hit waits out its latency"
@@ -1404,12 +1395,51 @@ mod tests {
     }
 
     #[test]
+    fn a_message_to_another_node_waits_for_the_end_of_window_drain() {
+        let mut shard = two_node_shard();
+        let (start, end) = clock().window_of(Cycle::ZERO);
+        shard.events.start_window(end);
+        // Node 0's first step misses on BLOCK and sends a request to its
+        // home, node 1 — on the same shard, yet through the outbox.
+        shard.run_node(0, start);
+        let sent = match shard.outbox[0][..] {
+            [st] => st,
+            ref other => panic!("expected one boxed message, got {other:?}"),
+        };
+        assert_eq!(
+            (sent.msg.src, sent.msg.dst),
+            (NodeId::new(0), NodeId::new(1))
+        );
+        // Node 1's pass does not see it, and nothing else is pending.
+        shard.run_node(1, start);
+        assert_eq!(shard.outbox[0].len(), 1);
+        assert_eq!(shard.next_event_time(), None);
+        // The end-of-window drain puts it on node 1's list.
+        shard.deliver_own(end);
+        assert!(shard.outbox[0].is_empty());
+        let deliver = Cycle::ZERO + SystemConfig::NI_OCCUPANCY + SystemConfig::NET_LATENCY;
+        assert_eq!(shard.next_event_time(), Some(deliver));
+        let (_, end) = clock().window_of(deliver);
+        shard.events.start_window(end);
+        assert_eq!(
+            shard.events.pop(1),
+            Some((
+                deliver,
+                Some((
+                    EventKey::arrive(sent.msg.dst, sent.msg.src, 0),
+                    Event::Arrive(sent.msg)
+                ))
+            ))
+        );
+    }
+
+    #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "inside the window ending")]
     fn a_window_longer_than_the_lookahead_is_caught() {
         // Node 0's miss reaches its home, node 1, inside the window. The
-        // pass happens to run node 1 later, but a delivery to a node it
-        // had already run would run late or not at all, so any such
+        // pass has already run node 1 when the window's messages are
+        // delivered, so the arrival would run a window late: any such
         // delivery is a bug.
         two_node_shard().run_window(Cycle::ZERO, Cycle::new(1 << 20));
     }

@@ -4,8 +4,8 @@
 //! and network interfaces) are partitioned into contiguous, balanced index
 //! ranges — shard `s` owns `[start(s), start(s+1))`. Contiguity keeps the
 //! mapping a two-branch arithmetic function (no table lookup on the hot
-//! cross-shard routing path) and makes per-shard state a simple slice of the
-//! serial machine's per-node vectors.
+//! routing path) and makes a shard's node records a slice of the machine's
+//! nodes in index order.
 
 use ltp_core::NodeId;
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use ltp::core::{PolicyFactory, PolicyRegistry, PredictorConfig, SelfInvalidationPolicy};
-use ltp::system::{ExperimentSpec, MemorySink, RunReport, SweepSpec};
+use ltp::system::{ExperimentSpec, ReportSink, RunReport, SweepSpec};
 use ltp::workloads::Benchmark;
 
 const POLICIES: [&str; 5] = ["base", "dsi", "last-pc", "ltp", "ltp-global"];
@@ -104,10 +104,18 @@ fn parallel_sweep_matches_serial_through_the_facade() {
         .expect("builtin specs")
         .quick_geometry(6, 4);
     let serial = sweep.clone().serial().collect();
-    let mut sink = MemorySink::new();
+    /// Keeps what the sweep streams, in the order it streams it.
+    struct Streamed(Vec<(usize, RunReport)>);
+    impl ReportSink for Streamed {
+        fn record(&mut self, seq: usize, report: &RunReport) {
+            self.0.push((seq, report.clone()));
+        }
+    }
+    let mut sink = Streamed(Vec::new());
     let parallel = sweep.threads(8).execute(&mut sink).expect("no run stalls");
     assert_eq!(serial, parallel);
-    assert_eq!(sink.reports(), &serial[..], "sink saw the same run order");
+    let in_order: Vec<(usize, RunReport)> = serial.into_iter().enumerate().collect();
+    assert_eq!(sink.0, in_order, "sink saw the same run order");
 }
 
 #[test]
