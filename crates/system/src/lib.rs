@@ -67,7 +67,7 @@ pub use checker::{
     explore, CoherenceChecker, ExploreConfig, ExploreOutcome, MachineView, Violation,
 };
 pub use experiment::{ExperimentBuilder, ExperimentSpec};
-pub use machine::{Event, Machine};
+pub use machine::Machine;
 pub use metrics::Metrics;
 pub use predict::{PredictRow, PredictSpec, DEFAULT_ZOO};
 pub use probe::{

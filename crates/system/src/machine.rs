@@ -17,7 +17,7 @@
 //!
 //! Because window boundaries lie on a fixed grid, cross-shard messages are
 //! stamped with content-derived FIFO keys, and each node's same-cycle
-//! events pop in deterministic [`Event`] key order, the run is
+//! events pop in a deterministic content-keyed order, the run is
 //! **bit-identical for every shard count** — `--shards 8` produces the
 //! same `RunReport` bytes as a serial run. The serial path *is* the 1-shard instance of the same loop:
 //! no worker is spawned and the rendezvous never blocks.
@@ -53,8 +53,6 @@ use crate::probes::CoreMetricsProbe;
 use crate::shard::channel::{ProbeEntry, SpinBarrier, Stamped, SyncEvent, SyncRecord};
 use crate::shard::clock::WindowClock;
 use crate::shard::{Partition, Shard};
-
-pub use crate::shard::Event;
 
 /// Global barrier bookkeeping, folded from the shards' per-window logs.
 ///

@@ -81,19 +81,19 @@ pub use partition::Partition;
 /// times translate into visibly variable spin-trace lengths.
 const SPIN_INTERVAL: u64 = 40;
 
-/// The keyed events of the machine: the ones with a payload.
+/// The keyed events of a node's list.
 ///
-/// A node's own CPU activity is the payload-free step of its event list,
-/// and the node's `ExecState` says what it does: a node waiting at a
-/// barrier resumes from it (the barrier released at the previous window
-/// boundary; scheduled by the coordinator, never by shards), any other
-/// node runs its next operation or continuation.
+/// A node's own CPU activity is the payload-free step of its list, and
+/// the node's [`ExecState`] says what it does: a node waiting at a barrier
+/// resumes from it (the barrier released at the previous window boundary;
+/// scheduled by the coordinator, never by shards), any other node runs its
+/// next operation or the next phase of its access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A protocol message arrives at `msg.dst`.
     Arrive(Message),
     /// The protocol engine at this home may start its next service.
-    EngineDrain(NodeId),
+    EngineDrain,
 }
 
 /// The deterministic same-cycle ordering key (see the module docs).
@@ -153,69 +153,98 @@ impl EventKey {
     }
 }
 
-/// What the blocked CPU was doing when its access missed.
+/// One access of a node's CPU: what it is, from which its pc, block and
+/// write flag follow. The node's [`ExecState`] carries the same record
+/// through every phase of the access — parked for the next step, blocked
+/// on a fill, completing — so it is the only description of an access in
+/// flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Continuation {
-    /// An ordinary program load/store.
-    Plain,
-    /// The spin-test read of a lock acquisition.
+enum Access {
+    /// An ordinary program load.
+    Load { pc: Pc, block: BlockId },
+    /// An ordinary program store; a flag set is one too (the flag's
+    /// generation is the block token the write bumps).
+    Store { pc: Pc, block: BlockId },
+    /// The spin-test read of a lock acquisition, repeated until the lock
+    /// looks free.
     LockTest(Lock),
-    /// The post-backoff confirmation read before a test-and-set.
-    LockConfirm(Lock),
-    /// The test-and-set write of a lock acquisition.
-    LockTas(Lock),
-    /// The releasing store of a lock.
-    LockRelease(Lock),
-    /// The spin load of an ad-hoc flag wait.
-    FlagWait(Pc),
-}
-
-/// Context of an outstanding miss.
-#[derive(Debug, Clone, Copy)]
-struct MemCtx {
-    block: BlockId,
-    pc: Pc,
-    is_write: bool,
-    cont: Continuation,
-}
-
-/// Per-node execution state.
-#[derive(Debug)]
-enum ExecState {
-    /// The next `CpuStep` fetches a fresh op.
-    Ready,
-    /// Mid lock-acquisition; the next `CpuStep` continues the given stage.
-    Locking(Lock, LockStage),
-    /// Spinning on an ad-hoc flag; the next `CpuStep` re-reads it.
-    FlagSpin(Pc, BlockId),
-    /// Waiting for a fill.
-    BlockedMem(MemCtx),
-    /// An access completed (hit or fill applied) and the CPU is waiting out
-    /// its latency; the next `CpuStep` runs the continuation. Deferring the
-    /// continuation keeps its *state* changes (lock transitions, sync
-    /// flushes) at the same timestamp as the messages they emit — running
-    /// them early would let an invalidation arriving in between observe a
-    /// cache the flush has already mutated.
-    Completing(BlockId, Continuation, bool),
-    /// Waiting at a barrier.
-    InBarrier(u32),
-    /// Program complete.
-    Finished,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LockStage {
-    /// Spin-reading until the lock looks free.
-    Test,
     /// Observed free; after a randomized backoff, re-read to confirm it is
     /// still free before attempting the test-and-set. Most contenders see
     /// the winner's store at this point and go back to spinning without
     /// ever issuing the RMW — classic test-and-test-and-set with backoff,
     /// which keeps the thundering herd off the directory and makes
     /// lock-block traces vary from visit to visit.
-    Confirm,
-    /// Confirmed free: issue the test-and-set RMW.
-    Tas,
+    LockConfirm(Lock),
+    /// Confirmed free: the test-and-set RMW. Its success is decided against
+    /// *protocol-serialized* state: on a hit the line already holds write
+    /// permission, so the swap applies in place; on a miss the fetch
+    /// installs the line exclusively ([`NodeCache::access_tas`]) and the
+    /// swap applies the moment the fill lands — before anything else can
+    /// intervene, exactly like a hardware RMW holding the line.
+    LockTas(Lock),
+    /// The releasing store of a lock.
+    LockRelease(Lock),
+    /// The spin load of an ad-hoc flag wait.
+    FlagWait { pc: Pc, block: BlockId },
+}
+
+impl Access {
+    fn block(self) -> BlockId {
+        match self {
+            Access::Load { block, .. }
+            | Access::Store { block, .. }
+            | Access::FlagWait { block, .. } => block,
+            Access::LockTest(lock)
+            | Access::LockConfirm(lock)
+            | Access::LockTas(lock)
+            | Access::LockRelease(lock) => lock.block,
+        }
+    }
+
+    fn pc(self) -> Pc {
+        match self {
+            Access::Load { pc, .. } | Access::Store { pc, .. } | Access::FlagWait { pc, .. } => pc,
+            Access::LockTest(lock) | Access::LockConfirm(lock) => lock.spin_pc,
+            Access::LockTas(lock) => lock.tas_pc,
+            Access::LockRelease(lock) => lock.release_pc,
+        }
+    }
+
+    fn is_write(self) -> bool {
+        matches!(
+            self,
+            Access::Store { .. } | Access::LockTas(_) | Access::LockRelease(_)
+        )
+    }
+}
+
+/// What a node's CPU is doing: its next step reads this (see [`Event`]).
+#[derive(Debug, Clone, Copy)]
+enum ExecState {
+    /// The next step fetches a fresh op.
+    Ready,
+    /// A lock stage or a flag's spin load waits for its (next) try: the
+    /// next step issues it.
+    Parked(Access),
+    /// The access missed; its fill completes it.
+    Blocked(Access),
+    /// The access completed (hit or fill applied) and the CPU is waiting out
+    /// its latency; the next step runs what follows it. Deferring that
+    /// keeps its *state* changes (lock transitions, sync flushes) at the
+    /// same timestamp as the messages they emit — running them early would
+    /// let an invalidation arriving in between observe a cache the flush
+    /// has already mutated.
+    Completing {
+        access: Access,
+        /// The outcome of a [`Access::LockTas`], decided when the access
+        /// completed (only its consequences wait); `false` for any other
+        /// access.
+        tas_won: bool,
+    },
+    /// Waiting at a barrier.
+    InBarrier(u32),
+    /// Program complete.
+    Finished,
 }
 
 /// One node: processor (program interpreter), cache and policy, and the
@@ -437,7 +466,7 @@ impl Shard {
                     self.cur_key = key;
                     match ev {
                         Event::Arrive(msg) => self.arrive(at, i, msg),
-                        Event::EngineDrain(_) => self.engine_drain(at, i),
+                        Event::EngineDrain => self.engine_drain(at, i),
                     }
                 }
             }
@@ -564,27 +593,36 @@ impl Shard {
     pub fn stuck_nodes_into(&self, out: &mut Vec<crate::StuckNode>) {
         use crate::stuck::{StuckClass, StuckNode};
         for n in &self.nodes {
-            let (class, detail) = match &n.exec {
+            let (class, detail) = match n.exec {
                 ExecState::Finished => continue,
-                ExecState::Locking(lock, stage) => (
-                    StuckClass::LockSpin,
-                    format!("lock block {} ({stage:?})", lock.block),
-                ),
-                ExecState::FlagSpin(_, block) => {
+                ExecState::Parked(Access::FlagWait { block, .. }) => {
                     (StuckClass::FlagSpin, format!("flag block {block}"))
                 }
+                ExecState::Parked(access) => {
+                    // Only the lock stages and flag waits park.
+                    let stage = match access {
+                        Access::LockTest(_) => "Test",
+                        Access::LockConfirm(_) => "Confirm",
+                        _ => "Tas",
+                    };
+                    (
+                        StuckClass::LockSpin,
+                        format!("lock block {} ({stage})", access.block()),
+                    )
+                }
                 ExecState::InBarrier(id) => (StuckClass::BarrierWait, format!("barrier {id}")),
-                ExecState::BlockedMem(ctx) => (
+                ExecState::Blocked(access) => (
                     StuckClass::MemWait,
                     format!(
                         "{} block {}",
-                        if ctx.is_write { "write" } else { "read" },
-                        ctx.block
+                        if access.is_write() { "write" } else { "read" },
+                        access.block()
                     ),
                 ),
-                ExecState::Completing(block, ..) => {
-                    (StuckClass::Completing, format!("completing block {block}"))
-                }
+                ExecState::Completing { access, .. } => (
+                    StuckClass::Completing,
+                    format!("completing block {}", access.block()),
+                ),
                 ExecState::Ready => (StuckClass::Ready, "awaiting CpuStep".to_string()),
             };
             out.push(StuckNode {
@@ -697,33 +735,11 @@ impl Shard {
     // ---- CPU execution ---------------------------------------------------
 
     fn cpu_step(&mut self, now: Cycle, i: usize) {
-        match &self.nodes[i].exec {
+        match self.nodes[i].exec {
             ExecState::Ready => self.fetch_and_issue(now, i),
-            ExecState::FlagSpin(pc, block) => {
-                let (pc, block) = (*pc, *block);
-                self.issue_access(now, i, pc, block, false, Continuation::FlagWait(pc));
-            }
-            ExecState::Locking(lock, stage) => {
-                let (lock, stage) = (*lock, *stage);
-                match stage {
-                    LockStage::Test | LockStage::Confirm => self.issue_access(
-                        now,
-                        i,
-                        lock.spin_pc,
-                        lock.block,
-                        false,
-                        if stage == LockStage::Test {
-                            Continuation::LockTest(lock)
-                        } else {
-                            Continuation::LockConfirm(lock)
-                        },
-                    ),
-                    LockStage::Tas => self.issue_tas(now, i, lock),
-                }
-            }
-            ExecState::Completing(block, cont, tas_won) => {
-                let (block, cont, tas_won) = (*block, *cont, *tas_won);
-                self.finish_access(now, i, block, cont, tas_won);
+            ExecState::Parked(access) => self.issue(now, i, access),
+            ExecState::Completing { access, tas_won } => {
+                self.finish_access(now, i, access, tas_won);
             }
             state => unreachable!("CpuStep for {} in state {state:?}", self.nodes[i].id),
         }
@@ -749,58 +765,32 @@ impl Shard {
         self.nodes[i].last_progress = now;
         self.nodes[i].ops_retired += 1;
         self.emit_aux(now, || SimEvent::OpRetired { node: p });
-        match op {
-            Op::Think(c) => self.sched_cpu(i, now + Cycle::new(c)),
-            Op::Read { pc, block } => {
-                self.issue_access(now, i, pc, block, false, Continuation::Plain);
-            }
-            Op::Write { pc, block } => {
-                self.issue_access(now, i, pc, block, true, Continuation::Plain);
-            }
-            Op::Lock(lock) => {
-                self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                self.issue_access(
-                    now,
-                    i,
-                    lock.spin_pc,
-                    lock.block,
-                    false,
-                    Continuation::LockTest(lock),
-                );
-            }
-            Op::Unlock(lock) => {
-                self.issue_access(
-                    now,
-                    i,
-                    lock.release_pc,
-                    lock.block,
-                    true,
-                    Continuation::LockRelease(lock),
-                );
-            }
-            Op::Barrier(id) => self.barrier_arrive(now, i, id),
-            Op::FlagSet { pc, block } => {
-                // The signalling store is an ordinary write; the flag's
-                // generation is the block token the write bumps.
-                self.issue_access(now, i, pc, block, true, Continuation::Plain);
-            }
-            Op::FlagWait { pc, block } => {
-                self.issue_access(now, i, pc, block, false, Continuation::FlagWait(pc));
-            }
-        }
+        let access = match op {
+            Op::Think(c) => return self.sched_cpu(i, now + Cycle::new(c)),
+            Op::Barrier(id) => return self.barrier_arrive(now, i, id),
+            Op::Read { pc, block } => Access::Load { pc, block },
+            Op::Write { pc, block } | Op::FlagSet { pc, block } => Access::Store { pc, block },
+            Op::Lock(lock) => Access::LockTest(lock),
+            Op::Unlock(lock) => Access::LockRelease(lock),
+            Op::FlagWait { pc, block } => Access::FlagWait { pc, block },
+        };
+        self.issue(now, i, access);
     }
 
-    fn issue_access(
-        &mut self,
-        now: Cycle,
-        i: usize,
-        pc: Pc,
-        block: BlockId,
-        is_write: bool,
-        cont: Continuation,
-    ) {
+    /// Presents `access` to local node `i`'s cache: a hit completes at
+    /// once, a miss blocks the node and sends its request home.
+    #[inline]
+    fn issue(&mut self, now: Cycle, i: usize, access: Access) {
         let p = self.nodes[i].id;
-        match self.nodes[i].cache.access(block, is_write) {
+        let (pc, block, is_write) = (access.pc(), access.block(), access.is_write());
+        let tas = matches!(access, Access::LockTas(_));
+        let cache = &mut self.nodes[i].cache;
+        let outcome = if tas {
+            cache.access_tas(block)
+        } else {
+            cache.access(block, is_write)
+        };
+        match outcome {
             AccessOutcome::Hit { exclusive } => {
                 self.emit(
                     now,
@@ -812,17 +802,15 @@ impl Shard {
                         exclusive,
                     },
                 );
-                let fire = self.nodes[i].policy.on_touch(Touch {
+                let tas_won = tas && self.nodes[i].cache.try_tas(block);
+                let touch = Touch {
                     block,
                     pc,
                     is_write,
                     exclusive,
                     fill: None,
-                });
-                if fire {
-                    self.self_invalidate(now, i, block);
-                }
-                self.complete_access(now + SystemConfig::CPU_HIT, i, block, cont, false);
+                };
+                self.complete(now, i, access, touch, tas_won);
             }
             AccessOutcome::Miss(kind) => {
                 self.emit(
@@ -834,78 +822,30 @@ impl Shard {
                         is_write,
                     },
                 );
-                self.nodes[i].exec = ExecState::BlockedMem(MemCtx {
-                    block,
-                    pc,
-                    is_write,
-                    cont,
-                });
+                self.nodes[i].exec = ExecState::Blocked(access);
                 let home = self.cfg.home_of(block);
                 self.route(i, Message::new(p, home, block, kind), now);
             }
         }
     }
 
-    /// Issues the test-and-set RMW of a lock acquisition. The atomic's
-    /// success is decided against *protocol-serialized* state: on a hit the
-    /// line already holds write permission, so the swap applies in place; on
-    /// a miss the fetch installs the line exclusively ([`NodeCache::access_tas`])
-    /// and the swap applies the moment the fill lands — before anything else
-    /// can intervene, exactly like a hardware RMW holding the line.
-    fn issue_tas(&mut self, now: Cycle, i: usize, lock: Lock) {
-        let p = self.nodes[i].id;
-        let (pc, block) = (lock.tas_pc, lock.block);
-        match self.nodes[i].cache.access_tas(block) {
-            AccessOutcome::Hit { exclusive } => {
-                self.emit(
-                    now,
-                    SimEvent::CacheHit {
-                        node: p,
-                        block,
-                        pc,
-                        is_write: true,
-                        exclusive,
-                    },
-                );
-                let won = self.nodes[i].cache.try_tas(block);
-                let fire = self.nodes[i].policy.on_touch(Touch {
-                    block,
-                    pc,
-                    is_write: true,
-                    exclusive,
-                    fill: None,
-                });
-                if fire {
-                    self.self_invalidate(now, i, block);
-                }
-                self.complete_access(
-                    now + SystemConfig::CPU_HIT,
-                    i,
-                    block,
-                    Continuation::LockTas(lock),
-                    won,
-                );
-            }
-            AccessOutcome::Miss(kind) => {
-                self.emit(
-                    now,
-                    SimEvent::CacheMiss {
-                        node: p,
-                        block,
-                        pc,
-                        is_write: true,
-                    },
-                );
-                self.nodes[i].exec = ExecState::BlockedMem(MemCtx {
-                    block,
-                    pc,
-                    is_write: true,
-                    cont: Continuation::LockTas(lock),
-                });
-                let home = self.cfg.home_of(block);
-                self.route(i, Message::new(p, home, block, kind), now);
-            }
+    /// The end of an access, hit or fill: the policy sees its `touch` and
+    /// may self-invalidate the block, then the node waits out the access's
+    /// latency in [`ExecState::Completing`] — a cache hit, or for a fill
+    /// the requester-side network-cache install, one memory access (this
+    /// is what stretches the round trip to Table 1's ≈416 cycles).
+    #[inline(always)]
+    fn complete(&mut self, now: Cycle, i: usize, access: Access, touch: Touch, tas_won: bool) {
+        let latency = if touch.fill.is_some() {
+            SystemConfig::MEM_ACCESS
+        } else {
+            SystemConfig::CPU_HIT
+        };
+        if self.nodes[i].policy.on_touch(touch) {
+            self.self_invalidate(now, i, touch.block);
         }
+        self.nodes[i].exec = ExecState::Completing { access, tas_won };
+        self.sched_cpu(i, now + latency);
     }
 
     /// Whether a lock block currently *looks held* from local node `i`'s
@@ -917,93 +857,60 @@ impl Shard {
         self.nodes[i].cache.line(block).map_or(0, |l| l.token) % 2 == 1
     }
 
-    /// Finishes an access (hit or fill) once its latency elapses: parks the
-    /// node in [`ExecState::Completing`] and schedules the continuation to
-    /// run at `resume_at`. `tas_won` is meaningful only for
-    /// [`Continuation::LockTas`] (the RMW outcome is decided at fill time,
-    /// against protocol-serialized state; only its *consequences* wait).
-    fn complete_access(
-        &mut self,
-        resume_at: Cycle,
-        i: usize,
-        block: BlockId,
-        cont: Continuation,
-        tas_won: bool,
-    ) {
-        self.nodes[i].exec = ExecState::Completing(block, cont, tas_won);
-        self.sched_cpu(i, resume_at);
+    /// Parks local node `i` until `at`, when its next step issues `access`.
+    fn park(&mut self, i: usize, access: Access, at: Cycle) {
+        self.nodes[i].exec = ExecState::Parked(access);
+        self.sched_cpu(i, at);
     }
 
-    /// Runs an access's continuation at its proper time, advancing lock
-    /// state machines and scheduling the processor's next step.
-    fn finish_access(
-        &mut self,
-        now: Cycle,
-        i: usize,
-        block: BlockId,
-        cont: Continuation,
-        tas_won: bool,
-    ) {
-        let resume_at = now;
+    /// Parks local node `i` for a randomized number of spin intervals after
+    /// a lock looked free or its test-and-set lost, then issues `next`. The
+    /// deterministic pseudo-random backoff breaks up the test-and-set herd
+    /// so lock-block traces vary per visit (the raytrace §5.4 effect:
+    /// "locks spin a variable number of times per visit").
+    fn back_off(&mut self, now: Cycle, i: usize, next: Access) {
+        let node = &mut self.nodes[i];
+        node.lock_failures += 1;
+        let slots = backoff_slots(node.id, node.lock_failures);
+        self.park(i, next, now + Cycle::new(SPIN_INTERVAL * slots));
+    }
+
+    /// Runs what follows a completed access at its proper time, advancing
+    /// the lock and flag state machines and scheduling the processor's
+    /// next step.
+    fn finish_access(&mut self, now: Cycle, i: usize, access: Access, tas_won: bool) {
         let p = self.nodes[i].id;
-        match cont {
-            Continuation::Plain => {
+        match access {
+            Access::Load { .. } | Access::Store { .. } => {
                 self.nodes[i].exec = ExecState::Ready;
-                self.sched_cpu(i, resume_at);
+                self.sched_cpu(i, now);
             }
-            Continuation::LockTest(lock) => {
-                debug_assert_eq!(block, lock.block);
-                if self.lock_looks_held(i, lock.block) {
-                    // Keep spinning: each retest is a real touch of the lock
-                    // block (usually a cache hit, until a release
-                    // invalidates the copy).
-                    self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
-                } else {
-                    // Looks free: back off a randomized interval, then
-                    // confirm before attempting the RMW.
-                    self.nodes[i].lock_failures += 1;
-                    let slots = backoff_slots(p, self.nodes[i].lock_failures);
-                    self.nodes[i].exec = ExecState::Locking(lock, LockStage::Confirm);
-                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL * slots));
+            Access::LockTest(lock) | Access::LockConfirm(lock)
+                if self.lock_looks_held(i, lock.block) =>
+            {
+                // Keep spinning — after a confirm, someone won during the
+                // backoff, and the test-and-set is never issued. Each
+                // retest is a real touch of the lock block (usually a cache
+                // hit, until a release invalidates the copy).
+                self.park(i, Access::LockTest(lock), now + Cycle::new(SPIN_INTERVAL));
+            }
+            // Looks free: back off, then confirm before attempting the RMW.
+            Access::LockTest(lock) => self.back_off(now, i, Access::LockConfirm(lock)),
+            Access::LockConfirm(lock) => self.park(i, Access::LockTas(lock), now),
+            // Lost the race: back off before spinning again.
+            Access::LockTas(lock) if !tas_won => self.back_off(now, i, Access::LockTest(lock)),
+            Access::LockTas(lock) => {
+                self.emit_aux(now, || SimEvent::LockAcquired {
+                    node: p,
+                    block: lock.block,
+                });
+                self.nodes[i].exec = ExecState::Ready;
+                if lock.exposed {
+                    self.sync_boundary(now, i, SyncKind::LockAcquire);
                 }
+                self.sched_cpu(i, now);
             }
-            Continuation::LockConfirm(lock) => {
-                debug_assert_eq!(block, lock.block);
-                if self.lock_looks_held(i, lock.block) {
-                    // Someone won during the backoff: resume spinning
-                    // without ever issuing the test-and-set.
-                    self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
-                } else {
-                    self.nodes[i].exec = ExecState::Locking(lock, LockStage::Tas);
-                    self.sched_cpu(i, resume_at);
-                }
-            }
-            Continuation::LockTas(lock) => {
-                if !tas_won {
-                    // Lost the race: back off before spinning again. The
-                    // deterministic pseudo-random backoff breaks up the
-                    // test-and-set herd so lock-block traces vary per visit
-                    // (the raytrace §5.4 effect: "locks spin a variable
-                    // number of times per visit").
-                    self.nodes[i].lock_failures += 1;
-                    let backoff = backoff_slots(p, self.nodes[i].lock_failures);
-                    self.nodes[i].exec = ExecState::Locking(lock, LockStage::Test);
-                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL * backoff));
-                } else {
-                    self.emit_aux(resume_at, || SimEvent::LockAcquired {
-                        node: p,
-                        block: lock.block,
-                    });
-                    self.nodes[i].exec = ExecState::Ready;
-                    if lock.exposed {
-                        self.sync_boundary(resume_at, i, SyncKind::LockAcquire);
-                    }
-                    self.sched_cpu(i, resume_at);
-                }
-            }
-            Continuation::LockRelease(lock) => {
+            Access::LockRelease(lock) => {
                 // The releasing store bumped the token back to even (held →
                 // free) through the ordinary write path — possibly refetching
                 // the line exclusively first if a spinner's read had stolen
@@ -1013,17 +920,17 @@ impl Shard {
                         || self.nodes[i].cache.line(lock.block).is_none(),
                     "release left the lock looking held"
                 );
-                self.emit_aux(resume_at, || SimEvent::LockReleased {
+                self.emit_aux(now, || SimEvent::LockReleased {
                     node: p,
                     block: lock.block,
                 });
                 self.nodes[i].exec = ExecState::Ready;
                 if lock.exposed {
-                    self.sync_boundary(resume_at, i, SyncKind::LockRelease);
+                    self.sync_boundary(now, i, SyncKind::LockRelease);
                 }
-                self.sched_cpu(i, resume_at);
+                self.sched_cpu(i, now);
             }
-            Continuation::FlagWait(pc) => {
+            Access::FlagWait { block, .. } => {
                 // Observe the generation from the (possibly stale) cached
                 // copy — exactly what real spin code would see.
                 let node = &mut self.nodes[i];
@@ -1032,10 +939,9 @@ impl Shard {
                 if observed > *waited {
                     *waited += 1;
                     node.exec = ExecState::Ready;
-                    self.sched_cpu(i, resume_at);
+                    self.sched_cpu(i, now);
                 } else {
-                    node.exec = ExecState::FlagSpin(pc, block);
-                    self.sched_cpu(i, resume_at + Cycle::new(SPIN_INTERVAL));
+                    self.park(i, access, now + Cycle::new(SPIN_INTERVAL));
                 }
             }
         }
@@ -1097,7 +1003,7 @@ impl Shard {
             let engine = &mut self.nodes[i].engine;
             if engine.enqueue(now, msg) {
                 let at = engine.next_ready(now);
-                self.schedule(i, at, EventKey::drain(msg.dst), Event::EngineDrain(msg.dst));
+                self.schedule(i, at, EventKey::drain(msg.dst), Event::EngineDrain);
             }
         } else {
             self.cache_side(now, i, msg);
@@ -1186,7 +1092,7 @@ impl Shard {
         let engine = &mut self.nodes[i].engine;
         if engine.arm_next_drain() {
             let at = engine.next_ready(now);
-            self.schedule(i, at, EventKey::drain(h), Event::EngineDrain(h));
+            self.schedule(i, at, EventKey::drain(h), Event::EngineDrain);
         }
     }
 
@@ -1247,17 +1153,17 @@ impl Shard {
 
     fn complete_fill(&mut self, now: Cycle, i: usize, msg: Message) {
         let p = msg.dst;
-        let ExecState::BlockedMem(ctx) = self.nodes[i].exec else {
+        let ExecState::Blocked(access) = self.nodes[i].exec else {
             unreachable!("fill for {p} which is not blocked");
         };
-        debug_assert_eq!(ctx.block, msg.block, "fill for the wrong block");
+        debug_assert_eq!(access.block(), msg.block, "fill for the wrong block");
         let fill = self.nodes[i].cache.apply_reply(msg.block, msg.kind);
         // A test-and-set applies the moment its fetch lands, before the
         // policy or anything else can observe the line — the atomic's
         // outcome is decided purely by the protocol-serialized token parity
         // the fill delivered.
         let tas_won =
-            matches!(ctx.cont, Continuation::LockTas(_)) && self.nodes[i].cache.try_tas(msg.block);
+            matches!(access, Access::LockTas(_)) && self.nodes[i].cache.try_tas(msg.block);
         // Resolve an earlier prediction first (FIFO per block), then start
         // the new trace with this access's touch.
         if let Some(v) = fill
@@ -1277,25 +1183,14 @@ impl Shard {
             );
             self.nodes[i].policy.on_verification(msg.block, v);
         }
-        let fire = self.nodes[i].policy.on_touch(Touch {
-            block: ctx.block,
-            pc: ctx.pc,
-            is_write: ctx.is_write,
+        let touch = Touch {
+            block: msg.block,
+            pc: access.pc(),
+            is_write: access.is_write(),
             exclusive: fill.exclusive,
             fill: Some(fill.info),
-        });
-        if fire {
-            self.self_invalidate(now, i, ctx.block);
-        }
-        // The requester-side network-cache install costs one memory access
-        // (this is what stretches the round trip to Table 1's ≈416 cycles).
-        self.complete_access(
-            now + SystemConfig::MEM_ACCESS,
-            i,
-            ctx.block,
-            ctx.cont,
-            tas_won,
-        );
+        };
+        self.complete(now, i, access, touch, tas_won);
     }
 }
 
@@ -1378,9 +1273,13 @@ mod tests {
         shard.cur = 0;
         shard.cur_at = now;
         shard.cur_key = EventKey::cpu(p);
-        shard.issue_access(now, 0, Pc::new(0x40), BLOCK, false, Continuation::Plain);
+        let read = Access::Load {
+            pc: Pc::new(0x40),
+            block: BLOCK,
+        };
+        shard.issue(now, 0, read);
         assert!(
-            matches!(shard.nodes[0].exec, ExecState::Completing(..)),
+            matches!(shard.nodes[0].exec, ExecState::Completing { .. }),
             "the hit waits out its latency"
         );
         let events = shard.events_handled();

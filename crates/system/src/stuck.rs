@@ -27,7 +27,7 @@ pub enum StuckClass {
     BarrierWait,
     /// Waiting for a memory fill that never completed.
     MemWait,
-    /// Between completing an access and its continuation — transient, so a
+    /// Between completing an access and what follows it — transient, so a
     /// node pinned here points at a lost wakeup.
     Completing,
     /// Ready to fetch the next op but never rescheduled — a lost `CpuStep`.
