@@ -1499,4 +1499,73 @@ mod tests {
             MsgKind::DataX { .. }
         ));
     }
+
+    // ---- sparse organization ---------------------------------------------
+
+    /// A one-entry sparse home where P1 reads B0, then P2's read of B2
+    /// evicts B0: the eviction's `Inv` to P1 is in flight.
+    fn sparse_mid_eviction() -> Directory {
+        let mut d = Directory::with_kind(n(0), DirectoryKind::Sparse { entries: 1 }, 4);
+        d.process(msg(1, 0, MsgKind::GetS));
+        let step = d.process(msg(2, 2, MsgKind::GetS));
+        assert_eq!(
+            step.events,
+            vec![DirEvent::EntryEvicted {
+                block: b(0),
+                invalidations: 1,
+            }]
+        );
+        let sends: Vec<(NodeId, BlockId, bool)> = step
+            .sends
+            .iter()
+            .map(|m| (m.dst, m.block, matches!(m.kind, MsgKind::Inv)))
+            .collect();
+        assert_eq!(sends, vec![(n(1), b(0), true), (n(2), b(2), false)]);
+        assert!(matches!(step.sends[1].kind, MsgKind::DataS { .. }));
+        assert!(!d.is_idle(b(0)), "the victim waits for its holder");
+        d
+    }
+
+    #[test]
+    fn sparse_eviction_shelves_requests_until_the_last_ack() {
+        let mut d = sparse_mid_eviction();
+        let step = d.process(msg(3, 0, MsgKind::GetS));
+        assert!(step.sends.is_empty(), "shelved behind the eviction");
+        assert!(step.reinject.is_empty());
+        assert_eq!(d.block(b(0)).unwrap().pending.len(), 1);
+        let step = d.process(msg(1, 0, ack(true)));
+        assert!(step.sends.is_empty(), "an eviction grants nothing");
+        assert_eq!(
+            step.events,
+            vec![DirEvent::InvalidationAcked {
+                from: n(1),
+                had_copy: true,
+            }]
+        );
+        assert!(d.is_idle(b(0)));
+        assert_eq!(step.reinject.len(), 1);
+        assert_eq!(step.reinject[0].src, n(3));
+        assert!(matches!(step.reinject[0].kind, MsgKind::GetS));
+        assert!(d.block(b(0)).unwrap().pending.is_empty());
+    }
+
+    #[test]
+    fn self_inv_crossing_an_eviction_inv_is_verified_late() {
+        let mut d = sparse_mid_eviction();
+        let step = d.process(msg(1, 0, MsgKind::SelfInvClean));
+        assert_eq!(step.sends.len(), 1);
+        assert_eq!(step.sends[0].dst, n(1));
+        assert!(matches!(
+            step.sends[0].kind,
+            MsgKind::VerifyCorrect { timely: false }
+        ));
+        assert!(step.reinject.is_empty());
+        assert!(d.is_idle(b(0)), "the crossing self-invalidation ends the wait");
+        assert!(d.block(b(0)).unwrap().mask.is_empty());
+        // P1's InvAck for the crossed Inv arrives afterwards: ignored.
+        let step = d.process(msg(1, 0, ack(false)));
+        assert!(step.sends.is_empty());
+        assert_eq!(step.events, vec![DirEvent::StaleIgnored { from: n(1) }]);
+        assert!(d.is_idle(b(0)));
+    }
 }
