@@ -2,11 +2,19 @@
 //! representations.
 //!
 //! Each home node runs a [`Directory`] holding, per block: the sharing state
-//! (Idle / Shared / Exclusive, plus a transient Busy state while
+//! (Idle / Shared / Exclusive, plus one transient Busy state while
 //! invalidations are being collected), the sharer representation, the DSI
 //! write-version number, the home copy of the data token, the §4
 //! *verification mask* of self-invalidators, and a queue of requests shelved
 //! while the block is Busy.
+//!
+//! A request decides once which copies must go and what its requester
+//! gets (a [`Grant`]). If no copy must go, the grant is sent at once;
+//! otherwise the home sends the `Inv`s and the block is Busy until the
+//! last holder has answered — by an `InvAck`, or by a self-invalidation
+//! that crossed its `Inv` (which counts as the answer and is verified
+//! late). The last answer sends the grant through the same path and
+//! re-injects every shelved request.
 //!
 //! Sharer tracking is built on [`ltp_core::SharerSet`] — a width-generic
 //! hybrid set (inline up to eight sharers, heap bit-vector beyond, any
@@ -27,10 +35,10 @@
 //! * **`sparse:E`** — a bounded directory-entry cache: at most `E` blocks
 //!   per home may be tracked (non-Idle) at once. Tracked entries are exact
 //!   full maps; allocating beyond `E` evicts the least-recently-used stable
-//!   entry, invalidating its holders first (transient Evicting state) so
-//!   the untracked block safely falls back to Idle. Memory state (version,
-//!   token, verification mask) persists across evictions — only the
-//!   *sharing* record is bounded.
+//!   entry, invalidating its holders first (the victim is Busy with no
+//!   grant, and falls back to Idle when they have all answered). Memory
+//!   state (version, token, verification mask) persists across evictions —
+//!   only the *sharing* record is bounded.
 //!
 //! Over-invalidation is measurable from the [`DirEvent`]s each step
 //! returns: [`DirEvent::InvalidationAcked`] with `had_copy: false` marks an
@@ -40,10 +48,10 @@
 //!
 //! The directory is a pure state machine: [`Directory::process`] consumes one
 //! message and returns the messages to emit, the requests to re-inject, and
-//! the service class for the protocol engine's timing model. All races the
-//! protocol can produce — self-invalidations crossing invalidations,
-//! upgrades racing writers, stale acknowledgements — are resolved here and
-//! covered by unit tests.
+//! whether the service moved data (the protocol engine's timing model). All
+//! races the protocol can produce — self-invalidations crossing
+//! invalidations, upgrades racing writers, stale acknowledgements — are
+//! resolved here and covered by unit tests.
 
 use std::collections::VecDeque;
 
@@ -51,15 +59,6 @@ use ltp_core::{BlockId, FxHashMap, NodeId, SharerSet, VerifyOutcome};
 
 use crate::config::DirectoryKind;
 use crate::msg::{Message, MsgKind};
-
-/// Engine-time classification of one directory service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceClass {
-    /// State bookkeeping only.
-    Control,
-    /// The service moved a data block (one memory access).
-    Data,
-}
 
 /// A directory-side observation produced while processing one message.
 ///
@@ -113,9 +112,10 @@ pub struct DirStep {
     /// Protocol messages to emit after the service completes.
     pub sends: Vec<Message>,
     /// Shelved requests to re-inject into the engine (the block left its
-    /// Busy state).
+    /// Busy state), in arrival order.
     pub reinject: Vec<Message>,
-    /// Timing class of this service.
+    /// Whether this service moved a data block (one memory access) rather
+    /// than only updating state: the engine's timing class.
     pub data_service: bool,
     /// Observations made during this service, in occurrence order (see
     /// [`DirEvent`]).
@@ -144,29 +144,32 @@ pub enum DirState {
     Shared(Sharers),
     /// A writable copy at one node.
     Exclusive(NodeId),
-    /// Collecting invalidation acks / writeback for an in-flight request.
-    Busy(Busy),
-    /// Sparse only: collecting invalidation acks for an evicted entry; the
-    /// block falls back to Idle when the last holder has answered.
-    Evicting {
-        /// Nodes whose acknowledgement or writeback is still awaited.
+    /// Waiting for every invalidated holder to answer; requests for the
+    /// block are shelved meanwhile. The last answer sends the grant, or,
+    /// for a sparse eviction, leaves the block Idle.
+    Busy {
+        /// Nodes whose acknowledgement or writeback is still awaited
+        /// (always an exact node set: these are the invalidations actually
+        /// sent).
         waiting: SharerSet,
+        /// What the in-flight request gets once `waiting` is empty; `None`
+        /// for a sparse eviction, which grants nothing.
+        grant: Option<Grant>,
     },
 }
 
-/// The in-flight transaction while Busy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Busy {
+/// What a request's requester gets: decided when the request is served,
+/// sent at once if no copy must be invalidated, or when the last holder
+/// has answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Grant {
     /// The node whose request is in flight.
     pub requester: NodeId,
     /// Grant exclusive (GetX/Upgrade) vs read-only (GetS).
-    pub want_exclusive: bool,
+    pub exclusive: bool,
     /// Reply with `UpgradeAck` (requester kept its data) instead of `DataX`.
     pub upgrade_reply: bool,
-    /// Nodes whose acknowledgement or writeback is still awaited (always an
-    /// exact node set: these are the invalidations actually sent).
-    pub waiting: SharerSet,
-    /// Verification verdict to piggyback on the eventual reply.
+    /// Verification verdict to piggyback on the reply.
     pub verify: Option<VerifyOutcome>,
 }
 
@@ -502,28 +505,28 @@ impl Directory {
 
     /// Sparse replacement: if servicing a request for the untracked `block`
     /// would exceed the entry budget, evict the least-recently-used stable
-    /// entry first — invalidating its holders (the block enters Evicting
-    /// until they have all answered). Appends the eviction's sends/events
-    /// to `step` and returns whether an eviction happened.
+    /// entry first — invalidating its holders (the victim is Busy with no
+    /// grant until they have all answered). Appends the eviction's
+    /// sends/events to `step`.
     ///
-    /// If every tracked entry is transient (Busy/Evicting), the allocation
-    /// proceeds anyway: in-flight transactions may transiently push
-    /// occupancy past the budget, exactly as a hardware sparse directory
-    /// holds overflow in its transaction buffers.
-    fn evict_for(&mut self, block: BlockId, step: &mut DirStep) -> bool {
+    /// If every tracked entry is Busy, the allocation proceeds anyway:
+    /// in-flight transactions may transiently push occupancy past the
+    /// budget, exactly as a hardware sparse directory holds overflow in its
+    /// transaction buffers.
+    fn evict_for(&mut self, block: BlockId, step: &mut DirStep) {
         let DirectoryKind::Sparse { entries } = self.kind else {
-            return false;
+            return;
         };
         let tracked = |state: &DirState| !matches!(state, DirState::Idle);
         if !matches!(
             self.blocks.get(&block).map(|r| &r.state),
             None | Some(DirState::Idle)
         ) {
-            return false; // already tracked: no new entry needed
+            return; // already tracked: no new entry needed
         }
         let occupied = self.blocks.values().filter(|r| tracked(&r.state)).count();
         if occupied < entries as usize {
-            return false;
+            return;
         }
         // Deterministic LRU over the stable entries (min service tick,
         // block id as the tie-break, independent of map iteration order).
@@ -536,7 +539,7 @@ impl Directory {
             .min_by_key(|(&b, r)| (r.last_use, b))
             .map(|(&b, _)| b);
         let Some(victim) = victim else {
-            return false;
+            return;
         };
         let home = self.home;
         let rec = self.blocks.get_mut(&victim).expect("victim exists");
@@ -556,7 +559,7 @@ impl Directory {
                 block: victim,
                 invalidations: 0,
             });
-            return true;
+            return;
         }
         step.events.push(DirEvent::EntryEvicted {
             block: victim,
@@ -565,23 +568,22 @@ impl Directory {
         for n in &targets {
             step.sends.push(Message::new(home, n, victim, MsgKind::Inv));
         }
-        rec.state = DirState::Evicting { waiting: targets };
-        true
+        rec.state = DirState::Busy {
+            waiting: targets,
+            grant: None,
+        };
     }
 
+    /// Serves a request: decides which copies must go and what the
+    /// requester gets, then grants at once or invalidates and waits.
+    /// Requests for a Busy block are shelved until it settles.
     fn process_request(&mut self, msg: Message, step: &mut DirStep) {
         let block = msg.block;
-        // Shelve requests for Busy/Evicting blocks (the pipelined engine
-        // holds off conflicting transactions rather than NACKing).
-        if matches!(
-            self.blocks.entry(block).or_default().state,
-            DirState::Busy(_) | DirState::Evicting { .. }
-        ) {
-            self.blocks
-                .get_mut(&block)
-                .expect("just inserted")
-                .pending
-                .push_back(msg);
+        // The pipelined engine holds off conflicting transactions rather
+        // than NACKing them.
+        let entry = self.blocks.entry(block).or_default();
+        if matches!(entry.state, DirState::Busy { .. }) {
+            entry.pending.push_back(msg);
             return;
         }
 
@@ -589,170 +591,63 @@ impl Directory {
         // request's own traffic within the same service.
         self.evict_for(block, step);
 
-        let write_request = matches!(msg.kind, MsgKind::GetX | MsgKind::Upgrade);
+        let exclusive = matches!(msg.kind, MsgKind::GetX | MsgKind::Upgrade);
         let notified = step.sends.len();
-        let (verify, notifications) =
-            self.resolve_mask(block, msg.src, write_request, &mut step.sends);
+        let (verify, notifications) = self.resolve_mask(block, msg.src, exclusive, &mut step.sends);
         let home = self.home;
         let kind = self.kind;
-        let total = self.nodes;
         let entry = self.blocks.get_mut(&block).expect("resolved above");
 
-        match (&mut entry.state, msg.kind) {
-            // ---- reads ----------------------------------------------------
-            (DirState::Idle, MsgKind::GetS) => {
-                entry.state = DirState::Shared(rep_of(kind, msg.src));
-                step.data_service = true;
-                step.sends.push(Message::new(
-                    home,
-                    msg.src,
-                    block,
-                    MsgKind::DataS {
-                        version: entry.version,
-                        token: entry.token,
-                        verify,
-                    },
-                ));
+        // Which copies must go, and whether the requester keeps its own.
+        let (waiting, upgrade_reply) = match &entry.state {
+            // Only the home copy: nothing to invalidate. (An Upgrade here
+            // lost its copy while in flight; it is served as a write miss.)
+            DirState::Idle => (SharerSet::new(), false),
+            // A read joins the other readers.
+            DirState::Shared(_) if !exclusive => (SharerSet::new(), false),
+            DirState::Shared(sharers) => {
+                // Only an exact representation can prove the requester
+                // still holds its copy (and thus safely skip resending the
+                // data). A GetX, an Upgrade from a node that lost its copy,
+                // or an Upgrade under an imprecise representation is served
+                // as a full write miss — shared copies are clean, so the
+                // DataX carries the same token an UpgradeAck would confirm.
+                let upgrade = matches!(msg.kind, MsgKind::Upgrade)
+                    && rep_exact_now(kind, sharers)
+                    && sharers.set.contains(msg.src);
+                let waiting = if upgrade && sharers.set.len() == 1 {
+                    // Sole sharer upgrading: the migratory pattern.
+                    SharerSet::new()
+                } else {
+                    inv_targets(kind, self.nodes, sharers, msg.src)
+                };
+                (waiting, upgrade)
             }
-            (DirState::Shared(sharers), MsgKind::GetS) => {
-                let overflowed = rep_insert(kind, sharers, msg.src);
-                step.data_service = true;
-                if overflowed {
-                    step.events.push(DirEvent::BroadcastOverflow);
-                }
-                step.sends.push(Message::new(
-                    home,
-                    msg.src,
-                    block,
-                    MsgKind::DataS {
-                        version: entry.version,
-                        token: entry.token,
-                        verify,
-                    },
-                ));
-            }
-            (DirState::Exclusive(owner), MsgKind::GetS) => {
+            DirState::Exclusive(owner) => {
                 // Migratory-favoring protocol (§2): a read invalidates the
                 // writer's copy entirely.
                 debug_assert_ne!(*owner, msg.src, "owner re-requesting its own block");
-                let owner = *owner;
-                entry.state = DirState::Busy(Busy {
-                    requester: msg.src,
-                    want_exclusive: false,
-                    upgrade_reply: false,
-                    waiting: SharerSet::from_node(owner),
-                    verify,
-                });
-                step.events.push(DirEvent::InvalidationSent { to: owner });
-                step.sends
-                    .push(Message::new(home, owner, block, MsgKind::Inv));
+                (SharerSet::from_node(*owner), false)
             }
-
-            // ---- writes ---------------------------------------------------
-            (DirState::Idle, MsgKind::GetX | MsgKind::Upgrade) => {
-                // Upgrade on Idle: the requester's copy was invalidated while
-                // the upgrade was in flight; serve it as a full write miss.
-                entry.version += 1;
-                entry.state = DirState::Exclusive(msg.src);
-                step.data_service = true;
-                step.sends.push(Message::new(
-                    home,
-                    msg.src,
-                    block,
-                    MsgKind::DataX {
-                        version: entry.version,
-                        token: entry.token,
-                        verify,
-                    },
-                ));
+            DirState::Busy { .. } => unreachable!("shelved above"),
+        };
+        let g = Grant {
+            requester: msg.src,
+            exclusive,
+            upgrade_reply,
+            verify,
+        };
+        if waiting.is_empty() {
+            grant(kind, home, block, entry, g, true, step);
+        } else {
+            for n in &waiting {
+                step.events.push(DirEvent::InvalidationSent { to: n });
+                step.sends.push(Message::new(home, n, block, MsgKind::Inv));
             }
-            (DirState::Shared(sharers), MsgKind::Upgrade)
-                if rep_exact_now(kind, sharers) && sharers.set.contains(msg.src) =>
-            {
-                // Only an exact representation can prove the requester still
-                // holds its copy (and thus safely skip resending the data).
-                if sharers.set.len() == 1 {
-                    // Sole sharer upgrading: the migratory pattern.
-                    entry.version += 1;
-                    entry.state = DirState::Exclusive(msg.src);
-                    step.sends.push(Message::new(
-                        home,
-                        msg.src,
-                        block,
-                        MsgKind::UpgradeAck {
-                            version: entry.version,
-                            migratory: true,
-                            verify,
-                        },
-                    ));
-                } else {
-                    let waiting = inv_targets(kind, total, sharers, msg.src);
-                    for n in &waiting {
-                        step.events.push(DirEvent::InvalidationSent { to: n });
-                        step.sends.push(Message::new(home, n, block, MsgKind::Inv));
-                    }
-                    entry.state = DirState::Busy(Busy {
-                        requester: msg.src,
-                        want_exclusive: true,
-                        upgrade_reply: true,
-                        waiting,
-                        verify,
-                    });
-                }
-            }
-            (DirState::Shared(sharers), MsgKind::GetX | MsgKind::Upgrade) => {
-                // GetX; or an Upgrade from a node that lost its copy; or an
-                // Upgrade under an imprecise representation (wide cluster,
-                // overflowed pointers), which is served conservatively as a
-                // full write miss — shared copies are clean, so the DataX
-                // grant carries the same token an UpgradeAck would confirm.
-                let waiting = inv_targets(kind, total, sharers, msg.src);
-                if waiting.is_empty() {
-                    entry.version += 1;
-                    entry.state = DirState::Exclusive(msg.src);
-                    step.data_service = true;
-                    step.sends.push(Message::new(
-                        home,
-                        msg.src,
-                        block,
-                        MsgKind::DataX {
-                            version: entry.version,
-                            token: entry.token,
-                            verify,
-                        },
-                    ));
-                } else {
-                    for n in &waiting {
-                        step.events.push(DirEvent::InvalidationSent { to: n });
-                        step.sends.push(Message::new(home, n, block, MsgKind::Inv));
-                    }
-                    entry.state = DirState::Busy(Busy {
-                        requester: msg.src,
-                        want_exclusive: true,
-                        upgrade_reply: false,
-                        waiting,
-                        verify,
-                    });
-                }
-            }
-            (DirState::Exclusive(owner), MsgKind::GetX | MsgKind::Upgrade) => {
-                debug_assert_ne!(*owner, msg.src, "owner re-requesting exclusively");
-                let owner = *owner;
-                entry.state = DirState::Busy(Busy {
-                    requester: msg.src,
-                    want_exclusive: true,
-                    upgrade_reply: false,
-                    waiting: SharerSet::from_node(owner),
-                    verify,
-                });
-                step.events.push(DirEvent::InvalidationSent { to: owner });
-                step.sends
-                    .push(Message::new(home, owner, block, MsgKind::Inv));
-            }
-            (DirState::Busy(_) | DirState::Evicting { .. }, _) => {
-                unreachable!("busy/evicting handled above")
-            }
-            (state, kind) => unreachable!("unhandled request {kind:?} in {state:?}"),
+            entry.state = DirState::Busy {
+                waiting,
+                grant: Some(g),
+            };
         }
         // The mask notifications go last.
         step.sends[notified..].rotate_left(notifications);
@@ -789,52 +684,24 @@ impl Directory {
                 });
                 step.data_service = true;
             }
-            DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
+            DirState::Busy { waiting, grant } if waiting.contains(msg.src) => {
                 // The self-invalidation crossed the Inv we sent: it serves as
                 // the awaited acknowledgement, but it is *late* — the
-                // conflicting request was already being serviced.
-                busy.waiting.remove(msg.src);
-                let requester = busy.requester;
-                let relinq_ex = writeback.is_some();
+                // conflicting request (or eviction) was already in service.
+                // So it is verified at once. (The requester cannot be the
+                // self-invalidator — a node with a cached copy does not
+                // request.)
+                debug_assert!(grant.is_none_or(|g| g.requester != msg.src));
                 // The Inv we sent will still be acknowledged (without a
                 // copy); remember to discard that orphaned ack.
                 entry.stale_acks.insert(msg.src);
-                if let Some(token) = writeback {
-                    debug_assert!(token >= entry.token, "token regressed on writeback");
-                    entry.token = token;
-                }
-                step.data_service = relinq_ex;
-                // Verified immediately: the in-service request is the
-                // conflicting access. (It cannot be the self-invalidator
-                // itself — a node with a cached copy does not request.)
-                debug_assert_ne!(requester, msg.src);
                 step.sends.push(Message::new(
                     home,
                     msg.src,
                     block,
                     MsgKind::VerifyCorrect { timely: false },
                 ));
-                self.finish_busy_if_ready(block, step);
-            }
-            DirState::Evicting { waiting } if waiting.contains(msg.src) => {
-                // The self-invalidation crossed an eviction's Inv: same late
-                // -ack treatment as the Busy case, but the entry just falls
-                // back to Idle once the last holder has answered.
-                waiting.remove(msg.src);
-                let relinq_ex = writeback.is_some();
-                entry.stale_acks.insert(msg.src);
-                if let Some(token) = writeback {
-                    debug_assert!(token >= entry.token, "token regressed on writeback");
-                    entry.token = token;
-                }
-                step.data_service = relinq_ex;
-                step.sends.push(Message::new(
-                    home,
-                    msg.src,
-                    block,
-                    MsgKind::VerifyCorrect { timely: false },
-                ));
-                self.finish_evicting_if_ready(block, step);
+                self.finish_if_ready(block, msg.src, writeback, step);
             }
             _ => {
                 // Stale: the copy was already invalidated by a crossing Inv.
@@ -860,31 +727,12 @@ impl Directory {
             return;
         }
         match &mut entry.state {
-            DirState::Busy(busy) if busy.waiting.contains(msg.src) => {
-                busy.waiting.remove(msg.src);
-                if let Some(token) = dirty_token {
-                    debug_assert!(token >= entry.token, "token regressed on writeback");
-                    entry.token = token;
-                }
-                step.data_service = dirty_token.is_some();
+            DirState::Busy { waiting, .. } if waiting.contains(msg.src) => {
                 step.events.push(DirEvent::InvalidationAcked {
                     from: msg.src,
                     had_copy,
                 });
-                self.finish_busy_if_ready(block, step);
-            }
-            DirState::Evicting { waiting } if waiting.contains(msg.src) => {
-                waiting.remove(msg.src);
-                if let Some(token) = dirty_token {
-                    debug_assert!(token >= entry.token, "token regressed on writeback");
-                    entry.token = token;
-                }
-                step.data_service = dirty_token.is_some();
-                step.events.push(DirEvent::InvalidationAcked {
-                    from: msg.src,
-                    had_copy,
-                });
-                self.finish_evicting_if_ready(block, step);
+                self.finish_if_ready(block, msg.src, dirty_token, step);
             }
             _ => {
                 // An ack for a transaction a self-invalidation already
@@ -894,68 +742,91 @@ impl Directory {
         }
     }
 
-    /// Completes an eviction once every holder has answered: the entry
-    /// falls back to Idle and shelved requests re-enter the engine.
-    fn finish_evicting_if_ready(&mut self, block: BlockId, step: &mut DirStep) {
-        let entry = self.blocks.get_mut(&block).expect("evicting block exists");
-        let DirState::Evicting { waiting } = &entry.state else {
-            return;
+    /// Takes one awaited answer to a Busy block's invalidation — an
+    /// `InvAck`, or a self-invalidation that crossed the `Inv`, with the
+    /// holder's dirty data if it had any. Once every holder has answered,
+    /// ends the wait: sends the grant (a sparse eviction has none and just
+    /// leaves the block Idle) and re-injects every shelved request — the
+    /// only place they re-enter.
+    fn finish_if_ready(
+        &mut self,
+        block: BlockId,
+        from: NodeId,
+        writeback: Option<u64>,
+        step: &mut DirStep,
+    ) {
+        let entry = self.blocks.get_mut(&block).expect("busy block exists");
+        let DirState::Busy { waiting, grant: g } = &mut entry.state else {
+            unreachable!("only a Busy block awaits answers");
         };
-        if !waiting.is_empty() {
+        waiting.remove(from);
+        let (done, g) = (waiting.is_empty(), *g);
+        if let Some(token) = writeback {
+            debug_assert!(token >= entry.token, "token regressed on writeback");
+            entry.token = token;
+        }
+        step.data_service = writeback.is_some();
+        if !done {
             return;
         }
         entry.state = DirState::Idle;
+        if let Some(g) = g {
+            grant(self.kind, self.home, block, entry, g, false, step);
+        }
         step.reinject.extend(entry.pending.drain(..));
     }
+}
 
-    /// Completes the Busy transaction once every awaited ack arrived:
-    /// sends the grant and re-injects shelved requests.
-    fn finish_busy_if_ready(&mut self, block: BlockId, step: &mut DirStep) {
-        let home = self.home;
-        let kind = self.kind;
-        let entry = self.blocks.get_mut(&block).expect("busy block exists");
-        let DirState::Busy(busy) = &entry.state else {
-            return;
-        };
-        if !busy.waiting.is_empty() {
-            return;
-        }
-        let busy = busy.clone();
-        if busy.want_exclusive {
-            entry.version += 1;
-            entry.state = DirState::Exclusive(busy.requester);
-            let reply = if busy.upgrade_reply {
-                MsgKind::UpgradeAck {
-                    version: entry.version,
-                    migratory: false,
-                    verify: busy.verify,
-                }
-            } else {
-                MsgKind::DataX {
-                    version: entry.version,
-                    token: entry.token,
-                    verify: busy.verify,
-                }
-            };
-            step.sends
-                .push(Message::new(home, busy.requester, block, reply));
+/// Sends `g`'s reply and moves the block to the granted state: the only
+/// code that builds a `DataS`, `DataX` or `UpgradeAck`. A read joins the
+/// block's sharers (an Idle block gets the requester alone); an exclusive
+/// grant bumps the write-version. `at_once` marks a grant that needed no
+/// invalidation, so an upgrade granted at once came from the sole sharer:
+/// the migratory pattern.
+fn grant(
+    kind: DirectoryKind,
+    home: NodeId,
+    block: BlockId,
+    entry: &mut DirBlock,
+    g: Grant,
+    at_once: bool,
+    step: &mut DirStep,
+) {
+    let reply = if g.exclusive {
+        entry.version += 1;
+        entry.state = DirState::Exclusive(g.requester);
+        if g.upgrade_reply {
+            MsgKind::UpgradeAck {
+                version: entry.version,
+                migratory: at_once,
+                verify: g.verify,
+            }
         } else {
-            entry.state = DirState::Shared(rep_of(kind, busy.requester));
-            step.sends.push(Message::new(
-                home,
-                busy.requester,
-                block,
-                MsgKind::DataS {
-                    version: entry.version,
-                    token: entry.token,
-                    verify: busy.verify,
-                },
-            ));
+            MsgKind::DataX {
+                version: entry.version,
+                token: entry.token,
+                verify: g.verify,
+            }
         }
-        // The reply moves data (except pure upgrade acks).
-        step.data_service |= !busy.upgrade_reply;
-        step.reinject.extend(entry.pending.drain(..));
-    }
+    } else {
+        match &mut entry.state {
+            DirState::Shared(sharers) => {
+                if rep_insert(kind, sharers, g.requester) {
+                    step.events.push(DirEvent::BroadcastOverflow);
+                }
+            }
+            state => *state = DirState::Shared(rep_of(kind, g.requester)),
+        }
+        MsgKind::DataS {
+            version: entry.version,
+            token: entry.token,
+            verify: g.verify,
+        }
+    };
+    // The reply moves data, except a pure upgrade ack.
+    step.data_service |= !g.upgrade_reply;
+    step.sends
+        .push(Message::new(home, g.requester, block, reply));
 }
 
 #[cfg(test)]
@@ -1560,7 +1431,10 @@ mod tests {
             MsgKind::VerifyCorrect { timely: false }
         ));
         assert!(step.reinject.is_empty());
-        assert!(d.is_idle(b(0)), "the crossing self-invalidation ends the wait");
+        assert!(
+            d.is_idle(b(0)),
+            "the crossing self-invalidation ends the wait"
+        );
         assert!(d.block(b(0)).unwrap().mask.is_empty());
         // P1's InvAck for the crossed Inv arrives afterwards: ignored.
         let step = d.process(msg(1, 0, ack(false)));

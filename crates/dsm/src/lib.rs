@@ -53,9 +53,7 @@ pub use cache::{AccessOutcome, FillComplete, InvResponse, Line, NodeCache};
 pub use config::{
     ConfigError, DirectoryKind, ParseDirectoryKindError, SystemConfig, SystemConfigBuilder,
 };
-pub use directory::{
-    Busy, DirBlock, DirEvent, DirState, DirStep, Directory, MaskEntry, ServiceClass, Sharers,
-};
+pub use directory::{DirBlock, DirEvent, DirState, DirStep, Directory, Grant, MaskEntry, Sharers};
 pub use engine::ProtocolEngine;
 pub use msg::{Message, MsgKind};
 pub use network::NetIface;

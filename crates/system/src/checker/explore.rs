@@ -446,18 +446,17 @@ fn encode(st: &State, view: &MachineView<'_>) -> Vec<u8> {
                     out.push(2);
                     enc_u16(&mut out, o.index() as u16);
                 }
-                DirState::Busy(busy) => {
-                    out.push(3);
-                    enc_u16(&mut out, busy.requester.index() as u16);
-                    out.push(u8::from(busy.want_exclusive) | (u8::from(busy.upgrade_reply) << 1));
-                    enc_verify(&mut out, busy.verify);
-                    enc_u16(&mut out, busy.waiting.len() as u16);
-                    for n in &busy.waiting {
-                        enc_u16(&mut out, n.index() as u16);
+                DirState::Busy { waiting, grant } => {
+                    // Tag 3 for a request's wait, 4 for an eviction's.
+                    match grant {
+                        Some(g) => {
+                            out.push(3);
+                            enc_u16(&mut out, g.requester.index() as u16);
+                            out.push(u8::from(g.exclusive) | (u8::from(g.upgrade_reply) << 1));
+                            enc_verify(&mut out, g.verify);
+                        }
+                        None => out.push(4),
                     }
-                }
-                DirState::Evicting { waiting } => {
-                    out.push(4);
                     enc_u16(&mut out, waiting.len() as u16);
                     for n in waiting {
                         enc_u16(&mut out, n.index() as u16);

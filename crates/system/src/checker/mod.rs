@@ -40,7 +40,9 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ltp_core::{BlockId, FxHashMap, JsonObject, JsonValue, NodeId, VerifyOutcome};
-use ltp_dsm::{DirBlock, DirState, Directory, DirectoryKind, Line, Message, MsgKind, NodeCache};
+use ltp_dsm::{
+    DirBlock, DirState, Directory, DirectoryKind, Grant, Line, Message, MsgKind, NodeCache,
+};
 use ltp_sim::Cycle;
 
 use crate::probe::{MetricsSection, Probe, ProbeCtx, SimEvent};
@@ -175,16 +177,19 @@ pub(crate) fn ground_violations(
                 "swmr",
                 format!("{b} owned by {owner} yet also cached by {p}"),
             ),
-            DirState::Busy(busy) if busy.requester != p && !busy.waiting.contains(p) => fail(
-                "agreement",
-                format!("{b} Busy at home yet cached by bystander {p}"),
-            ),
-            // Mid-eviction the only legal copies are at holders whose
-            // invalidation is still in flight.
-            DirState::Evicting { waiting } if !waiting.contains(p) => fail(
-                "agreement",
-                format!("{b} Evicting at home yet cached by bystander {p}"),
-            ),
+            // Mid-wait the only legal copies are at the requester and at
+            // holders whose invalidation is still in flight.
+            DirState::Busy { waiting, grant }
+                if grant.is_none_or(|g| g.requester != p) && !waiting.contains(p) =>
+            {
+                fail(
+                    "agreement",
+                    format!(
+                        "{b} {} at home yet cached by bystander {p}",
+                        busy_name(*grant)
+                    ),
+                );
+            }
             _ => {}
         }
         // Tokens, whatever the home's state. A read-only copy at the owner
@@ -306,14 +311,23 @@ pub(crate) struct Settling {
 impl Settling {
     fn of(rec: &DirBlock) -> Self {
         Settling {
-            transient: match rec.state {
-                DirState::Busy(_) => Some("Busy"),
-                DirState::Evicting { .. } => Some("Evicting"),
+            transient: match &rec.state {
+                DirState::Busy { grant, .. } => Some(busy_name(*grant)),
                 _ => None,
             },
             shelved: rec.pending.len(),
             orphaned_acks: rec.stale_acks.len(),
         }
+    }
+}
+
+/// The rows' name for a Busy record: `Busy` while a request waits for its
+/// grant, `Evicting` while a sparse eviction (which grants nothing) waits.
+fn busy_name(grant: Option<Grant>) -> &'static str {
+    if grant.is_some() {
+        "Busy"
+    } else {
+        "Evicting"
     }
 }
 

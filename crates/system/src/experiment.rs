@@ -23,7 +23,7 @@ use ltp_workloads::{RunEstimate, Trace, WorkloadParams, WorkloadSource};
 use crate::machine::Machine;
 use crate::probe::{FnProbeFactory, Probe, ProbeFactory, ProbeRegistry, ProbeSpecError, RunInfo};
 use crate::report::RunReport;
-use crate::stuck::{RunOutcome, StuckReport};
+use crate::stuck::{RunOutcome, StuckClass, StuckReport};
 
 /// A complete experiment description.
 ///
@@ -191,7 +191,11 @@ impl ExperimentSpec {
                 directory: self.directory,
                 workload,
                 horizon_cycles: HORIZON_CYCLES,
-                nodes_finished: workload.nodes - stuck_nodes.len() as u16,
+                nodes_finished: workload.nodes
+                    - stuck_nodes
+                        .iter()
+                        .filter(|n| n.class != StuckClass::HoldsLock)
+                        .count() as u16,
                 stuck_nodes,
                 events_handled: summary.events_handled,
             }));

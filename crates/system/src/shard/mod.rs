@@ -263,6 +263,10 @@ struct Node {
     last_progress: Cycle,
     /// Operations this node has retired (fetched from its program).
     ops_retired: u64,
+    /// The lock blocks this node holds, in acquisition order: added on a
+    /// won test-and-set, dropped on release. Read only by the stuck-run
+    /// diagnosis, which names a node that finished holding a lock.
+    held_locks: Vec<BlockId>,
     /// Flag-wait progress: how many generations of each flag block this
     /// node has consumed. The flag's current generation is the block's
     /// data token (its write count), so spins observe real coherence state
@@ -392,6 +396,7 @@ impl Shard {
                     lock_failures: 0,
                     last_progress: Cycle::ZERO,
                     ops_retired: 0,
+                    held_locks: Vec::new(),
                     flag_waited: FxHashMap::default(),
                     dir: Directory::with_kind(id, cfg.directory(), cfg.nodes()),
                     engine: ProtocolEngine::new(SystemConfig::PIPELINE_STAGES),
@@ -588,13 +593,21 @@ impl Shard {
         self.nodes.len()
     }
 
-    /// Appends this shard's unfinished nodes, structured, to a watchdog
-    /// diagnosis (see [`crate::StuckReport`]).
+    /// Appends this shard's unfinished nodes, and its finished nodes that
+    /// still hold a lock, structured, to a watchdog diagnosis (see
+    /// [`crate::StuckReport`]).
     pub fn stuck_nodes_into(&self, out: &mut Vec<crate::StuckNode>) {
         use crate::stuck::{StuckClass, StuckNode};
         for n in &self.nodes {
             let (class, detail) = match n.exec {
-                ExecState::Finished => continue,
+                ExecState::Finished if n.held_locks.is_empty() => continue,
+                ExecState::Finished => {
+                    let blocks: Vec<String> = n.held_locks.iter().map(|b| b.to_string()).collect();
+                    (
+                        StuckClass::HoldsLock,
+                        format!("finished holding lock block {}", blocks.join(", ")),
+                    )
+                }
                 ExecState::Parked(Access::FlagWait { block, .. }) => {
                     (StuckClass::FlagSpin, format!("flag block {block}"))
                 }
@@ -900,6 +913,7 @@ impl Shard {
             // Lost the race: back off before spinning again.
             Access::LockTas(lock) if !tas_won => self.back_off(now, i, Access::LockTest(lock)),
             Access::LockTas(lock) => {
+                self.nodes[i].held_locks.push(lock.block);
                 self.emit_aux(now, || SimEvent::LockAcquired {
                     node: p,
                     block: lock.block,
@@ -920,6 +934,10 @@ impl Shard {
                         || self.nodes[i].cache.line(lock.block).is_none(),
                     "release left the lock looking held"
                 );
+                let held = &mut self.nodes[i].held_locks;
+                if let Some(k) = held.iter().position(|&b| b == lock.block) {
+                    held.remove(k);
+                }
                 self.emit_aux(now, || SimEvent::LockReleased {
                     node: p,
                     block: lock.block,

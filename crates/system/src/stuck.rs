@@ -32,6 +32,9 @@ pub enum StuckClass {
     Completing,
     /// Ready to fetch the next op but never rescheduled — a lost `CpuStep`.
     Ready,
+    /// Finished its program still holding a lock, which any node spinning
+    /// on that lock waits for in vain. The only class of a finished node.
+    HoldsLock,
 }
 
 impl StuckClass {
@@ -44,6 +47,7 @@ impl StuckClass {
             StuckClass::MemWait => "mem-wait",
             StuckClass::Completing => "completing",
             StuckClass::Ready => "ready",
+            StuckClass::HoldsLock => "holds-lock",
         }
     }
 }
@@ -54,7 +58,8 @@ impl std::fmt::Display for StuckClass {
     }
 }
 
-/// One unfinished node's state at the horizon.
+/// One unfinished node's state at the horizon, or a finished node that
+/// still holds a lock ([`StuckClass::HoldsLock`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StuckNode {
     /// The node's index.
@@ -99,7 +104,8 @@ pub struct StuckReport {
     pub horizon_cycles: u64,
     /// How many nodes *did* finish their programs.
     pub nodes_finished: u16,
-    /// Every unfinished node, in node order.
+    /// Every unfinished node, and every finished node that still holds a
+    /// lock, in node order.
     pub stuck_nodes: Vec<StuckNode>,
     /// Simulator events handled before the horizon.
     pub events_handled: u64,
@@ -249,6 +255,7 @@ mod tests {
             (StuckClass::MemWait, "mem-wait"),
             (StuckClass::Completing, "completing"),
             (StuckClass::Ready, "ready"),
+            (StuckClass::HoldsLock, "holds-lock"),
         ] {
             assert_eq!(class.as_str(), s);
             assert_eq!(class.to_string(), s);

@@ -129,8 +129,8 @@ fn a_run_of_several_prints_a_table_with_speedup_over_base() {
 
 #[test]
 fn a_stuck_run_exits_1_with_its_diagnosis() {
-    // Node 0 takes lock B7 and never releases it; node 1 spins on it until
-    // the cycle horizon.
+    // Both nodes take lock B7 and never release it: the winner finishes
+    // holding it, and the other spins on it until the cycle horizon.
     let dir = std::env::temp_dir().join(format!("ltp-cli-stuck-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let (trace, jsonl) = (dir.join("held.ltrace"), dir.join("runs.jsonl"));
@@ -156,6 +156,16 @@ fn a_stuck_run_exits_1_with_its_diagnosis() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.starts_with("error:"), "stderr: {stderr}");
     assert!(stderr.contains("lock-spin"), "stderr: {stderr}");
+    // The winner finished inside its critical section: it is named, and
+    // still counted as finished.
+    assert!(
+        stderr.contains("holds-lock (finished holding lock block B7)"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("(1 of 2 nodes finished)"),
+        "stderr: {stderr}"
+    );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     // The em3d run precedes the stuck one in run order, so it is recorded.
     let lines = std::fs::read_to_string(&jsonl).unwrap();
